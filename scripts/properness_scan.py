@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from jflow import TorusGrid, eval_IE_JE, eval_entropy, eval_mabuchi, fit_properness
-from jflow.functionals import PathSpec
+from jflow import (PathSpec, TorusGrid, eval_entropy, eval_IE_JE, eval_mabuchi,
+                   fit_properness, metric_field)
 from jflow.sampling import make_rng, random_admissible_potential
 
 
@@ -40,11 +40,12 @@ def main(argv=None):
                                               band=args.band,
                                               amplitude=amplitude,
                                               deriv="spectral")
-            _, je = eval_IE_JE(grid, chi0, phi, deriv="spectral")
-            mab = eval_mabuchi(grid, chi0, phi, path, deriv="spectral")
+            metric = metric_field(grid, chi0, phi, "spectral")
+            _, je = eval_IE_JE(metric, phi, "spectral")
+            mab = eval_mabuchi(metric, phi, path, "spectral")
             je_vals.append(je)
             mab_vals.append(mab)
-            ent_vals.append(eval_entropy(grid, chi0, phi, deriv="spectral"))
+            ent_vals.append(eval_entropy(metric))
 
     je_vals = np.array(je_vals)
     mab_vals = np.array(mab_vals)

@@ -21,17 +21,16 @@ if "JFLOW_THREADS" in _os.environ:
                  "VECLIB_MAXIMUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["JFLOW_THREADS"])
 
-from .hermitian import (BOUNDARY_TOL, ConditionReport, HermitianForm,
-                        RelativeSpectrum, ShapeError, SingularFormError,
-                        check_condition, condition_margin, cone_form_positive,
+from .hermitian import (BOUNDARY_TOL, ConditionReport, RelativeSpectrum,
+                        ShapeError, SingularFormError, check_condition,
+                        condition_margin, cone_form_positive,
                         relative_spectrum, trace_pair, wedge_oracle)
 from .torus import (MetricField, PotentialField, TorusGrid, class_constant_c,
                     complex_hessian_of, cosine_mode, field_mean,
                     integrate_top, load_field, metric_field, save_field)
-from .functionals import (PathSpec, eval_I, eval_IE_JE, eval_J, eval_Jhat,
-                          eval_entropy, eval_mabuchi, fit_properness,
-                          flow_functional_bundle, ie_second_form,
-                          path_independence_gap, volume_of)
+from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
+                          fit_properness, flow_functional_bundle,
+                          ie_second_form, path_independence_gap, volume_of)
 from .flow import (CSV_COLUMNS, SINGULARITY_NOTE, FlowSetup, FlowState,
                    MonitorRecord, NumericalFailureError, RunResult,
                    blowup_monitor, dt_control, monitor_max_principle,
@@ -51,21 +50,21 @@ __version__ = "0.1.0"
 __all__ = [
     "BOUNDARY_TOL", "BUILTIN_LATTICES", "CSV_COLUMNS", "ConditionReport",
     "ConeError", "Curve", "DivisorSearchReport", "FlowSetup", "FlowState",
-    "HermitianForm", "LatticeError", "MetricField", "MonitorRecord",
-    "NakaiReport", "NewtonReport", "NewtonSettings", "NumericalFailureError",
-    "PathSpec", "PotentialField", "RelativeSpectrum", "RunResult",
-    "SINGULARITY_NOTE", "ShapeError", "SingularFormError", "SurfaceLattice",
-    "TorusGrid", "blowup_monitor", "builtin_lattice", "check_condition",
+    "LatticeError", "MetricField", "MonitorRecord", "NakaiReport",
+    "NewtonReport", "NewtonSettings", "NumericalFailureError", "PathSpec",
+    "PotentialField", "RelativeSpectrum", "RunResult", "SINGULARITY_NOTE",
+    "ShapeError", "SingularFormError", "SurfaceLattice", "TorusGrid",
+    "blowup_monitor", "builtin_lattice", "check_condition",
     "class_condition", "class_constant_c", "complex_hessian_of",
-    "condition_margin", "cone_form_positive", "cosine_mode", "divisor_search",
-    "dt_control", "eval_I", "eval_IE_JE", "eval_J", "eval_Jhat",
-    "eval_entropy", "eval_mabuchi", "field_mean", "fit_properness",
-    "flow_functional_bundle", "ie_second_form", "integrate_top", "intersect",
-    "lattice_from_dict", "load_field", "load_lattice", "make_rng",
-    "metric_field", "monitor_max_principle", "nakai_test", "newton_solve",
-    "path_independence_gap", "random_admissible_potential",
+    "condition_margin", "cone_form_positive", "cosine_mode",
+    "divisor_search", "dt_control", "eval_IE_JE", "eval_entropy",
+    "eval_mabuchi", "field_mean", "fit_properness",
+    "flow_functional_bundle", "ie_second_form", "integrate_top",
+    "intersect", "lattice_from_dict", "load_field", "load_lattice",
+    "make_rng", "metric_field", "monitor_max_principle", "nakai_test",
+    "newton_solve", "path_independence_gap", "random_admissible_potential",
     "random_positive_pair", "refinement_shrink", "relative_spectrum",
-    "report_digest", "run", "run_property_suites", "save_field", "signature",
-    "step", "trace_pair", "verify_certificate", "volume_of", "wedge_oracle",
-    "write_series_csv",
+    "report_digest", "run", "run_property_suites", "save_field",
+    "signature", "step", "trace_pair", "verify_certificate", "volume_of",
+    "wedge_oracle", "write_series_csv",
 ]

@@ -45,15 +45,16 @@ from .cone import (BUILTIN_LATTICES, ConeError, LatticeError, builtin_lattice,
 from .critical import NewtonSettings, newton_solve
 from .flow import (FlowSetup, NumericalFailureError, monitor_max_principle,
                    run, write_series_csv)
-from .functionals import (PathSpec, eval_IE_JE, eval_Jhat, eval_entropy,
-                          eval_mabuchi, flow_functional_bundle,
-                          ie_second_form, path_independence_gap)
+from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
+                          flow_functional_bundle, ie_second_form,
+                          path_independence_gap)
 from .hermitian import (SingularFormError, check_condition,
                         cone_form_positive, relative_spectrum)
 from .sampling import (FAULTS, make_rng, random_admissible_potential,
                        report_digest, run_property_suites)
 from .torus import (DERIV_MODES, GRID_MODES, PotentialField, TorusGrid,
-                    class_constant_c, cosine_mode, load_field, save_field)
+                    class_constant_c, cosine_mode, load_field, metric_field,
+                    save_field)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -529,20 +530,22 @@ def cmd_functionals(args) -> int:
                      "compare_paths": compare})
 
     t0 = time.perf_counter()
-    bundle = flow_functional_bundle(grid, omega, chi0, phi,
-                                    path=PathSpec("linear", steps),
-                                    deriv=deriv)
-    ie, je = eval_IE_JE(grid, chi0, phi, deriv)
-    ie2 = ie_second_form(grid, chi0, phi, deriv)
-    entropy = eval_entropy(grid, chi0, phi, deriv)
-    mabuchi = eval_mabuchi(grid, chi0, phi, PathSpec("linear", mab_steps),
-                           deriv)
+    metric = metric_field(grid, chi0, phi, deriv)
+    bundle = flow_functional_bundle(metric, omega, phi,
+                                    path=PathSpec("linear", steps))
+    ie, je = eval_IE_JE(metric, phi, deriv)
+    ie2 = ie_second_form(metric, phi)
+    entropy = eval_entropy(metric)
+    mabuchi = eval_mabuchi(metric, phi, PathSpec("linear", mab_steps), deriv)
     gaps = None
     if compare:
         j_lin, j_quad, j_rel = path_independence_gap(
-            eval_Jhat, grid, omega, chi0, phi, steps=steps, deriv=deriv)
+            lambda path: flow_functional_bundle(metric, omega, phi,
+                                                path=path)["Jhat"],
+            steps=steps)
         m_lin, m_quad, m_rel = path_independence_gap(
-            eval_mabuchi, grid, chi0, phi, steps=mab_steps, deriv=deriv)
+            lambda path: eval_mabuchi(metric, phi, path, deriv),
+            steps=mab_steps)
         gaps = {
             "Jhat": {"linear": j_lin, "quadratic": j_quad, "rel": j_rel},
             "mabuchi": {"linear": m_lin, "quadratic": m_quad, "rel": m_rel},

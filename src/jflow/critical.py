@@ -107,7 +107,11 @@ def residual_field(grid: TorusGrid, omega, chi0, phi: np.ndarray, c: float,
 
 def _pcg(apply_a, b: np.ndarray, diag: np.ndarray, grid: TorusGrid,
          rtol: float, maxiter: int) -> tuple:
-    """Preconditioned CG on the dead-mode complement with stagnation guard."""
+    """Preconditioned CG on the dead-mode complement with stagnation guard.
+
+    Returns (x, iterations run): an early stop on a stall or on loss of
+    positivity reports the iteration it stopped at, not maxiter.
+    """
     b = null_mode_projection(b, grid)
     x = np.zeros_like(b)
     r = b.copy()
@@ -119,6 +123,7 @@ def _pcg(apply_a, b: np.ndarray, diag: np.ndarray, grid: TorusGrid,
     rz = float(np.vdot(r, z).real)
     best_x, best_norm = x, norm_b
     stall = 0
+    it = 0
     for it in range(1, maxiter + 1):
         ap = null_mode_projection(apply_a(p), grid)
         pap = float(np.vdot(p, ap).real)
@@ -144,7 +149,7 @@ def _pcg(apply_a, b: np.ndarray, diag: np.ndarray, grid: TorusGrid,
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    return best_x, maxiter
+    return best_x, it
 
 
 def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,

@@ -109,14 +109,18 @@ class FlowSetup:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One point of a trajectory: potential, cached metric, diagnostics.
+    """One point of a trajectory: potential, its fields, diagnostics.
 
+    metric and lam = Lambda_chi omega are built once, by _make_state, and
+    every consumer of the state reads them: the residual, the next step's
+    first RK4 stage, and every monitor and functional of a sample.
     diss is the accumulated n * int phidot^2 det chi dV ds from t = 0.
     """
 
     t: float
     phi: np.ndarray
     metric: MetricField
+    lam: np.ndarray
     residual: float
     diss: float = 0.0
 
@@ -158,27 +162,35 @@ class RunResult:
     min_rel_eig: np.ndarray = None
 
 
-def flow_rhs(setup: FlowSetup, metric: MetricField) -> tuple:
-    """Pointwise velocity field and its dissipation integral.
+def flow_rhs(setup: FlowSetup, metric: MetricField, lam: np.ndarray) -> tuple:
+    """Pointwise velocity field and its dissipation integral, given the
+    trace field lam = Lambda_chi omega of the metric.
 
     Returns (phidot, n * int phidot^2 det chi dV).
     """
-    lam = metric.trace_with(setup.omega)
     phidot = setup.c - lam / setup.grid.n
     dens = integrate_top(phidot * phidot * metric.det(), setup.grid)
     return phidot, setup.grid.n * dens
 
 
-def residual_of(setup: FlowSetup, metric: MetricField) -> float:
-    lam = metric.trace_with(setup.omega)
+def residual_of(setup: FlowSetup, lam: np.ndarray) -> float:
+    """sup |c - lam/n| for the trace field lam = Lambda_chi omega."""
     return float(np.max(np.abs(setup.c - lam / setup.grid.n)))
+
+
+def _make_state(setup: FlowSetup, t: float, phi: np.ndarray,
+               diss: float = 0.0) -> FlowState:
+    """Build the state's metric and trace field once; raises
+    SingularFormError if phi is not admissible."""
+    metric = metric_field(setup.grid, setup.chi0, phi, setup.deriv)
+    lam = metric.trace_with(setup.omega)
+    return FlowState(t=t, phi=phi, metric=metric, lam=lam,
+                     residual=residual_of(setup, lam), diss=diss)
 
 
 def initial_state(setup: FlowSetup, phi0: np.ndarray) -> FlowState:
     """Validates admissibility of phi0; raises SingularFormError if lost."""
-    metric = metric_field(setup.grid, setup.chi0, phi0, setup.deriv)
-    return FlowState(t=0.0, phi=np.array(phi0, dtype=float),
-                     metric=metric, residual=residual_of(setup, metric))
+    return _make_state(setup, 0.0, np.array(phi0, dtype=float))
 
 
 def dt_control(setup: FlowSetup, state: FlowState, safety: float = None) -> float:
@@ -195,57 +207,59 @@ def step(setup: FlowSetup, state: FlowState, dt: float) -> FlowState:
     Raises SingularFormError if any stage or the result loses positivity
     (the caller reports it as blow-up) and NumericalFailureError on NaN.
     """
-    grid, chi0, deriv = setup.grid, setup.chi0, setup.deriv
-    k1, d1 = flow_rhs(setup, state.metric)
-    m2 = metric_field(grid, chi0, state.phi + 0.5 * dt * k1, deriv)
-    k2, d2 = flow_rhs(setup, m2)
-    m3 = metric_field(grid, chi0, state.phi + 0.5 * dt * k2, deriv)
-    k3, d3 = flow_rhs(setup, m3)
-    m4 = metric_field(grid, chi0, state.phi + dt * k3, deriv)
-    k4, d4 = flow_rhs(setup, m4)
+
+    def stage(phi):
+        metric = metric_field(setup.grid, setup.chi0, phi, setup.deriv)
+        return flow_rhs(setup, metric, metric.trace_with(setup.omega))
+
+    k1, d1 = flow_rhs(setup, state.metric, state.lam)
+    k2, d2 = stage(state.phi + 0.5 * dt * k1)
+    k3, d3 = stage(state.phi + 0.5 * dt * k2)
+    k4, d4 = stage(state.phi + dt * k3)
     phi_new = state.phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     diss_new = state.diss + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     if not np.all(np.isfinite(phi_new)):
         raise NumericalFailureError(f"non-finite potential at t={state.t}")
-    metric = metric_field(grid, chi0, phi_new, deriv)
-    return FlowState(t=state.t + dt, phi=phi_new, metric=metric,
-                     residual=residual_of(setup, metric), diss=diss_new)
+    return _make_state(setup, state.t + dt, phi_new, diss_new)
 
 
 def blowup_monitor(setup: FlowSetup, state: FlowState) -> float:
     """sup over the grid of |phi| + |Laplacian_omega phi|."""
-    lap = laplacian_w(setup.omega, state.phi, setup.grid, setup.deriv)
+    lap = laplacian_w(setup.omega, state.metric.hessian)
     return float(np.max(np.abs(state.phi) + np.abs(lap)))
 
 
 def _sample(setup: FlowSetup, state: FlowState, dt: float) -> tuple:
-    """MonitorRecord plus the minimum relative eigenvalue of chi vs omega."""
-    lam = state.metric.trace_with(setup.omega)
+    """MonitorRecord plus the minimum relative eigenvalue of chi vs omega.
+
+    Every functional and monitor reads the state's fields; none rebuilds
+    the metric of phi.
+    """
+    metric, phi = state.metric, state.phi
     bundle = flow_functional_bundle(
-        setup.grid, setup.omega, setup.chi0, state.phi, c=setup.c,
-        path=PathSpec("linear", setup.jhat_steps), deriv=setup.deriv)
-    ie, je = eval_IE_JE(setup.grid, setup.chi0, state.phi, setup.deriv)
-    ent = eval_entropy(setup.grid, setup.chi0, state.phi, setup.deriv)
-    mab = eval_mabuchi(setup.grid, setup.chi0, state.phi,
-                       PathSpec("linear", setup.mabuchi_steps), setup.deriv)
+        metric, setup.omega, phi, c=setup.c,
+        path=PathSpec("linear", setup.jhat_steps))
+    ie, je = eval_IE_JE(metric, phi, setup.deriv)
+    mab = eval_mabuchi(metric, phi, PathSpec("linear", setup.mabuchi_steps),
+                       setup.deriv)
     rec = MonitorRecord(
         t=state.t,
         residual=state.residual,
-        lam_min=float(lam.min()),
-        lam_max=float(lam.max()),
+        lam_min=float(state.lam.min()),
+        lam_max=float(state.lam.max()),
         J=bundle["J"],
         I=bundle["I"],
         Jhat=bundle["Jhat"],
         IE=ie,
         JE=je,
-        entropy=ent,
+        entropy=eval_entropy(metric),
         mabuchi=mab,
         blowup=blowup_monitor(setup, state),
-        sup_phi=float(state.phi.max()),
-        inf_phi=float(state.phi.min()),
+        sup_phi=float(phi.max()),
+        inf_phi=float(phi.min()),
         dt=dt,
     )
-    eig_min = float(state.metric.relative_eigenvalues(setup.omega).min())
+    eig_min = float(metric.relative_eigenvalues(setup.omega).min())
     return rec, eig_min
 
 
@@ -382,9 +396,8 @@ def wedge_trace_consistency(setup: FlowSetup, state: FlowState,
     from .hermitian import wedge_oracle
 
     grid = setup.grid
-    lam = state.metric.trace_with(setup.omega)
     chi = state.metric.chi.reshape(-1, grid.n, grid.n)
-    lam_flat = lam.reshape(-1)
+    lam_flat = state.lam.reshape(-1)
     idx = np.linspace(0, chi.shape[0] - 1, min(points, chi.shape[0]))
     worst = 0.0
     for i in idx.astype(int):

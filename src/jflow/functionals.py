@@ -8,6 +8,12 @@ becomes its permutation-sum coefficient W divided by n!.  A single global
 factor 2^n relating dz dzbar to dx dy is dropped everywhere; it cancels in
 every ratio, identity, and inequality below.
 
+Every functional reads the MetricField of its potential, which the caller
+builds once with torus.metric_field; none rebuilds it from phi.  A deriv
+argument appears only where a functional differentiates something other
+than phi's Hessian: the gradient of phi in I^E/J^E and the curvature of
+log det chi.
+
 Path functionals integrate over the segment phi_t = f(t) phi with
 chi_t = chi0 + f(t) * i ddbar(phi).  Since f maps [0,1] into [0,1], every
 chi_t is a convex combination of chi0 and chi_phi, so interior admissibility
@@ -28,53 +34,37 @@ from .torus import (
     MetricField,
     TorusGrid,
     class_constant_c,
-    complex_hessian_of,
     gradient,
     integrate_top,
-    metric_field,
     scalar_curvature,
 )
 
-PATH_KINDS = ("linear", "quadratic", "custom")
+PATH_KINDS = ("linear", "quadratic")
 
 
 @dataclass(frozen=True)
 class PathSpec:
     """Path phi_t = f(t) phi from 0 to phi, with quadrature resolution.
 
-    linear: f(t) = t.  quadratic: f(t) = t^2.  custom: user-supplied f and
-    f' (still of the scaling form, so admissibility along the segment needs
-    f([0,1]) within [0,1]; this is checked on the quadrature nodes).
-    steps is the coarse trapezoid count M; evaluation uses 2M+1 nodes plus
-    Richardson extrapolation.
+    linear: f(t) = t.  quadratic: f(t) = t^2.  steps is the coarse
+    trapezoid count M; evaluation uses 2M+1 nodes plus Richardson
+    extrapolation.
     """
 
     kind: str = "linear"
     steps: int = 64
-    weight_fn: Callable | None = None
-    rate_fn: Callable | None = None
 
     def __post_init__(self):
         if self.kind not in PATH_KINDS:
             raise ShapeError(f"path kind must be one of {PATH_KINDS}")
         if self.steps < 16:
             raise ShapeError("need at least 16 quadrature steps")
-        if self.kind == "custom" and (self.weight_fn is None or self.rate_fn is None):
-            raise ShapeError("custom paths need weight_fn and rate_fn")
 
     def weight(self, t: float) -> float:
-        if self.kind == "linear":
-            return t
-        if self.kind == "quadratic":
-            return t * t
-        return float(self.weight_fn(t))
+        return t if self.kind == "linear" else t * t
 
     def rate(self, t: float) -> float:
-        if self.kind == "linear":
-            return 1.0
-        if self.kind == "quadratic":
-            return 2.0 * t
-        return float(self.rate_fn(t))
+        return 1.0 if self.kind == "linear" else 2.0 * t
 
 
 def _quadrature_nodes(path: PathSpec) -> np.ndarray:
@@ -138,82 +128,48 @@ def dbar_energy_matrix(phi: np.ndarray, grid: TorusGrid,
     return p
 
 
-def _path_samples(grid: TorusGrid, chi0, hessian: np.ndarray, path: PathSpec,
+def _path_samples(metric: MetricField, path: PathSpec,
                   kernel: Callable) -> np.ndarray:
-    """kernel(t, metric) on every quadrature node; raises if a node loses
-    positivity (cannot happen for f in [0,1] with admissible endpoints)."""
-    ts = _quadrature_nodes(path)
-    vals = np.empty(ts.shape[0])
-    for j, t in enumerate(ts):
-        f = path.weight(float(t))
-        metric = MetricField(grid, chi0, f * hessian)
-        vals[j] = kernel(float(t), metric)
-    return vals
+    """rate(t) * kernel(metric_t) on every quadrature node, one row per
+    kernel output; metric_t carries chi0 + f(t) i ddbar(phi).  Raises if a
+    node loses positivity (cannot happen for f in [0,1] with admissible
+    endpoints)."""
+    rows = []
+    for t in _quadrature_nodes(path):
+        node = MetricField(metric.grid, metric.chi0,
+                           path.weight(float(t)) * metric.hessian)
+        rows.append(path.rate(float(t)) * np.atleast_1d(kernel(node)))
+    return np.array(rows).T.copy()
 
 
-def eval_J(grid: TorusGrid, omega, chi0, phi: np.ndarray,
-           path: PathSpec = PathSpec(), deriv: str = "fd4") -> float:
-    """J(phi) = int_0^1 int phidot_t (omega wedge chi_t^{n-1}/(n-1)!) dt."""
-    hessian = complex_hessian_of(phi, grid, deriv)
-    om = as_matrix(omega)
-
-    def kernel(t, metric):
-        dens = metric.trace_with(om) * metric.det()
-        return path.rate(t) * integrate_top(phi * dens, grid)
-
-    return _richardson(_path_samples(grid, chi0, hessian, path, kernel))
-
-
-def eval_I(grid: TorusGrid, chi0, phi: np.ndarray,
-           path: PathSpec = PathSpec(), deriv: str = "fd4") -> float:
-    """I(phi) = int_0^1 int phidot_t chi_t^n/n! dt."""
-    hessian = complex_hessian_of(phi, grid, deriv)
-
-    def kernel(t, metric):
-        return path.rate(t) * integrate_top(phi * metric.det(), grid)
-
-    return _richardson(_path_samples(grid, chi0, hessian, path, kernel))
-
-
-def eval_Jhat(grid: TorusGrid, omega, chi0, phi: np.ndarray,
-              path: PathSpec = PathSpec(), deriv: str = "fd4") -> float:
-    """Jhat = J - nc I, the normalized functional the flow descends.
-
-    Its integrand is phidot_t (Lambda_{chi_t} omega - nc) det chi_t, so
-    shifting phi by a constant changes nothing: the shift contributes the
-    t-integral of int (Lambda - nc) det chi_t dV, which vanishes because nc
-    is exactly the class ratio.
-    """
-    bundle = flow_functional_bundle(grid, omega, chi0, phi, path=path,
-                                    deriv=deriv)
-    return bundle["Jhat"]
-
-
-def flow_functional_bundle(grid: TorusGrid, omega, chi0, phi: np.ndarray,
+def flow_functional_bundle(metric: MetricField, omega, phi: np.ndarray,
                            c: float | None = None,
-                           path: PathSpec = PathSpec(),
-                           deriv: str = "fd4") -> dict:
-    """J, I, and Jhat from one shared sweep over the quadrature nodes."""
-    hessian = complex_hessian_of(phi, grid, deriv)
+                           path: PathSpec = PathSpec()) -> dict:
+    """J, I, and Jhat = J - nc I from one shared sweep over the path nodes.
+
+    J(phi) = int_0^1 int phidot_t (omega wedge chi_t^{n-1}/(n-1)!) dt and
+    I(phi) = int_0^1 int phidot_t chi_t^n/n! dt.  Jhat is the normalized
+    functional the flow descends: its integrand is
+    phidot_t (Lambda_{chi_t} omega - nc) det chi_t, so shifting phi by a
+    constant changes nothing, because nc is exactly the class ratio.
+    """
+    grid = metric.grid
     om = as_matrix(omega)
     if c is None:
-        c = class_constant_c(omega, chi0)
-    ts = _quadrature_nodes(path)
-    jvals = np.empty(ts.shape[0])
-    ivals = np.empty(ts.shape[0])
-    for k, t in enumerate(ts):
-        f = path.weight(float(t))
-        metric = MetricField(grid, chi0, f * hessian)
-        det = metric.det()
-        rate = path.rate(float(t))
-        jvals[k] = rate * integrate_top(phi * metric.trace_with(om) * det, grid)
-        ivals[k] = rate * integrate_top(phi * det, grid)
+        c = class_constant_c(omega, metric.chi0)
+
+    def kernel(node):
+        det = node.det()
+        return (integrate_top(phi * node.trace_with(om) * det, grid),
+                integrate_top(phi * det, grid))
+
+    jvals, ivals = _path_samples(metric, path, kernel)
     jval = _richardson(jvals)
     ival = _richardson(ivals)
     return {"J": jval, "I": ival, "Jhat": jval - grid.n * c * ival}
 
 
-def aubin_yau_terms(grid: TorusGrid, chi0, phi: np.ndarray,
+def aubin_yau_terms(metric: MetricField, phi: np.ndarray,
                     deriv: str = "fd4") -> list:
     """T_i = int W(P, chi0^i, chi_phi^{n-1-i}) dV for i = 0..n-1.
 
@@ -222,10 +178,11 @@ def aubin_yau_terms(grid: TorusGrid, chi0, phi: np.ndarray,
     pointwise nonnegative; every T_i is therefore nonnegative, which is
     what makes the energy inequality chain exact at grid level.
     """
+    grid = metric.grid
     n = grid.n
     p = dbar_energy_matrix(phi, grid, deriv)
-    chi = metric_field(grid, chi0, phi, deriv).chi
-    chi0_m = as_matrix(chi0)
+    chi = metric.chi
+    chi0_m = metric.chi0
     if not np.iscomplexobj(chi):
         chi0_m = chi0_m.real
     terms = []
@@ -236,87 +193,84 @@ def aubin_yau_terms(grid: TorusGrid, chi0, phi: np.ndarray,
     return terms
 
 
-def eval_IE_JE(grid: TorusGrid, chi0, phi: np.ndarray,
+def eval_IE_JE(metric: MetricField, phi: np.ndarray,
                deriv: str = "fd4") -> tuple:
     """Aubin-Yau energies (I^E, J^E) in closed form (no path).
 
     I^E = (1/(n! V)) sum_i T_i and J^E reweights term i by (i+1)/(n+1),
-    so (1/(n+1)) I^E <= J^E <= (n/(n+1)) I^E holds term by term.
+    so (1/(n+1)) I^E <= J^E <= (n/(n+1)) I^E holds term by term.  deriv
+    differentiates phi for the gradient slot P.
     """
-    n = grid.n
-    terms = aubin_yau_terms(grid, chi0, phi, deriv)
-    norm = math.factorial(n) * volume_of(chi0, grid)
+    n = metric.n
+    terms = aubin_yau_terms(metric, phi, deriv)
+    norm = math.factorial(n) * volume_of(metric.chi0, metric.grid)
     ie = sum(terms) / norm
     je = sum((i + 1) * t for i, t in enumerate(terms)) / ((n + 1) * norm)
     return ie, je
 
 
-def ie_second_form(grid: TorusGrid, chi0, phi: np.ndarray,
-                   deriv: str = "fd4") -> float:
+def ie_second_form(metric: MetricField, phi: np.ndarray) -> float:
     """I^E recomputed as (1/(n! V)) int phi (chi0^n - chi_phi^n).
 
     Equality with the sum-of-terms route is the discrete integration by
     parts identity; with spectral derivatives and band-limited data both
     routes are exact and agree to rounding.
     """
-    metric = metric_field(grid, chi0, phi, deriv)
-    det0 = float(np.linalg.det(as_matrix(chi0)).real)
-    return integrate_top(phi * (det0 - metric.det()), grid) / volume_of(chi0, grid)
+    grid = metric.grid
+    det0 = float(np.linalg.det(metric.chi0).real)
+    return (integrate_top(phi * (det0 - metric.det()), grid)
+            / volume_of(metric.chi0, grid))
 
 
-def eval_entropy(grid: TorusGrid, chi0, phi: np.ndarray,
-                 deriv: str = "fd4") -> float:
+def eval_entropy(metric: MetricField) -> float:
     """int log(chi_phi^n / chi0^n) chi_phi^n/n! over the torus.
 
     Nonnegative by Jensen whenever the discrete total volume is conserved,
     which holds exactly for n = 2 with composed stencils.
     """
-    metric = metric_field(grid, chi0, phi, deriv)
-    det0 = float(np.linalg.det(as_matrix(chi0)).real)
+    det0 = float(np.linalg.det(metric.chi0).real)
     det = metric.det()
     if det0 <= 0.0 or np.any(det <= 0.0):
         raise ShapeError("volume forms must stay positive for the entropy")
-    return integrate_top(np.log(det / det0) * det, grid)
+    return integrate_top(np.log(det / det0) * det, metric.grid)
 
 
-def average_scalar_curvature(grid: TorusGrid, chi0, phi: np.ndarray,
-                             deriv: str = "fd4") -> float:
+def average_scalar_curvature(metric: MetricField, deriv: str = "fd4") -> float:
     """Volume-weighted mean of R over the grid (0 in the continuum)."""
-    metric = metric_field(grid, chi0, phi, deriv)
     r = scalar_curvature(metric, deriv)
     det = metric.det()
-    return integrate_top(r * det, grid) / integrate_top(det, grid)
+    return integrate_top(r * det, metric.grid) / integrate_top(det, metric.grid)
 
 
-def eval_mabuchi(grid: TorusGrid, chi0, phi: np.ndarray,
+def eval_mabuchi(metric: MetricField, phi: np.ndarray,
                  path: PathSpec = PathSpec(), deriv: str = "fd4") -> float:
     """Mabuchi energy -int_0^1 int phidot_t (R_t - Rbar_t) chi_t^n/n! dt.
 
     Rbar_t is recomputed from the discrete field at every node rather than
     set to its continuum value zero, keeping the integrand consistent with
-    the discretization.
+    the discretization.  deriv differentiates log det chi_t for R_t.
     """
-    hessian = complex_hessian_of(phi, grid, deriv)
+    grid = metric.grid
 
-    def kernel(t, metric):
-        r = scalar_curvature(metric, deriv)
-        det = metric.det()
+    def kernel(node):
+        r = scalar_curvature(node, deriv)
+        det = node.det()
         rbar = integrate_top(r * det, grid) / integrate_top(det, grid)
-        return -path.rate(t) * integrate_top(phi * (r - rbar) * det, grid)
+        return -integrate_top(phi * (r - rbar) * det, grid)
 
-    return _richardson(_path_samples(grid, chi0, hessian, path, kernel))
+    return _richardson(_path_samples(metric, path, kernel)[0])
 
 
-def path_independence_gap(evaluator: Callable, *args, steps: int = 64,
-                          **kwargs) -> tuple:
-    """Evaluate a path functional on the linear and quadratic paths.
+def path_independence_gap(evaluator: Callable, steps: int = 64) -> tuple:
+    """Evaluate a path functional, given as a callable of its PathSpec, on
+    the linear and quadratic paths.
 
     Returns (linear value, quadratic value, relative gap); the gap is
     normalized by the larger magnitude, with an absolute floor so that a
     functional that vanishes identically reports gap 0.
     """
-    lin = evaluator(*args, path=PathSpec("linear", steps), **kwargs)
-    quad = evaluator(*args, path=PathSpec("quadratic", steps), **kwargs)
+    lin = evaluator(PathSpec("linear", steps))
+    quad = evaluator(PathSpec("quadratic", steps))
     scale = max(abs(lin), abs(quad), 1e-300)
     return lin, quad, abs(lin - quad) / scale
 

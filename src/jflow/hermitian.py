@@ -6,13 +6,13 @@ the three pointwise cone conditions at the normalization nc = 1, and a
 brute-force wedge-coefficient oracle that expands (1,1)-form products by
 explicit permutation sums.  Batched variants used by the grid code live at
 the bottom; they implement the same permutation expansion vectorized over a
-leading sample axis.
+leading sample axis, and the scalar pencil and margin routes are
+batch-of-one calls into them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -34,52 +34,16 @@ class SingularFormError(ValueError):
     """A form required to be positive definite is not."""
 
 
-def _symmetrize(entries: np.ndarray) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.complex128)
+def as_matrix(form) -> np.ndarray:
+    """Coerce an array-like to a Hermitian ndarray.
+
+    Averaging with the conjugate transpose makes the Hermitian symmetry
+    m[j, i] == conj(m[i, j]) hold exactly in floating point.
+    """
+    a = np.asarray(form, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     return 0.5 * (a + a.conj().T)
-
-
-class HermitianForm:
-    """Coefficient matrix of a (1,1)-form at a point.
-
-    Construction averages with the conjugate transpose, so the Hermitian
-    symmetry entries[j, i] == conj(entries[i, j]) holds exactly in floating
-    point.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = _symmetrize(entries)
-        self.entries.setflags(write=False)
-
-    @classmethod
-    def identity(cls, n: int) -> "HermitianForm":
-        return cls(np.eye(n))
-
-    @classmethod
-    def diagonal(cls, values) -> "HermitianForm":
-        return cls(np.diag(np.asarray(values, dtype=np.complex128)))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def is_positive(self) -> bool:
-        ev = np.linalg.eigvalsh(self.entries)
-        return bool(ev[0] > POSITIVITY_RTOL * max(float(ev[-1]), 0.0))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HermitianForm({self.entries.tolist()!r})"
-
-
-def as_matrix(form) -> np.ndarray:
-    """Coerce a HermitianForm or array-like to a Hermitian ndarray."""
-    if isinstance(form, HermitianForm):
-        return form.entries
-    return _symmetrize(form)
 
 
 def _require_positive(m: np.ndarray, name: str) -> None:
@@ -131,18 +95,11 @@ def relative_spectrum(g, chi) -> RelativeSpectrum:
     if gm.shape != cm.shape:
         raise ShapeError(f"dimension mismatch: {gm.shape} vs {cm.shape}")
     _require_positive(gm, "g")
-    try:
-        low = np.linalg.cholesky(gm)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise SingularFormError("g has no Cholesky factor") from exc
-    x = np.linalg.solve(low, cm)
-    m = np.linalg.solve(low, x.conj().T).conj().T
-    lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    lam = pencil_eigenvalues_batch(gm, cm)
     if lam[0] <= 0.0:
         raise SingularFormError(
             f"chi is not positive against g (pencil minimum {lam[0]:.3e})"
         )
-    lam = np.ascontiguousarray(lam)
     lam.setflags(write=False)
     mus = 1.0 / lam
     mus.setflags(write=False)
@@ -175,19 +132,11 @@ def condition_margin(lambdas: np.ndarray, which: str) -> float:
     C2: 1/lambda_i < 1/(n-1) for all i (vacuous for n = 1).
     C3: sum over i != k of 1/lambda_i < 1 for all k.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    n = lam.shape[0]
-    inv = 1.0 / lam
-    if which == "C1":
-        return float(1.0 - inv.max())
-    if which == "C2":
-        if n == 1:
-            return math.inf
-        return float(1.0 / (n - 1) - inv.max())
-    if which == "C3":
-        # the worst k omits the smallest reciprocal (largest lambda)
-        return float(1.0 - (inv.sum() - inv.min()))
-    raise ValueError(f"unknown condition {which!r}; expected one of {CONDITIONS}")
+    margins = condition_margins_batch(np.asarray(lambdas, dtype=float))
+    if which not in margins:
+        raise ValueError(
+            f"unknown condition {which!r}; expected one of {CONDITIONS}")
+    return float(margins[which])
 
 
 def _report(which: str, margin: float, lambdas) -> ConditionReport:
@@ -360,5 +309,6 @@ def condition_margins_batch(lambdas: np.ndarray) -> dict:
         out["C2"] = np.full(lambdas.shape[:-1], np.inf)
     else:
         out["C2"] = 1.0 / (n - 1) - inv.max(axis=-1)
+    # the worst k omits the smallest reciprocal (largest lambda)
     out["C3"] = 1.0 - (inv.sum(axis=-1) - inv.min(axis=-1))
     return out

@@ -42,7 +42,7 @@ from .functionals import (eval_entropy, eval_IE_JE, flow_functional_bundle,
                           ie_second_form)
 from .hermitian import (condition_margins_batch, cone_form_positive,
                         pencil_eigenvalues_batch, wedge_coefficient_batch)
-from .torus import TorusGrid, complex_hessian_of
+from .torus import TorusGrid, complex_hessian_of, metric_field
 
 FAULTS = ("c2-sign",)
 
@@ -320,7 +320,8 @@ def suite_functionals(seed: int, count: int = 1000, points: int = 16,
         phi = random_admissible_potential(
             rng, grid, chi0, band=band, amplitude=0.6, rel_margin=0.25,
             deriv="spectral")
-        ie, je = eval_IE_JE(grid, chi0, phi, deriv="spectral")
+        metric = metric_field(grid, chi0, phi, "spectral")
+        ie, je = eval_IE_JE(metric, phi, "spectral")
         slack = 1e-12 * max(1.0, abs(ie))
         low = je - ie / 3.0
         high = 2.0 * ie / 3.0 - je
@@ -336,22 +337,24 @@ def suite_functionals(seed: int, count: int = 1000, points: int = 16,
         if high < -slack:
             failures.append({"sample": i, "property": "sandwich-high",
                              "value": _pyfloat(high)})
-        ie2 = ie_second_form(grid, chi0, phi, deriv="spectral")
+        ie2 = ie_second_form(metric, phi)
         route_gap = abs(ie - ie2) / max(1.0, abs(ie))
         gaps["ie_routes"] = max(gaps["ie_routes"], route_gap)
         if route_gap > 1e-8:
             failures.append({"sample": i, "property": "ie-two-routes",
                              "value": _pyfloat(route_gap)})
-        ent = eval_entropy(grid, chi0, phi, deriv="spectral")
+        ent = eval_entropy(metric)
         gaps["entropy_min"] = min(gaps["entropy_min"], ent)
         if ent < -1e-6:
             failures.append({"sample": i, "property": "entropy-nonnegative",
                              "value": _pyfloat(ent)})
         if i % invariance_every == 0:
-            base = flow_functional_bundle(grid, omega, chi0, phi,
-                                          deriv="spectral")
-            shifted = flow_functional_bundle(grid, omega, chi0, phi + 0.7,
-                                             deriv="spectral")
+            base = flow_functional_bundle(metric, omega, phi)
+            # the shifted potential is differentiated afresh, so the check
+            # also covers the stencil's blindness to constants
+            shifted = flow_functional_bundle(
+                metric_field(grid, chi0, phi + 0.7, "spectral"), omega,
+                phi + 0.7)
             shift_gap = abs(base["Jhat"] - shifted["Jhat"]) \
                 / max(1.0, abs(base["Jhat"]))
             gaps["jhat_shift"] = max(gaps["jhat_shift"], shift_gap)

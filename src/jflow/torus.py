@@ -26,13 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hermitian import (
-    HermitianForm,
-    ShapeError,
-    SingularFormError,
-    as_matrix,
-    trace_pair,
-)
+from .hermitian import ShapeError, SingularFormError, as_matrix, trace_pair
 
 TWO_PI = 2.0 * np.pi
 
@@ -357,13 +351,11 @@ def metric_field(grid: TorusGrid, chi0, phi: np.ndarray,
     return MetricField(grid, chi0, complex_hessian_of(phi, grid, deriv))
 
 
-def laplacian_w(omega, phi: np.ndarray, grid: TorusGrid,
-                deriv: str = "fd4") -> np.ndarray:
-    """Weighted Laplacian omega^{ab} d^2 phi / dz_a dzbar_b on the grid."""
-    om = as_matrix(omega)
-    inv = np.linalg.inv(om)
-    hess = complex_hessian_of(phi, grid, deriv)
-    val = np.einsum("ab,...ba->...", inv, hess)
+def laplacian_w(omega, hessian: np.ndarray) -> np.ndarray:
+    """Weighted Laplacian omega^{ab} d^2 phi / dz_a dzbar_b from phi's
+    complex Hessian stack."""
+    inv = np.linalg.inv(as_matrix(omega))
+    val = np.einsum("ab,...ba->...", inv, hessian)
     if np.iscomplexobj(val):
         return val.real.copy()
     return val

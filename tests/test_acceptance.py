@@ -21,10 +21,9 @@ from jflow import (
     builtin_lattice,
     cosine_mode,
     divisor_search,
-    eval_I,
-    eval_J,
-    eval_Jhat,
     eval_mabuchi,
+    flow_functional_bundle,
+    metric_field,
     monitor_max_principle,
     nakai_test,
     newton_solve,
@@ -189,12 +188,15 @@ def test_criterion_07_functional_identities(functionals_suite, criterion):
         rng = make_rng(k, stream=11)
         phi = random_admissible_potential(rng, grid, chi0, band=3,
                                           deriv="spectral")
-        for fn, args, steps in ((eval_J, (grid, omega, chi0, phi), 64),
-                                (eval_I, (grid, chi0, phi), 64),
-                                (eval_Jhat, (grid, omega, chi0, phi), 64),
-                                (eval_mabuchi, (grid, chi0, phi), 32)):
-            rel = path_independence_gap(fn, *args, steps=steps,
-                                        deriv="spectral")[2]
+        metric = metric_field(grid, chi0, phi, "spectral")
+        evaluators = [
+            (lambda path, key=key: flow_functional_bundle(
+                metric, omega, phi, path=path)[key], 64)
+            for key in ("J", "I", "Jhat")]
+        evaluators.append(
+            (lambda path: eval_mabuchi(metric, phi, path, "spectral"), 32))
+        for fn, steps in evaluators:
+            rel = path_independence_gap(fn, steps=steps)[2]
             path_worst = max(path_worst, rel)
     ok = (gaps["jhat_shift"] <= 1e-8
           and path_worst <= 1e-5
@@ -220,7 +222,8 @@ def test_criterion_08_entropy_and_curvature(functionals_suite, criterion):
 
     def rbar_at(points):
         grid = TorusGrid(n=3, points=points)
-        return abs(average_scalar_curvature(grid, chi0, sample_phi(grid)))
+        metric = metric_field(grid, chi0, sample_phi(grid))
+        return abs(average_scalar_curvature(metric))
 
     dx2 = {points: (2.0 * np.pi / points) ** 2 for points in (12, 16, 24, 32)}
     c_measured = rbar_at(12) / dx2[12]

@@ -10,7 +10,7 @@ from jflow import (
     cosine_mode,
     newton_solve,
 )
-from jflow.critical import linearized_apply, residual_field
+from jflow.critical import _pcg, linearized_apply, residual_field
 from jflow.torus import metric_field
 
 
@@ -51,6 +51,18 @@ class TestLinearizedOperator:
             v = rng.standard_normal(grid.shape)
             val = float(np.sum(v * linearized_apply(metric, np.eye(2), v)))
             assert val <= 1e-10 * float(np.sum(v * v))
+
+
+class TestPcg:
+    def test_early_stop_reports_iterations_run(self):
+        # a negative operator fails the positivity test p.Ap > 0 on the
+        # first iteration; the count must say 1, not the budget
+        grid = TorusGrid(n=1, points=16)
+        b = cosine_mode(grid, [1], 1.0)
+        x, iters = _pcg(lambda v: -v, b, np.ones(grid.shape), grid,
+                        rtol=1e-10, maxiter=50)
+        assert iters == 1
+        assert np.array_equal(x, np.zeros_like(b))
 
 
 class TestResidualField:

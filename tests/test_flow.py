@@ -21,6 +21,7 @@ from jflow.flow import (
     MonitorRecord,
     RunResult,
     _jhat_monotone,
+    _sample,
     flow_rhs,
     initial_state,
     residual_of,
@@ -106,16 +107,19 @@ class TestStepping:
     def test_dissipation_matches_jhat_drop(self):
         # d Jhat / dt = -n int phidot^2 det chi, so the accumulated
         # dissipation must equal the drop in Jhat between two states.
-        from jflow import eval_Jhat
+        from jflow import flow_functional_bundle
+
+        def jhat(state):
+            return flow_functional_bundle(state.metric, setup.omega,
+                                          state.phi)["Jhat"]
 
         setup = small_setup()
-        grid = setup.grid
-        state = initial_state(setup, cosine_mode(grid, [1], 0.2))
-        j0 = eval_Jhat(grid, setup.omega, setup.chi0, state.phi)
+        state = initial_state(setup, cosine_mode(setup.grid, [1], 0.2))
+        j0 = jhat(state)
         dt = dt_control(setup, state)
         for _ in range(50):
             state = step(setup, state, dt)
-        j1 = eval_Jhat(grid, setup.omega, setup.chi0, state.phi)
+        j1 = jhat(state)
         assert j0 - j1 == pytest.approx(state.diss, rel=1e-8)
 
     def test_positivity_loss_raises(self):
@@ -127,7 +131,7 @@ class TestStepping:
     def test_rhs_dissipation_nonnegative(self):
         setup = small_setup()
         state = initial_state(setup, cosine_mode(setup.grid, [1], 0.3))
-        phidot, diss = flow_rhs(setup, state.metric)
+        phidot, diss = flow_rhs(setup, state.metric, state.lam)
         assert diss >= 0.0
         want = setup.c - state.metric.trace_with(setup.omega) / setup.grid.n
         assert np.max(np.abs(phidot - want)) < 1e-14
@@ -273,4 +277,64 @@ class TestSeriesOutput:
     def test_residual_of_matches_state(self):
         setup = small_setup()
         state = initial_state(setup, cosine_mode(setup.grid, [1], 0.2))
-        assert residual_of(setup, state.metric) == state.residual
+        lam = state.metric.trace_with(setup.omega)
+        assert residual_of(setup, lam) == state.residual
+
+
+class TestFieldBuilds:
+    """A state's fields are built once; its consumers read them."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        import sys
+
+        import jflow.torus
+
+        original = getattr(jflow.torus, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("jflow") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def _state():
+        grid = TorusGrid(n=2, points=12)
+        setup = FlowSetup(grid=grid, omega=np.diag([1.0, 0.8]),
+                          chi0=np.diag([2.0, 2.5]), jhat_steps=16,
+                          mabuchi_steps=16)
+        phi0 = cosine_mode(grid, [1, 0], 0.3) + cosine_mode(grid, [1, 1], 0.1)
+        return setup, initial_state(setup, phi0)
+
+    def test_sample_reads_state_fields(self, monkeypatch):
+        setup, state = self._state()
+        builds = self._count_calls(monkeypatch, "metric_field")
+        hessians = self._count_calls(monkeypatch, "complex_hessian_of")
+        _sample(setup, state, 0.1)
+        assert builds == []
+        # only R_t needs a Hessian: of log det chi_t at each Mabuchi node
+        assert len(hessians) == 2 * setup.mabuchi_steps + 1
+        assert not any(np.array_equal(h, state.phi) for h in hessians)
+
+    def test_step_traces_four_times(self, monkeypatch):
+        from jflow import MetricField
+
+        setup, state = self._state()
+        dt = dt_control(setup, state)
+        original = MetricField.trace_with
+        traces = []
+
+        def counted(metric, g):
+            traces.append(metric)
+            return original(metric, g)
+
+        monkeypatch.setattr(MetricField, "trace_with", counted)
+        builds = self._count_calls(monkeypatch, "metric_field")
+        step(setup, state, dt)
+        assert len(traces) == 4
+        assert len(builds) == 4

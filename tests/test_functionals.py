@@ -9,15 +9,13 @@ from jflow import (
     TorusGrid,
     cosine_mode,
     eval_entropy,
-    eval_I,
     eval_IE_JE,
-    eval_J,
-    eval_Jhat,
     eval_mabuchi,
     fit_properness,
     flow_functional_bundle,
     ie_second_form,
     integrate_top,
+    metric_field,
     path_independence_gap,
     volume_of,
 )
@@ -32,17 +30,20 @@ from jflow.functionals import (
 TWO_PI = 2.0 * np.pi
 
 
+def _n2_potential(grid):
+    return (
+        cosine_mode(grid, [1, 0], 0.35)
+        + cosine_mode(grid, [0, 1], 0.25, 0.7)
+        + cosine_mode(grid, [1, 1], 0.15, 1.3)
+    )
+
+
 @pytest.fixture
 def setup_n2():
     grid = TorusGrid(n=2, points=16, mode="invariant")
     omega = np.array([[1.0, 0.1], [0.1, 0.8]])
     chi0 = np.array([[2.0, 0.3], [0.3, 1.6]])
-    phi = (
-        cosine_mode(grid, [1, 0], 0.35)
-        + cosine_mode(grid, [0, 1], 0.25, 0.7)
-        + cosine_mode(grid, [1, 1], 0.15, 1.3)
-    )
-    return grid, omega, chi0, phi
+    return grid, omega, chi0, _n2_potential(grid)
 
 
 class TestPathSpec:
@@ -54,18 +55,13 @@ class TestPathSpec:
         with pytest.raises(ShapeError):
             PathSpec("linear", steps=8)
 
-    def test_custom_needs_both_callables(self):
-        with pytest.raises(ShapeError):
-            PathSpec("custom", weight_fn=lambda t: t**3)
-
     def test_weight_and_rate(self):
         quad = PathSpec("quadratic")
         assert quad.weight(0.5) == pytest.approx(0.25)
         assert quad.rate(0.5) == pytest.approx(1.0)
-        cubic = PathSpec("custom", weight_fn=lambda t: t**3,
-                         rate_fn=lambda t: 3 * t * t)
-        assert cubic.weight(0.5) == pytest.approx(0.125)
-        assert cubic.rate(0.5) == pytest.approx(0.75)
+        lin = PathSpec("linear")
+        assert lin.weight(0.5) == 0.5
+        assert lin.rate(0.5) == 1.0
 
 
 class TestDensities:
@@ -106,64 +102,78 @@ class TestDensities:
         assert np.min(p[..., 0, 0]) >= 0.0
 
 
+def _mixed_integral(grid, phi, mats):
+    return integrate_top(phi * mixed_density(mats, grid), grid)
+
+
 class TestPathFunctionals:
     def test_constant_potential_closed_forms(self, setup_n2):
         grid, omega, chi0, _ = setup_n2
         const = np.full(grid.shape, 0.7)
         vol = volume_of(chi0, grid)
         trace = np.trace(np.linalg.solve(chi0, omega))
-        assert eval_I(grid, chi0, const) == pytest.approx(0.7 * vol, rel=1e-12)
-        assert eval_J(grid, omega, chi0, const) == pytest.approx(
-            0.7 * trace * vol, rel=1e-12
-        )
-        assert eval_Jhat(grid, omega, chi0, const) == pytest.approx(
-            0.0, abs=1e-9 * abs(0.7 * vol)
-        )
-
-    def test_bundle_matches_individual_evaluators(self, setup_n2):
-        grid, omega, chi0, phi = setup_n2
-        bundle = flow_functional_bundle(grid, omega, chi0, phi)
-        assert bundle["J"] == pytest.approx(eval_J(grid, omega, chi0, phi),
-                                            rel=1e-12)
-        assert bundle["I"] == pytest.approx(eval_I(grid, chi0, phi), rel=1e-12)
-        assert bundle["Jhat"] == pytest.approx(
-            eval_Jhat(grid, omega, chi0, phi), rel=1e-10, abs=1e-12
-        )
+        bundle = flow_functional_bundle(metric_field(grid, chi0, const),
+                                        omega, const)
+        assert bundle["I"] == pytest.approx(0.7 * vol, rel=1e-12)
+        assert bundle["J"] == pytest.approx(0.7 * trace * vol, rel=1e-12)
+        assert bundle["Jhat"] == pytest.approx(0.0, abs=1e-9 * abs(0.7 * vol))
 
     def test_jhat_constant_shift_invariance(self, setup_n2):
         grid, omega, chi0, phi = setup_n2
-        a = eval_Jhat(grid, omega, chi0, phi)
-        b = eval_Jhat(grid, omega, chi0, phi + 0.9)
-        assert b == pytest.approx(a, rel=1e-9)
+        a = flow_functional_bundle(metric_field(grid, chi0, phi), omega, phi)
+        b = flow_functional_bundle(metric_field(grid, chi0, phi + 0.9), omega,
+                                   phi + 0.9)
+        assert b["Jhat"] == pytest.approx(a["Jhat"], rel=1e-9)
 
     def test_path_independence(self, setup_n2):
         grid, omega, chi0, phi = setup_n2
-        _, _, gap_j = path_independence_gap(eval_J, grid, omega, chi0, phi)
-        _, _, gap_i = path_independence_gap(eval_I, grid, chi0, phi)
-        _, _, gap_jh = path_independence_gap(eval_Jhat, grid, omega, chi0, phi)
-        assert gap_j < 1e-9
-        assert gap_i < 1e-8
-        assert gap_jh < 1e-8
+        metric = metric_field(grid, chi0, phi)
+        gaps = {}
+        for key in ("J", "I", "Jhat"):
+            _, _, gaps[key] = path_independence_gap(
+                lambda path, key=key: flow_functional_bundle(
+                    metric, omega, phi, path=path)[key])
+        assert gaps["J"] < 1e-9
+        assert gaps["I"] < 1e-8
+        assert gaps["Jhat"] < 1e-8
 
-    def test_custom_path_agrees_with_linear(self, setup_n2):
-        grid, omega, chi0, phi = setup_n2
-        cubic = PathSpec("custom", steps=64, weight_fn=lambda t: t**3,
-                         rate_fn=lambda t: 3.0 * t * t)
-        a = eval_J(grid, omega, chi0, phi, path=PathSpec("linear", 64))
-        b = eval_J(grid, omega, chi0, phi, path=cubic)
-        assert b == pytest.approx(a, rel=1e-8)
+    @pytest.mark.parametrize("n, points", [(2, 16), (3, 8)])
+    def test_closed_form_j_and_i(self, n, points):
+        # along the linear path both integrands are polynomials in t, so
+        # I = (1/(n+1)) sum_{i=0..n} int phi MD(chi0^i, chi_phi^{n-i}) and
+        # J = sum_{i=0..n-1} int phi MD(omega, chi0^i, chi_phi^{n-1-i});
+        # of degree <= 3 for n <= 3, where Richardson-extrapolated
+        # trapezoid (Simpson) is exact
+        grid = TorusGrid(n=n, points=points)
+        omega = np.eye(n) + 0.1 * np.diag(np.ones(n - 1), 1)
+        omega = 0.5 * (omega + omega.T)
+        chi0 = np.diag(np.linspace(1.5, 2.5, n))
+        phi = cosine_mode(grid, [1] + [0] * (n - 1), 0.3) + cosine_mode(
+            grid, [0] + [1] * (n - 1), 0.2, 0.5)
+        metric = metric_field(grid, chi0, phi, "spectral")
+        chi0_m, chi = metric.chi0.real, metric.chi
+        i_closed = sum(
+            _mixed_integral(grid, phi, [chi0_m] * i + [chi] * (n - i))
+            for i in range(n + 1)) / (n + 1)
+        j_closed = sum(
+            _mixed_integral(grid, phi,
+                            [omega] + [chi0_m] * i + [chi] * (n - 1 - i))
+            for i in range(n))
+        bundle = flow_functional_bundle(metric, omega, phi)
+        assert bundle["I"] == pytest.approx(i_closed, rel=1e-12)
+        assert bundle["J"] == pytest.approx(j_closed, rel=1e-12)
 
 
 class TestEnergyChain:
     def test_terms_nonnegative(self, setup_n2):
         grid, _, chi0, phi = setup_n2
-        terms = aubin_yau_terms(grid, chi0, phi)
+        terms = aubin_yau_terms(metric_field(grid, chi0, phi), phi)
         scale = max(abs(t) for t in terms)
         assert all(t >= -1e-12 * scale for t in terms)
 
     def test_sandwich_inequalities(self, setup_n2):
         grid, _, chi0, phi = setup_n2
-        ie, je = eval_IE_JE(grid, chi0, phi)
+        ie, je = eval_IE_JE(metric_field(grid, chi0, phi), phi)
         n = grid.n
         slack = 1e-12 * max(1.0, abs(ie))
         assert ie >= -slack
@@ -175,22 +185,25 @@ class TestEnergyChain:
         # I^E of a single spectral mode has the closed form a^2 / 8
         grid = TorusGrid(n=1, points=32)
         phi = cosine_mode(grid, [1], 0.6)
-        ie, je = eval_IE_JE(grid, np.eye(1), phi, deriv="spectral")
+        ie, je = eval_IE_JE(metric_field(grid, np.eye(1), phi, "spectral"),
+                            phi, "spectral")
         assert ie == pytest.approx(0.6**2 / 8.0, rel=1e-12)
         assert je == pytest.approx(ie / 2.0, rel=1e-12)
 
     def test_second_form_agreement_spectral(self, setup_n2):
         grid, _, chi0, phi = setup_n2
-        ie, _ = eval_IE_JE(grid, chi0, phi, deriv="spectral")
-        other = ie_second_form(grid, chi0, phi, deriv="spectral")
+        metric = metric_field(grid, chi0, phi, "spectral")
+        ie, _ = eval_IE_JE(metric, phi, "spectral")
+        other = ie_second_form(metric, phi)
         assert other == pytest.approx(ie, rel=1e-12)
 
     def test_second_form_agreement_fd4(self, setup_n2):
         # the summation-by-parts move behind the identity only needs the
         # stencils to commute, so the fd4 routes also agree to rounding
         grid, _, chi0, phi = setup_n2
-        ie, _ = eval_IE_JE(grid, chi0, phi, deriv="fd4")
-        other = ie_second_form(grid, chi0, phi, deriv="fd4")
+        metric = metric_field(grid, chi0, phi, "fd4")
+        ie, _ = eval_IE_JE(metric, phi, "fd4")
+        other = ie_second_form(metric, phi)
         assert other == pytest.approx(ie, rel=1e-12)
 
     def test_second_form_agreement_n3(self):
@@ -199,13 +212,15 @@ class TestEnergyChain:
         phi = cosine_mode(grid, [1, 0, 0], 0.3) + cosine_mode(
             grid, [0, 1, 1], 0.2, 0.5
         )
-        ie, _ = eval_IE_JE(grid, chi0, phi, deriv="fd4")
-        other = ie_second_form(grid, chi0, phi, deriv="fd4")
+        metric = metric_field(grid, chi0, phi, "fd4")
+        ie, _ = eval_IE_JE(metric, phi, "fd4")
+        other = ie_second_form(metric, phi)
         assert other == pytest.approx(ie, rel=1e-12)
 
     def test_zero_field_energies_vanish(self, setup_n2):
         grid, _, chi0, _ = setup_n2
-        ie, je = eval_IE_JE(grid, chi0, grid.zeros())
+        ie, je = eval_IE_JE(metric_field(grid, chi0, grid.zeros()),
+                            grid.zeros())
         assert ie == pytest.approx(0.0, abs=1e-15)
         assert je == pytest.approx(0.0, abs=1e-15)
 
@@ -215,18 +230,16 @@ class TestEntropyAndCurvature:
         # the log picks up rounding of order eps relative to det(chi0), and
         # the weighted sum scales it by the torus volume
         grid, _, chi0, _ = setup_n2
-        assert eval_entropy(grid, chi0, grid.zeros()) == pytest.approx(0.0,
-                                                                       abs=1e-10)
+        flat = metric_field(grid, chi0, grid.zeros())
+        assert eval_entropy(flat) == pytest.approx(0.0, abs=1e-10)
 
     def test_entropy_nonnegative_n2(self, setup_n2):
         # discrete volume conservation is exact for n = 2, so Jensen applies
         grid, _, chi0, phi = setup_n2
-        assert eval_entropy(grid, chi0, phi) >= -1e-12
+        assert eval_entropy(metric_field(grid, chi0, phi)) >= -1e-12
 
     def test_n2_volume_conservation_exact(self, setup_n2):
         grid, _, chi0, phi = setup_n2
-        from jflow import metric_field
-
         metric = metric_field(grid, chi0, phi)
         total = integrate_top(metric.det(), grid)
         assert total == pytest.approx(volume_of(chi0, grid), rel=1e-13)
@@ -234,13 +247,13 @@ class TestEntropyAndCurvature:
     def test_average_curvature_n1_exact_zero(self):
         grid = TorusGrid(n=1, points=32)
         phi = cosine_mode(grid, [1], 0.5)
-        assert average_scalar_curvature(grid, np.eye(1), phi) == pytest.approx(
-            0.0, abs=1e-13
-        )
+        metric = metric_field(grid, np.eye(1), phi)
+        assert average_scalar_curvature(metric) == pytest.approx(0.0,
+                                                                 abs=1e-13)
 
     def test_average_curvature_n2_small(self, setup_n2):
         grid, _, chi0, phi = setup_n2
-        rbar = average_scalar_curvature(grid, chi0, phi)
+        rbar = average_scalar_curvature(metric_field(grid, chi0, phi))
         assert abs(rbar) < 1e-10
 
     def test_mabuchi_equals_entropy_for_n1(self):
@@ -249,14 +262,38 @@ class TestEntropyAndCurvature:
         grid = TorusGrid(n=1, points=32)
         chi0 = np.array([[1.5]])
         phi = cosine_mode(grid, [1], 0.4) + cosine_mode(grid, [2], 0.1, 0.3)
-        m = eval_mabuchi(grid, chi0, phi)
-        s = eval_entropy(grid, chi0, phi)
+        metric = metric_field(grid, chi0, phi)
+        m = eval_mabuchi(metric, phi)
+        s = eval_entropy(metric)
         assert m == pytest.approx(s, rel=1e-9)
+
+    @pytest.mark.parametrize("points", [16, 32])
+    def test_mabuchi_equals_entropy_n2_spectral(self, setup_n2, points):
+        # constant chi0 is Ricci-flat with Rbar = 0, so the Chen-Tian
+        # formula leaves only the entropy term
+        _, _, chi0, _ = setup_n2
+        grid = TorusGrid(n=2, points=points)
+        phi = _n2_potential(grid)
+        metric = metric_field(grid, chi0, phi, "spectral")
+        m = eval_mabuchi(metric, phi, PathSpec("linear", 32), "spectral")
+        assert m == pytest.approx(eval_entropy(metric), rel=1e-10)
+
+    def test_mabuchi_entropy_gap_shrinks_fd4(self, setup_n2):
+        _, _, chi0, _ = setup_n2
+        gaps = []
+        for points in (16, 32):
+            grid = TorusGrid(n=2, points=points)
+            phi = _n2_potential(grid)
+            metric = metric_field(grid, chi0, phi, "fd4")
+            m = eval_mabuchi(metric, phi, PathSpec("linear", 32), "fd4")
+            gaps.append(abs(m - eval_entropy(metric)))
+        assert gaps[1] * 4.0 <= gaps[0]
 
     def test_mabuchi_path_independence(self, setup_n2):
         grid, _, chi0, phi = setup_n2
-        _, _, gap = path_independence_gap(eval_mabuchi, grid, chi0, phi,
-                                          steps=32)
+        metric = metric_field(grid, chi0, phi)
+        _, _, gap = path_independence_gap(
+            lambda path: eval_mabuchi(metric, phi, path), steps=32)
         assert gap < 1e-6
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from jflow import (
     BOUNDARY_TOL,
-    HermitianForm,
     ShapeError,
     SingularFormError,
     check_condition,
@@ -39,21 +38,13 @@ def random_hermitian(rng, n):
 
 
 class TestHermitianForm:
+    """as_matrix: coefficient matrices of (1,1)-forms."""
+
     def test_symmetrizes_input(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        form = HermitianForm(a)
-        m = as_matrix(form)
+        m = as_matrix(a)
         assert np.array_equal(m, m.conj().T)
         assert np.allclose(m, 0.5 * (a + a.conj().T))
-
-    def test_identity_and_diagonal(self):
-        assert np.array_equal(as_matrix(HermitianForm.identity(4)), np.eye(4))
-        d = as_matrix(HermitianForm.diagonal([2.0, 3.0, 5.0]))
-        assert np.array_equal(d, np.diag([2.0, 3.0, 5.0]))
-
-    def test_positivity_flag(self):
-        assert HermitianForm.diagonal([1.0, 2.0]).is_positive()
-        assert not HermitianForm.diagonal([1.0, -2.0]).is_positive()
 
     def test_as_matrix_passthrough(self):
         m = np.diag([1.0, 2.0])
