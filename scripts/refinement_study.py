@@ -20,8 +20,7 @@ def run_level(points: int, amplitude: float, t_max: float) -> dict:
     grid = TorusGrid(n=2, points=points, mode="invariant")
     setup = FlowSetup(grid=grid, omega=np.eye(2), chi0=2.0 * np.eye(2),
                       tol_converge=1e-8, t_max=t_max,
-                      sample_interval=max(10, points), jhat_steps=16,
-                      mabuchi_steps=16)
+                      sample_interval=max(10, points))
     result = run(setup, cosine_mode(grid, [1, 0], amplitude))
     monitor = monitor_max_principle(result)
     return {

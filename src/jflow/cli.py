@@ -47,7 +47,7 @@ from .flow import (FlowSetup, NumericalFailureError, monitor_max_principle,
                    run, write_series_csv)
 from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
                           flow_functional_bundle, ie_second_form,
-                          path_independence_gap)
+                          path_functional_bundle, path_independence_gap)
 from .hermitian import (SingularFormError, check_condition,
                         cone_form_positive, relative_spectrum)
 from .sampling import (FAULTS, make_rng, random_admissible_potential,
@@ -308,7 +308,6 @@ def _emit(payload: dict, out_path: str | None, quiet: bool,
 _FLOW_DEFAULTS = {
     "normalize": False, "tol_converge": 1e-8, "t_max": 1e3, "safety": 0.9,
     "sample_interval": 10, "blowup_ceiling": 1e6, "max_steps": 10_000_000,
-    "jhat_steps": 32, "mabuchi_steps": 16,
 }
 
 
@@ -326,21 +325,17 @@ def cmd_flow(args) -> int:
     interval = _as_int(merged["sample_interval"], "sample_interval", 1)
     ceiling = _as_float(merged["blowup_ceiling"], "blowup_ceiling", positive=True)
     max_steps = _as_int(merged["max_steps"], "max_steps", 1)
-    jhat_steps = _as_int(merged["jhat_steps"], "jhat_steps", 16)
-    mab_steps = _as_int(merged["mabuchi_steps"], "mabuchi_steps", 16)
 
     setup = FlowSetup(grid=problem["grid"], omega=problem["omega"],
                       chi0=problem["chi0"], deriv=problem["deriv"],
                       normalize=normalize, tol_converge=tol, t_max=t_max,
                       safety=safety, sample_interval=interval,
-                      blowup_ceiling=ceiling, jhat_steps=jhat_steps,
-                      mabuchi_steps=mab_steps)
+                      blowup_ceiling=ceiling)
     resolved = dict(problem["resolved"])
     resolved.update({
         "normalize": normalize, "tol_converge": tol, "t_max": t_max,
         "safety": safety, "sample_interval": interval,
         "blowup_ceiling": ceiling, "max_steps": max_steps,
-        "jhat_steps": jhat_steps, "mabuchi_steps": mab_steps,
     })
 
     t0 = time.perf_counter()
@@ -531,8 +526,7 @@ def cmd_functionals(args) -> int:
 
     t0 = time.perf_counter()
     metric = metric_field(grid, chi0, phi, deriv)
-    bundle = flow_functional_bundle(metric, omega, phi,
-                                    path=PathSpec("linear", steps))
+    bundle = flow_functional_bundle(metric, omega, phi)
     ie, je = eval_IE_JE(metric, phi, deriv)
     ie2 = ie_second_form(metric, phi)
     entropy = eval_entropy(metric)
@@ -540,8 +534,8 @@ def cmd_functionals(args) -> int:
     gaps = None
     if compare:
         j_lin, j_quad, j_rel = path_independence_gap(
-            lambda path: flow_functional_bundle(metric, omega, phi,
-                                                path=path)["Jhat"],
+            lambda path: path_functional_bundle(metric, omega, phi,
+                                                path)["Jhat"],
             steps=steps)
         m_lin, m_quad, m_rel = path_independence_gap(
             lambda path: eval_mabuchi(metric, phi, path, deriv),

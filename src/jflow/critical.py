@@ -30,6 +30,7 @@ from .torus import (
     TorusGrid,
     class_constant_c,
     complex_hessian_of,
+    form_factor,
     metric_field,
     null_mode_projection,
 )
@@ -97,11 +98,11 @@ def _second_derivative_diagonal(grid: TorusGrid, deriv: str) -> float:
     return -float(np.mean(k**2))
 
 
-def residual_field(grid: TorusGrid, omega, chi0, phi: np.ndarray, c: float,
-                   deriv: str = "fd4") -> tuple:
-    """(c - Lambda/n, metric) for the current potential."""
+def residual_field(grid: TorusGrid, omega_factor: np.ndarray, chi0,
+                   phi: np.ndarray, c: float, deriv: str = "fd4") -> tuple:
+    """(c - Lambda/n, metric) for phi; omega_factor = form_factor(omega)."""
     metric = metric_field(grid, chi0, phi, deriv)
-    lam = metric.trace_with(omega)
+    lam = metric.trace_with(omega_factor)
     return c - lam / grid.n, metric
 
 
@@ -164,11 +165,12 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
     om = as_matrix(omega)
     ch = as_matrix(chi0)
     c = class_constant_c(om, ch)
+    om_factor = form_factor(om)
     phi = np.array(phi_init, dtype=float)
     phi -= phi.mean()
     report = NewtonReport(converged=False, iterations=0)
 
-    res, metric = residual_field(grid, om, ch, phi, c, deriv)
+    res, metric = residual_field(grid, om_factor, ch, phi, c, deriv)
     sup_res = float(np.max(np.abs(res)))
     report.residuals.append(sup_res)
 
@@ -203,7 +205,7 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
             trial -= trial.mean()
             try:
                 trial_res, trial_metric = residual_field(
-                    grid, om, ch, trial, c, deriv)
+                    grid, om_factor, ch, trial, c, deriv)
             except SingularFormError:
                 s *= 0.5
                 continue

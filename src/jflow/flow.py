@@ -12,6 +12,9 @@ q(t) = int_0^t n * (int phidot^2 det chi dV) ds with the same RK4 weights,
 reusing the stage evaluations.  The descent identity d(Jhat)/dt = -dq/dt can
 then be checked between any two samples without quadrature error from the
 time axis dominating.
+
+A monitor sample integrates no path: J, I and Jhat come in closed form and
+the Mabuchi column is the entropy (see _sample).
 """
 
 from __future__ import annotations
@@ -28,17 +31,12 @@ from .torus import (
     MetricField,
     TorusGrid,
     class_constant_c,
+    form_factor,
     integrate_top,
     laplacian_w,
     metric_field,
 )
-from .functionals import (
-    PathSpec,
-    eval_IE_JE,
-    eval_entropy,
-    eval_mabuchi,
-    flow_functional_bundle,
-)
+from .functionals import eval_IE_JE, eval_entropy, flow_functional_bundle
 
 SINGULARITY_NOTE = (
     "Flat-torus limitation: on a flat torus every translation-invariant "
@@ -69,8 +67,10 @@ class FlowSetup:
 
     normalize=True rescales omega so that n * c = 1 (the standard gauge for
     the convergence conditions); the factor applied is kept for the audit
-    trail.  Tolerances follow the module defaults: convergence at sup
-    residual 1e-8, sampling every 10 steps, hard stop at t_max.
+    trail.  c and omega_factor, the Cholesky factor every trace reads, are
+    derived from the (rescaled) forms.  Tolerances follow the module
+    defaults: convergence at sup residual 1e-8, sampling every 10 steps,
+    hard stop at t_max.
     """
 
     grid: TorusGrid
@@ -83,10 +83,9 @@ class FlowSetup:
     safety: float = 0.9
     sample_interval: int = 10
     blowup_ceiling: float = 1e6
-    jhat_steps: int = 32
-    mabuchi_steps: int = 16
     c: float = field(init=False)
     omega_scale: float = field(init=False)
+    omega_factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
         om = as_matrix(self.omega)
@@ -101,6 +100,7 @@ class FlowSetup:
         object.__setattr__(self, "chi0", ch)
         object.__setattr__(self, "c", c0)
         object.__setattr__(self, "omega_scale", scale)
+        object.__setattr__(self, "omega_factor", form_factor(om))
         if not (0.0 < self.safety <= 1.0):
             raise ValueError("safety factor must lie in (0, 1]")
         if self.sample_interval < 1:
@@ -183,7 +183,7 @@ def _make_state(setup: FlowSetup, t: float, phi: np.ndarray,
     """Build the state's metric and trace field once; raises
     SingularFormError if phi is not admissible."""
     metric = metric_field(setup.grid, setup.chi0, phi, setup.deriv)
-    lam = metric.trace_with(setup.omega)
+    lam = metric.trace_with(setup.omega_factor)
     return FlowState(t=t, phi=phi, metric=metric, lam=lam,
                      residual=residual_of(setup, lam), diss=diss)
 
@@ -210,7 +210,7 @@ def step(setup: FlowSetup, state: FlowState, dt: float) -> FlowState:
 
     def stage(phi):
         metric = metric_field(setup.grid, setup.chi0, phi, setup.deriv)
-        return flow_rhs(setup, metric, metric.trace_with(setup.omega))
+        return flow_rhs(setup, metric, metric.trace_with(setup.omega_factor))
 
     k1, d1 = flow_rhs(setup, state.metric, state.lam)
     k2, d2 = stage(state.phi + 0.5 * dt * k1)
@@ -236,12 +236,10 @@ def _sample(setup: FlowSetup, state: FlowState, dt: float) -> tuple:
     the metric of phi.
     """
     metric, phi = state.metric, state.phi
-    bundle = flow_functional_bundle(
-        metric, setup.omega, phi, c=setup.c,
-        path=PathSpec("linear", setup.jhat_steps))
+    bundle = flow_functional_bundle(metric, setup.omega, phi, c=setup.c)
     ie, je = eval_IE_JE(metric, phi, setup.deriv)
-    mab = eval_mabuchi(metric, phi, PathSpec("linear", setup.mabuchi_steps),
-                       setup.deriv)
+    # Chen-Tian with Ric(chi0) = Rbar = 0 (flat torus): Mabuchi = entropy
+    entropy = eval_entropy(metric)
     rec = MonitorRecord(
         t=state.t,
         residual=state.residual,
@@ -252,8 +250,8 @@ def _sample(setup: FlowSetup, state: FlowState, dt: float) -> tuple:
         Jhat=bundle["Jhat"],
         IE=ie,
         JE=je,
-        entropy=eval_entropy(metric),
-        mabuchi=mab,
+        entropy=entropy,
+        mabuchi=entropy,
         blowup=blowup_monitor(setup, state),
         sup_phi=float(phi.max()),
         inf_phi=float(phi.min()),
@@ -277,7 +275,7 @@ def run(setup: FlowSetup, phi0: np.ndarray,
 
     Convergence means sup residual < tol_converge with the sampled Jhat
     sequence monotone non-increasing over the trailing 100 samples (up to a
-    relative slack of 1e-9 for quadrature noise).  The step bound is
+    relative slack of 1e-9 for rounding noise).  The step bound is
     refreshed at every sample, which is safe because the enforced bound sits
     far inside the actual stability region and the metric moves slowly on
     the sample cadence.

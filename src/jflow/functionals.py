@@ -14,7 +14,8 @@ argument appears only where a functional differentiates something other
 than phi's Hessian: the gradient of phi in I^E/J^E and the curvature of
 log det chi.
 
-Path functionals integrate over the segment phi_t = f(t) phi with
+J, I and Jhat come in closed form; the path sweeps stay as their oracles.
+A sweep integrates over the segment phi_t = f(t) phi with
 chi_t = chi0 + f(t) * i ddbar(phi).  Since f maps [0,1] into [0,1], every
 chi_t is a convex combination of chi0 and chi_phi, so interior admissibility
 follows from endpoint admissibility.  Quadrature is the trapezoid rule on
@@ -34,6 +35,7 @@ from .torus import (
     MetricField,
     TorusGrid,
     class_constant_c,
+    form_factor,
     gradient,
     integrate_top,
     scalar_curvature,
@@ -67,10 +69,6 @@ class PathSpec:
         return 1.0 if self.kind == "linear" else 2.0 * t
 
 
-def _quadrature_nodes(path: PathSpec) -> np.ndarray:
-    return np.linspace(0.0, 1.0, 2 * path.steps + 1)
-
-
 def _trapezoid(values: np.ndarray, dx: float) -> float:
     return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
 
@@ -89,9 +87,7 @@ def mixed_density(mats: list, grid: TorusGrid) -> np.ndarray:
     For a single repeated positive form this is its determinant field, so
     the output integrates like chi^n/n!.
     """
-    n = grid.n
-    out = wedge_coefficient_batch(mats, n) / math.factorial(n)
-    return out
+    return wedge_coefficient_batch(mats, grid.n) / math.factorial(grid.n)
 
 
 def volume_of(chi0, grid: TorusGrid) -> float:
@@ -113,19 +109,8 @@ def dz_gradient(phi: np.ndarray, grid: TorusGrid, deriv: str = "fd4") -> list:
 def dbar_energy_matrix(phi: np.ndarray, grid: TorusGrid,
                        deriv: str = "fd4") -> np.ndarray:
     """Coefficient stack P_ab = f_a conj(f_b) of sqrt(-1) dphi wedge dbarphi."""
-    f = dz_gradient(phi, grid, deriv)
-    n = grid.n
-    if grid.mode == "invariant":
-        p = np.empty(grid.shape + (n, n))
-        for a in range(n):
-            for b in range(n):
-                p[..., a, b] = f[a] * f[b]
-        return p
-    p = np.empty(grid.shape + (n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            p[..., a, b] = f[a] * np.conj(f[b])
-    return p
+    f = np.stack(dz_gradient(phi, grid, deriv), axis=-1)
+    return f[..., :, None] * np.conj(f[..., None, :])
 
 
 def _path_samples(metric: MetricField, path: PathSpec,
@@ -135,7 +120,7 @@ def _path_samples(metric: MetricField, path: PathSpec,
     node loses positivity (cannot happen for f in [0,1] with admissible
     endpoints)."""
     rows = []
-    for t in _quadrature_nodes(path):
+    for t in np.linspace(0.0, 1.0, 2 * path.steps + 1):
         node = MetricField(metric.grid, metric.chi0,
                            path.weight(float(t)) * metric.hessian)
         rows.append(path.rate(float(t)) * np.atleast_1d(kernel(node)))
@@ -143,29 +128,46 @@ def _path_samples(metric: MetricField, path: PathSpec,
 
 
 def flow_functional_bundle(metric: MetricField, omega, phi: np.ndarray,
-                           c: float | None = None,
-                           path: PathSpec = PathSpec()) -> dict:
-    """J, I, and Jhat = J - nc I from one shared sweep over the path nodes.
+                           c: float | None = None) -> dict:
+    """J, I, and Jhat = J - nc I in closed form.
 
-    J(phi) = int_0^1 int phidot_t (omega wedge chi_t^{n-1}/(n-1)!) dt and
-    I(phi) = int_0^1 int phidot_t chi_t^n/n! dt.  Jhat is the normalized
-    functional the flow descends: its integrand is
-    phidot_t (Lambda_{chi_t} omega - nc) det chi_t, so shifting phi by a
-    constant changes nothing, because nc is exactly the class ratio.
+    Along the linear path chi_t = (1-t) chi0 + t chi_phi the integrands of
+    J = int_0^1 int phidot_t (omega wedge chi_t^{n-1}/(n-1)!) dt and
+    I = int_0^1 int phidot_t chi_t^n/n! dt are polynomials in t, so
+    I = (1/(n+1)) sum_{i=0..n} int phi MD(chi0^i, chi_phi^{n-i}) and
+    J = sum_{i=0..n-1} int phi MD(omega, chi0^i, chi_phi^{n-1-i}).  Jhat is
+    the functional the flow descends; shifting phi by a constant changes
+    nothing, because nc is exactly the class ratio.
     """
-    grid = metric.grid
-    om = as_matrix(omega)
+    grid, chi0, chi = metric.grid, metric.chi0, metric.chi
+    n, om = grid.n, as_matrix(omega)
     if c is None:
-        c = class_constant_c(omega, metric.chi0)
+        c = class_constant_c(omega, chi0)
+
+    def moment(mats):
+        return integrate_top(phi * mixed_density(mats, grid), grid)
+
+    ival = sum(moment([chi0] * i + [chi] * (n - i))
+               for i in range(n + 1)) / (n + 1)
+    jval = sum(moment([om] + [chi0] * i + [chi] * (n - 1 - i))
+               for i in range(n))
+    return {"J": jval, "I": ival, "Jhat": jval - n * c * ival}
+
+
+def path_functional_bundle(metric: MetricField, omega, phi: np.ndarray,
+                           path: PathSpec) -> dict:
+    """J, I, and Jhat from one shared quadrature sweep over the path nodes:
+    the oracle for flow_functional_bundle and for path independence."""
+    grid = metric.grid
+    factor = form_factor(omega)
+    c = class_constant_c(omega, metric.chi0)
 
     def kernel(node):
         det = node.det()
-        return (integrate_top(phi * node.trace_with(om) * det, grid),
+        return (integrate_top(phi * node.trace_with(factor) * det, grid),
                 integrate_top(phi * det, grid))
 
-    jvals, ivals = _path_samples(metric, path, kernel)
-    jval = _richardson(jvals)
-    ival = _richardson(ivals)
+    jval, ival = (_richardson(v) for v in _path_samples(metric, path, kernel))
     return {"J": jval, "I": ival, "Jhat": jval - grid.n * c * ival}
 
 

@@ -69,10 +69,6 @@ class TorusGrid:
         return (self.points,) * self.naxes
 
     @property
-    def npoints(self) -> int:
-        return self.points**self.naxes
-
-    @property
     def cell_volume(self) -> float:
         suppressed = TWO_PI ** self.n if self.mode == "invariant" else 1.0
         return self.dx**self.naxes * suppressed
@@ -314,13 +310,11 @@ class MetricField:
             self._det = np.prod(diag, axis=-1) ** 2
         return self._det
 
-    def trace_with(self, g) -> np.ndarray:
-        """Pointwise chi^{ij} g_{ij} for a constant positive form g."""
-        gm = as_matrix(g)
-        cfac = np.linalg.cholesky(gm)
-        if not np.iscomplexobj(self.chol) and np.allclose(gm.imag, 0.0):
-            cfac = cfac.real
-        sol = np.linalg.solve(self.chol, np.broadcast_to(cfac, self.chol.shape))
+    def trace_with(self, factor: np.ndarray) -> np.ndarray:
+        """Pointwise chi^{ij} g_{ij} for a constant positive form g, given
+        its Cholesky factor form_factor(g)."""
+        sol = np.linalg.solve(self.chol,
+                              np.broadcast_to(factor, self.chol.shape))
         return (np.abs(sol) ** 2).sum(axis=(-2, -1))
 
     def inverse(self) -> np.ndarray:
@@ -344,6 +338,14 @@ class MetricField:
         flat = self.chi.reshape(-1, self.n, self.n)
         lam = pencil_eigenvalues_batch(gm, flat)
         return lam.reshape(self.grid.shape + (self.n,))
+
+
+def form_factor(g) -> np.ndarray:
+    """Lower Cholesky factor of a constant positive form, real when g is;
+    computed once per form and passed to MetricField.trace_with."""
+    gm = as_matrix(g)
+    low = np.linalg.cholesky(gm)
+    return low.real if np.allclose(gm.imag, 0.0) else low
 
 
 def metric_field(grid: TorusGrid, chi0, phi: np.ndarray,

@@ -22,7 +22,6 @@ from jflow import (
     cosine_mode,
     divisor_search,
     eval_mabuchi,
-    flow_functional_bundle,
     metric_field,
     monitor_max_principle,
     nakai_test,
@@ -32,7 +31,11 @@ from jflow import (
     verify_certificate,
 )
 from jflow.cone import class_condition
-from jflow.functionals import average_scalar_curvature, path_independence_gap
+from jflow.functionals import (
+    average_scalar_curvature,
+    path_functional_bundle,
+    path_independence_gap,
+)
 from jflow.sampling import (
     make_rng,
     random_admissible_potential,
@@ -65,9 +68,8 @@ def flow32():
 
 @pytest.fixture(scope="module")
 def flow64():
-    # coarser sampling and path quadrature keep the doubled grid affordable
-    return _flow_instance(64, sample_interval=50, jhat_steps=16,
-                          mabuchi_steps=16)
+    # coarser sampling keeps the doubled grid affordable
+    return _flow_instance(64, sample_interval=50)
 
 
 @pytest.fixture(scope="module")
@@ -190,8 +192,8 @@ def test_criterion_07_functional_identities(functionals_suite, criterion):
                                           deriv="spectral")
         metric = metric_field(grid, chi0, phi, "spectral")
         evaluators = [
-            (lambda path, key=key: flow_functional_bundle(
-                metric, omega, phi, path=path)[key], 64)
+            (lambda path, key=key: path_functional_bundle(
+                metric, omega, phi, path)[key], 64)
             for key in ("J", "I", "Jhat")]
         evaluators.append(
             (lambda path: eval_mabuchi(metric, phi, path, "spectral"), 32))

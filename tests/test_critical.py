@@ -11,7 +11,7 @@ from jflow import (
     newton_solve,
 )
 from jflow.critical import _pcg, linearized_apply, residual_field
-from jflow.torus import metric_field
+from jflow.torus import form_factor, metric_field
 
 
 def fd4_symbol(k, dx):
@@ -68,8 +68,8 @@ class TestPcg:
 class TestResidualField:
     def test_zero_at_equilibrium(self):
         grid = TorusGrid(n=2, points=12)
-        res, _ = residual_field(grid, np.eye(2), 2.0 * np.eye(2),
-                                grid.zeros(), 0.5)
+        res, _ = residual_field(grid, form_factor(np.eye(2)),
+                                2.0 * np.eye(2), grid.zeros(), 0.5)
         assert np.max(np.abs(res)) < 1e-14
 
     def test_sign_convention(self):
@@ -77,8 +77,8 @@ class TestResidualField:
         # residual c - Lambda/n dips negative
         grid = TorusGrid(n=1, points=16)
         phi = cosine_mode(grid, [1], 0.3)
-        res, metric = residual_field(grid, np.eye(1), 2.0 * np.eye(1),
-                                     phi, 0.5)
+        res, metric = residual_field(grid, form_factor(np.eye(1)),
+                                     2.0 * np.eye(1), phi, 0.5)
         idx = int(np.argmin(metric.chi[..., 0, 0].real))
         assert res.ravel()[idx] < 0.0
 

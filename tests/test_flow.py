@@ -133,7 +133,8 @@ class TestStepping:
         state = initial_state(setup, cosine_mode(setup.grid, [1], 0.3))
         phidot, diss = flow_rhs(setup, state.metric, state.lam)
         assert diss >= 0.0
-        want = setup.c - state.metric.trace_with(setup.omega) / setup.grid.n
+        want = (setup.c
+                - state.metric.trace_with(setup.omega_factor) / setup.grid.n)
         assert np.max(np.abs(phidot - want)) < 1e-14
 
     def test_blowup_monitor_value(self):
@@ -277,7 +278,7 @@ class TestSeriesOutput:
     def test_residual_of_matches_state(self):
         setup = small_setup()
         state = initial_state(setup, cosine_mode(setup.grid, [1], 0.2))
-        lam = state.metric.trace_with(setup.omega)
+        lam = state.metric.trace_with(setup.omega_factor)
         assert residual_of(setup, lam) == state.residual
 
 
@@ -306,20 +307,28 @@ class TestFieldBuilds:
     def _state():
         grid = TorusGrid(n=2, points=12)
         setup = FlowSetup(grid=grid, omega=np.diag([1.0, 0.8]),
-                          chi0=np.diag([2.0, 2.5]), jhat_steps=16,
-                          mabuchi_steps=16)
+                          chi0=np.diag([2.0, 2.5]))
         phi0 = cosine_mode(grid, [1, 0], 0.3) + cosine_mode(grid, [1, 1], 0.1)
         return setup, initial_state(setup, phi0)
 
     def test_sample_reads_state_fields(self, monkeypatch):
+        from jflow import MetricField
+
         setup, state = self._state()
         builds = self._count_calls(monkeypatch, "metric_field")
         hessians = self._count_calls(monkeypatch, "complex_hessian_of")
-        _sample(setup, state, 0.1)
-        assert builds == []
-        # only R_t needs a Hessian: of log det chi_t at each Mabuchi node
-        assert len(hessians) == 2 * setup.mabuchi_steps + 1
-        assert not any(np.array_equal(h, state.phi) for h in hessians)
+        original = MetricField.__init__
+        fields = []
+
+        def counted(metric, *args, **kwargs):
+            fields.append(args)
+            original(metric, *args, **kwargs)
+
+        monkeypatch.setattr(MetricField, "__init__", counted)
+        rec, _ = _sample(setup, state, 0.1)
+        # no path is integrated: every functional reads the state's field
+        assert builds == [] and hessians == [] and fields == []
+        assert rec.mabuchi == rec.entropy
 
     def test_step_traces_four_times(self, monkeypatch):
         from jflow import MetricField
@@ -329,9 +338,9 @@ class TestFieldBuilds:
         original = MetricField.trace_with
         traces = []
 
-        def counted(metric, g):
+        def counted(metric, factor):
             traces.append(metric)
-            return original(metric, g)
+            return original(metric, factor)
 
         monkeypatch.setattr(MetricField, "trace_with", counted)
         builds = self._count_calls(monkeypatch, "metric_field")

@@ -25,6 +25,7 @@ from jflow.functionals import (
     dbar_energy_matrix,
     dz_gradient,
     mixed_density,
+    path_functional_bundle,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -102,10 +103,6 @@ class TestDensities:
         assert np.min(p[..., 0, 0]) >= 0.0
 
 
-def _mixed_integral(grid, phi, mats):
-    return integrate_top(phi * mixed_density(mats, grid), grid)
-
-
 class TestPathFunctionals:
     def test_constant_potential_closed_forms(self, setup_n2):
         grid, omega, chi0, _ = setup_n2
@@ -131,37 +128,36 @@ class TestPathFunctionals:
         gaps = {}
         for key in ("J", "I", "Jhat"):
             _, _, gaps[key] = path_independence_gap(
-                lambda path, key=key: flow_functional_bundle(
-                    metric, omega, phi, path=path)[key])
+                lambda path, key=key: path_functional_bundle(
+                    metric, omega, phi, path)[key])
         assert gaps["J"] < 1e-9
         assert gaps["I"] < 1e-8
         assert gaps["Jhat"] < 1e-8
 
-    @pytest.mark.parametrize("n, points", [(2, 16), (3, 8)])
-    def test_closed_form_j_and_i(self, n, points):
-        # along the linear path both integrands are polynomials in t, so
-        # I = (1/(n+1)) sum_{i=0..n} int phi MD(chi0^i, chi_phi^{n-i}) and
-        # J = sum_{i=0..n-1} int phi MD(omega, chi0^i, chi_phi^{n-1-i});
-        # of degree <= 3 for n <= 3, where Richardson-extrapolated
-        # trapezoid (Simpson) is exact
+    @pytest.mark.parametrize("n, points, pair", [
+        pytest.param(2, 16, "real", id="2-16"),
+        pytest.param(3, 8, "real", id="3-8"),
+        pytest.param(2, 16, "complex", id="2-16-complex")])
+    def test_closed_form_j_and_i(self, n, points, pair):
+        # along the linear path both integrands are polynomials in t of
+        # degree <= 3 for n <= 3, where the Richardson-extrapolated
+        # trapezoid sweep (Simpson) is exact, so it checks the closed form
         grid = TorusGrid(n=n, points=points)
-        omega = np.eye(n) + 0.1 * np.diag(np.ones(n - 1), 1)
-        omega = 0.5 * (omega + omega.T)
-        chi0 = np.diag(np.linspace(1.5, 2.5, n))
+        if pair == "real":
+            omega = np.eye(n) + 0.1 * np.diag(np.ones(n - 1), 1)
+            omega = 0.5 * (omega + omega.T)
+            chi0 = np.diag(np.linspace(1.5, 2.5, n))
+        else:
+            # the property suite's pair
+            chi0 = np.array([[1.4, 0.25 + 0.10j], [0.25 - 0.10j, 1.0]])
+            omega = np.array([[1.0, 0.10j], [-0.10j, 0.8]])
         phi = cosine_mode(grid, [1] + [0] * (n - 1), 0.3) + cosine_mode(
             grid, [0] + [1] * (n - 1), 0.2, 0.5)
         metric = metric_field(grid, chi0, phi, "spectral")
-        chi0_m, chi = metric.chi0.real, metric.chi
-        i_closed = sum(
-            _mixed_integral(grid, phi, [chi0_m] * i + [chi] * (n - i))
-            for i in range(n + 1)) / (n + 1)
-        j_closed = sum(
-            _mixed_integral(grid, phi,
-                            [omega] + [chi0_m] * i + [chi] * (n - 1 - i))
-            for i in range(n))
-        bundle = flow_functional_bundle(metric, omega, phi)
-        assert bundle["I"] == pytest.approx(i_closed, rel=1e-12)
-        assert bundle["J"] == pytest.approx(j_closed, rel=1e-12)
+        closed = flow_functional_bundle(metric, omega, phi)
+        swept = path_functional_bundle(metric, omega, phi, PathSpec())
+        for key in ("J", "I", "Jhat"):
+            assert closed[key] == pytest.approx(swept[key], rel=1e-12)
 
 
 class TestEnergyChain:
@@ -267,13 +263,19 @@ class TestEntropyAndCurvature:
         s = eval_entropy(metric)
         assert m == pytest.approx(s, rel=1e-9)
 
-    @pytest.mark.parametrize("points", [16, 32])
-    def test_mabuchi_equals_entropy_n2_spectral(self, setup_n2, points):
+    @pytest.mark.parametrize("n, points", [
+        pytest.param(2, 16, id="16"), pytest.param(2, 32, id="32"),
+        pytest.param(3, 8, id="n3-8"), pytest.param(3, 12, id="n3-12")])
+    def test_mabuchi_equals_entropy_n2_spectral(self, setup_n2, n, points):
         # constant chi0 is Ricci-flat with Rbar = 0, so the Chen-Tian
         # formula leaves only the entropy term
-        _, _, chi0, _ = setup_n2
-        grid = TorusGrid(n=2, points=points)
-        phi = _n2_potential(grid)
+        grid = TorusGrid(n=n, points=points)
+        if n == 2:
+            chi0, phi = setup_n2[2], _n2_potential(grid)
+        else:
+            chi0 = np.diag([2.0, 2.5, 3.0])
+            phi = cosine_mode(grid, [1, 0, 0], 0.3) + cosine_mode(
+                grid, [0, 1, 1], 0.2, 0.5)
         metric = metric_field(grid, chi0, phi, "spectral")
         m = eval_mabuchi(metric, phi, PathSpec("linear", 32), "spectral")
         assert m == pytest.approx(eval_entropy(metric), rel=1e-10)
