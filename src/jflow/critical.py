@@ -13,6 +13,12 @@ length until the sup residual strictly decreases and the metric stays
 positive.  The additive gauge is fixed by removing the grid mean after
 every accepted step.
 
+The preconditioner is the exact inverse of -Ltilde with h frozen at its
+grid mean: a constant-coefficient operator, diagonal in Fourier space, whose
+symbol is built from the first-derivative symbol of the stencil.  One real
+FFT pair applies it and removes the dead modes, and the CG iteration count
+stays flat under grid refinement.
+
 With variable coefficients the pointwise form of Ltilde is not exactly
 self-adjoint; the solver tolerates that with a stagnation guard in the
 inner iteration and treats the returned vector as a quasi-Newton direction.
@@ -30,6 +36,7 @@ from .torus import (
     TorusGrid,
     class_constant_c,
     complex_hessian_of,
+    derivative_symbol,
     form_factor,
     metric_field,
     null_mode_projection,
@@ -74,7 +81,8 @@ class NewtonReport:
 
 def linearized_apply(metric: MetricField, g, v: np.ndarray,
                      deriv: str = "fd4") -> np.ndarray:
-    """Ltilde v = (1/n) h^{ab} (complex Hessian of v)_{ab}."""
+    """Ltilde v = (1/n) h^{ab} (complex Hessian of v)_{ab}; g is coerced
+    as for MetricField.h_matrix."""
     h = metric.h_matrix(g)
     hess = complex_hessian_of(v, metric.grid, deriv)
     out = np.einsum("...ab,...ba->...", h, hess) / metric.grid.n
@@ -83,19 +91,35 @@ def linearized_apply(metric: MetricField, g, v: np.ndarray,
     return out
 
 
-def _second_derivative_diagonal(grid: TorusGrid, deriv: str) -> float:
-    """Diagonal entry of the one-axis composed second derivative.
+def _mean_symbol_inverse(grid: TorusGrid, h: np.ndarray, deriv: str):
+    """Exact inverse of -Ltilde with h frozen at its grid mean, as a map.
 
-    Used only to scale the Jacobi preconditioner; the composed 4th-order
-    stencil has [D D]_{xx} = -(130/144)/dx^2, the Nyquist-zeroed spectral
-    derivative has minus the mean of k^2 over the retained bins.
+    With w_a = s(k_{x_a}) on invariant grids and s(k_{x_a}) + i s(k_{y_a})
+    on full grids (s the first-derivative symbol), the symbol of the frozen
+    operator is (1/(4n)) Re sum_ab hbar_ab w_a conj(w_b).  It is real and
+    even, so a real FFT pair applies its inverse to real fields; it is zero
+    on exactly the dead modes, which the map sends to 0.
     """
-    if deriv == "fd4":
-        return -(130.0 / 144.0) / grid.dx**2
-    k = np.fft.fftfreq(grid.points, d=1.0 / grid.points)
-    if grid.points % 2 == 0:
-        k[grid.points // 2] = 0.0
-    return -float(np.mean(k**2))
+    n = grid.n
+    axes = tuple(range(grid.naxes))
+    hbar = h.mean(axis=axes)
+    s = derivative_symbol(grid, deriv)
+    # rfftn keeps the non-negative half of the last axis
+    mesh = np.meshgrid(*([s] * (grid.naxes - 1)), s[: grid.points // 2 + 1],
+                       indexing="ij", sparse=True)
+    if grid.mode == "invariant":
+        w = mesh
+    else:
+        w = [mesh[a] + 1j * mesh[n + a] for a in range(n)]
+    symbol = sum(hbar[a, b] * w[a] * np.conj(w[b])
+                 for a in range(n) for b in range(n)).real / (4.0 * n)
+    inv = np.zeros(symbol.shape)
+    np.divide(1.0, symbol, out=inv, where=symbol > 0.0)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(np.fft.rfftn(r) * inv, s=grid.shape, axes=axes)
+
+    return apply
 
 
 def residual_field(grid: TorusGrid, omega_factor: np.ndarray, chi0,
@@ -106,9 +130,12 @@ def residual_field(grid: TorusGrid, omega_factor: np.ndarray, chi0,
     return c - lam / grid.n, metric
 
 
-def _pcg(apply_a, b: np.ndarray, diag: np.ndarray, grid: TorusGrid,
+def _pcg(apply_a, b: np.ndarray, precond, grid: TorusGrid,
          rtol: float, maxiter: int) -> tuple:
     """Preconditioned CG on the dead-mode complement with stagnation guard.
+
+    precond maps a residual to its preconditioned form and must return a
+    field free of dead modes.
 
     Returns (x, iterations run): an early stop on a stall or on loss of
     positivity reports the iteration it stopped at, not maxiter.
@@ -119,7 +146,7 @@ def _pcg(apply_a, b: np.ndarray, diag: np.ndarray, grid: TorusGrid,
     norm_b = float(np.sqrt(np.vdot(r, r).real))
     if norm_b == 0.0:
         return x, 0
-    z = null_mode_projection(r / diag, grid)
+    z = precond(r)
     p = z.copy()
     rz = float(np.vdot(r, z).real)
     best_x, best_norm = x, norm_b
@@ -145,7 +172,7 @@ def _pcg(apply_a, b: np.ndarray, diag: np.ndarray, grid: TorusGrid,
                 break
         if norm_r <= rtol * norm_b:
             return x, it
-        z = null_mode_projection(r / diag, grid)
+        z = precond(r)
         rz_new = float(np.vdot(r, z).real)
         beta = rz_new / rz
         rz = rz_new
@@ -174,18 +201,13 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
     sup_res = float(np.max(np.abs(res)))
     report.residuals.append(sup_res)
 
-    dd_diag = _second_derivative_diagonal(grid, deriv)
     for it in range(1, settings.max_iters + 1):
         if sup_res < settings.tol:
             report.converged = True
             report.message = "residual below tolerance"
             break
         h = metric.h_matrix(om)
-        h_trace = np.einsum("...aa->...", h)
-        if np.iscomplexobj(h_trace):
-            h_trace = h_trace.real
-        # diag of (-Ltilde): -(1/(4n)) sum_a h_aa [DD]_xx, positive
-        diag = -(0.25 / grid.n) * h_trace * dd_diag
+        precond = _mean_symbol_inverse(grid, h, deriv)
 
         def apply_a(v):
             hess = complex_hessian_of(v, grid, deriv)
@@ -194,7 +216,7 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
                 out = out.real
             return -out
 
-        delta, cg_iters = _pcg(apply_a, res, diag, grid,
+        delta, cg_iters = _pcg(apply_a, res, precond, grid,
                                settings.cg_rtol, settings.cg_maxiter)
         report.cg_iterations.append(cg_iters)
 

@@ -119,15 +119,35 @@ def _fd4(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
     return (8.0 * (up1 - dn1) - (up2 - dn2)) / (12.0 * dx)
 
 
-def _spectral_derivative(values: np.ndarray, axis: int, points: int) -> np.ndarray:
-    # period 2pi, so wavenumbers are integers; the Nyquist bin is zeroed to
-    # keep derivatives of real fields real
+def derivative_symbol(grid: TorusGrid, deriv: str = "fd4") -> np.ndarray:
+    """Fourier symbol s(k) of the first derivative along one axis.
+
+    first_derivative multiplies FFT bin k (numpy bin order) by i s(k); the
+    spectral derivative applies it directly, and products of it give the
+    symbols of composed-stencil operators.  Period 2pi makes the wavenumbers
+    integers: s(k) = (8 sin k dx - sin 2k dx) / (6 dx) for fd4 and s(k) = k
+    for spectral.  The Nyquist bin is exactly 0 in both: the spectral
+    derivative zeroes it to keep derivatives of real fields real, and the
+    fd4 stencil annihilates it exactly where the formula leaves a rounding
+    residue.
+    """
+    points = grid.points
     k = np.fft.fftfreq(points, d=1.0 / points)
+    if deriv == "fd4":
+        dx = grid.dx
+        k = (8.0 * np.sin(k * dx) - np.sin(2.0 * k * dx)) / (6.0 * dx)
+    elif deriv != "spectral":
+        raise ShapeError(f"derivative mode must be one of {DERIV_MODES}")
     if points % 2 == 0:
         k[points // 2] = 0.0
+    return k
+
+
+def _spectral_derivative(values: np.ndarray, axis: int,
+                         grid: TorusGrid) -> np.ndarray:
     shape = [1] * values.ndim
-    shape[axis] = points
-    mult = (1j * k).reshape(shape)
+    shape[axis] = grid.points
+    mult = (1j * derivative_symbol(grid, "spectral")).reshape(shape)
     out = np.fft.ifft(np.fft.fft(values, axis=axis) * mult, axis=axis)
     if not np.iscomplexobj(values):
         return out.real.copy()
@@ -143,7 +163,7 @@ def first_derivative(values: np.ndarray, grid: TorusGrid, axis: int,
     if deriv == "fd4":
         return _fd4(values, axis, grid.dx)
     if deriv == "spectral":
-        return _spectral_derivative(values, axis, grid.points)
+        return _spectral_derivative(values, axis, grid)
     raise ShapeError(f"derivative mode must be one of {DERIV_MODES}")
 
 
@@ -322,21 +342,25 @@ class MetricField:
         low_inv = np.linalg.solve(self.chol, np.broadcast_to(eye, self.chol.shape))
         return low_inv.conj().swapaxes(-1, -2) @ low_inv
 
-    def h_matrix(self, g) -> np.ndarray:
-        """Pointwise chi^{-1} g chi^{-1}, the kernel of the linearized trace."""
-        gm = as_matrix(g)
-        inv = self.inverse()
-        if not np.iscomplexobj(inv) and np.allclose(gm.imag, 0.0):
-            gm = gm.real
-        return inv @ gm @ inv
+    def h_matrix(self, g: np.ndarray) -> np.ndarray:
+        """Pointwise chi^{-1} g chi^{-1}, the kernel of the linearized trace.
 
-    def relative_eigenvalues(self, g) -> np.ndarray:
-        """Eigenvalues of chi against g at every grid point, ascending."""
+        g is a constant form the caller coerced once with as_matrix, as
+        FlowSetup.omega is; the product is real when chi is real and g has
+        no imaginary part.
+        """
+        inv = self.inverse()
+        if not (np.iscomplexobj(inv) or g.imag.any()):
+            g = g.real
+        return inv @ g @ inv
+
+    def relative_eigenvalues(self, g: np.ndarray) -> np.ndarray:
+        """Eigenvalues of chi against g at every grid point, ascending; g is
+        coerced once by the caller, as for h_matrix."""
         from .hermitian import pencil_eigenvalues_batch
 
-        gm = as_matrix(g)
         flat = self.chi.reshape(-1, self.n, self.n)
-        lam = pencil_eigenvalues_batch(gm, flat)
+        lam = pencil_eigenvalues_batch(g, flat)
         return lam.reshape(self.grid.shape + (self.n,))
 
 

@@ -10,8 +10,17 @@ from jflow import (
     cosine_mode,
     newton_solve,
 )
-from jflow.critical import _pcg, linearized_apply, residual_field
-from jflow.torus import form_factor, metric_field
+from jflow.critical import (
+    _mean_symbol_inverse,
+    _pcg,
+    linearized_apply,
+    residual_field,
+)
+from jflow.hermitian import as_matrix
+from jflow.sampling import make_rng, random_admissible_potential
+from jflow.torus import form_factor, metric_field, null_mode_projection
+
+CHI0 = 2.0 * np.eye(2)
 
 
 def fd4_symbol(k, dx):
@@ -59,10 +68,51 @@ class TestPcg:
         # first iteration; the count must say 1, not the budget
         grid = TorusGrid(n=1, points=16)
         b = cosine_mode(grid, [1], 1.0)
-        x, iters = _pcg(lambda v: -v, b, np.ones(grid.shape), grid,
+        x, iters = _pcg(lambda v: -v, b,
+                        lambda r: null_mode_projection(r, grid), grid,
                         rtol=1e-10, maxiter=50)
         assert iters == 1
         assert np.array_equal(x, np.zeros_like(b))
+
+
+class TestMeanSymbolPreconditioner:
+    # On a constant metric h equals its grid mean, so the preconditioner is
+    # the exact inverse of -Ltilde on the dead-mode complement.
+    @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
+    @pytest.mark.parametrize("mode,n,points", [
+        ("invariant", 1, 16), ("invariant", 2, 16), ("invariant", 2, 9),
+        ("invariant", 3, 8), ("full", 1, 12), ("full", 2, 8),
+    ])
+    def test_inverts_constant_coefficient_operator(self, deriv, mode, n,
+                                                   points):
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        rng = np.random.default_rng(7 * n + points)
+        shape = (n, n)
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal(shape)
+        if mode == "full":
+            a = a + 1j * rng.standard_normal(shape)
+            b = b + 1j * rng.standard_normal(shape)
+        chi0 = as_matrix(a @ a.conj().T + n * np.eye(n))
+        g = as_matrix(b @ b.conj().T + n * np.eye(n))
+        metric = metric_field(grid, chi0, grid.zeros(), deriv)
+        precond = _mean_symbol_inverse(grid, metric.h_matrix(g), deriv)
+        fields = [
+            cosine_mode(grid, [1 + j for j in range(grid.naxes)], 1.0, 0.3),
+            null_mode_projection(rng.standard_normal(grid.shape), grid),
+        ]
+        for v in fields:
+            got = precond(-linearized_apply(metric, g, v, deriv))
+            assert np.max(np.abs(got - v)) <= 1e-10 * np.max(np.abs(v))
+
+    def test_dead_modes_map_to_zero(self):
+        grid = TorusGrid(n=2, points=16)
+        metric = metric_field(grid, CHI0, grid.zeros())
+        precond = _mean_symbol_inverse(grid, metric.h_matrix(np.eye(2)),
+                                       "fd4")
+        dead = (2.5 + cosine_mode(grid, [8, 0]) + cosine_mode(grid, [0, 8])
+                + cosine_mode(grid, [8, 8]))
+        assert np.max(np.abs(precond(dead))) < 1e-12
 
 
 class TestResidualField:
@@ -159,3 +209,31 @@ class TestNewtonSolve:
         phi, report = newton_solve(grid, np.eye(1), 2.0 * np.eye(1),
                                    cosine_mode(grid, [1], 0.3), settings)
         assert report.residuals[-1] < report.residuals[0]
+
+    @staticmethod
+    def _ladder_solve(points, stream):
+        grid = TorusGrid(n=2, points=points)
+        phi0 = random_admissible_potential(make_rng(0, stream), grid, CHI0,
+                                           band=2, amplitude=0.4)
+        return newton_solve(grid, np.eye(2), CHI0, phi0,
+                            NewtonSettings(tol=1e-10))
+
+    @pytest.mark.parametrize("stream", [9, 13])
+    def test_cg_iterations_flat_in_grid_size(self, stream):
+        # Jacobi preconditioning needed O(N) iterations (217 on the first
+        # step at N = 64); the mean-symbol inverse keeps the count flat
+        totals = []
+        for points in (32, 64):
+            _, report = self._ladder_solve(points, stream)
+            assert report.converged, report.message
+            assert max(report.cg_iterations) <= 64
+            totals.append(sum(report.cg_iterations))
+        assert totals[1] <= 1.5 * totals[0]
+
+    def test_fine_grid_solve_converges(self):
+        # this N = 128 potential once stalled the inner CG into a zero
+        # direction and ended with no admissible decreasing step
+        phi, report = self._ladder_solve(128, 10)
+        assert report.converged, report.message
+        assert report.residuals[-1] < 1e-10
+        assert np.max(np.abs(phi)) <= 1e-6

@@ -19,6 +19,7 @@ from jflow import (
     save_field,
 )
 from jflow.torus import (
+    derivative_symbol,
     first_derivative,
     form_factor,
     gradient,
@@ -125,6 +126,19 @@ class TestDerivatives:
         f = np.cos(4 * x).reshape(grid.shape)
         got = first_derivative(f, grid, 0, "spectral")
         assert np.max(np.abs(got + 4 * np.sin(4 * x).reshape(grid.shape))) < 1e-12
+
+    @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
+    @pytest.mark.parametrize("points", [16, 9])
+    def test_derivative_symbol_matches_first_derivative(self, deriv, points):
+        # every bin, Nyquist included: d/dx cos(kx + 0.3) = -s(k) sin(kx + 0.3)
+        grid = TorusGrid(n=1, points=points)
+        x = grid.axis_coordinate(0)
+        symbol = derivative_symbol(grid, deriv)
+        for k, s in zip(np.fft.fftfreq(points, d=1.0 / points), symbol):
+            f = np.cos(k * x + 0.3).reshape(grid.shape)
+            want = -s * np.sin(k * x + 0.3).reshape(grid.shape)
+            got = first_derivative(f, grid, 0, deriv)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_summation_by_parts_exact(self, rng):
         grid = TorusGrid(n=2, points=16)
