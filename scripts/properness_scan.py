@@ -14,6 +14,7 @@ import numpy as np
 
 from jflow import (PathSpec, TorusGrid, eval_entropy, eval_IE_JE, eval_mabuchi,
                    fit_properness, metric_field)
+from jflow.hermitian import as_matrix
 from jflow.sampling import make_rng, random_admissible_potential
 
 
@@ -29,7 +30,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     grid = TorusGrid(n=2, points=args.points, mode="invariant")
-    chi0 = np.array([[1.4, 0.25 + 0.10j], [0.25 - 0.10j, 1.0]])
+    chi0 = as_matrix([[1.4, 0.25 + 0.10j], [0.25 - 0.10j, 1.0]])
     rng = make_rng(args.seed, stream=17)
     path = PathSpec("linear", args.mabuchi_steps)
 

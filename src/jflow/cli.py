@@ -48,7 +48,7 @@ from .flow import (FlowSetup, NumericalFailureError, monitor_max_principle,
 from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
                           flow_functional_bundle, ie_second_form,
                           path_functional_bundle, path_independence_gap)
-from .hermitian import (SingularFormError, check_condition,
+from .hermitian import (SingularFormError, as_matrix, check_condition,
                         cone_form_positive, relative_spectrum)
 from .sampling import (FAULTS, make_rng, random_admissible_potential,
                        report_digest, run_property_suites)
@@ -525,7 +525,7 @@ def cmd_functionals(args) -> int:
                      "compare_paths": compare})
 
     t0 = time.perf_counter()
-    metric = metric_field(grid, chi0, phi, deriv)
+    metric = metric_field(grid, as_matrix(chi0), phi, deriv)
     bundle = flow_functional_bundle(metric, omega, phi)
     ie, je = eval_IE_JE(metric, phi, deriv)
     ie2 = ie_second_form(metric, phi)

@@ -122,9 +122,11 @@ def _mean_symbol_inverse(grid: TorusGrid, h: np.ndarray, deriv: str):
     return apply
 
 
-def residual_field(grid: TorusGrid, omega_factor: np.ndarray, chi0,
-                   phi: np.ndarray, c: float, deriv: str = "fd4") -> tuple:
-    """(c - Lambda/n, metric) for phi; omega_factor = form_factor(omega)."""
+def residual_field(grid: TorusGrid, omega_factor: np.ndarray,
+                   chi0: np.ndarray, phi: np.ndarray, c: float,
+                   deriv: str = "fd4") -> tuple:
+    """(c - Lambda/n, metric) for phi; omega_factor = form_factor(omega)
+    and chi0 is coerced with as_matrix, as newton_solve does once."""
     metric = metric_field(grid, chi0, phi, deriv)
     lam = metric.trace_with(omega_factor)
     return c - lam / grid.n, metric

@@ -40,7 +40,7 @@ from .cone import (SurfaceLattice, builtin_lattice, class_condition,
                    divisor_search, nakai_test, verify_certificate)
 from .functionals import (eval_entropy, eval_IE_JE, flow_functional_bundle,
                           ie_second_form)
-from .hermitian import (condition_margins_batch, cone_form_positive,
+from .hermitian import (as_matrix, condition_margins_batch, cone_form_positive,
                         pencil_eigenvalues_batch, wedge_coefficient_batch)
 from .torus import TorusGrid, complex_hessian_of, metric_field
 
@@ -310,7 +310,7 @@ def suite_functionals(seed: int, count: int = 1000, points: int = 16,
     if count < 1:
         raise ValueError("count must be at least 1")
     grid = TorusGrid(n=2, points=points, mode="invariant")
-    chi0 = np.array([[1.4, 0.25 + 0.10j], [0.25 - 0.10j, 1.0]])
+    chi0 = as_matrix([[1.4, 0.25 + 0.10j], [0.25 - 0.10j, 1.0]])
     omega = np.array([[1.0, 0.10j], [-0.10j, 0.8]])
     rng = make_rng(seed, stream=300)
     gaps = {"sandwich_low": 0.0, "sandwich_high": 0.0, "ie_routes": 0.0,

@@ -15,7 +15,13 @@ integration by parts against the grid sum, which the conservation-law tests
 rely on.  The price is a 2^naxes-dimensional null space (modes whose axis
 frequencies all lie in {0, N/2}); null_mode_projection removes it where it
 matters.  A spectral derivative mode with the Nyquist bin zeroed shares the
-same null space.
+same null space.  The fd4 stencil reads its neighbours as slices of one
+wrap-padded copy of the field.
+
+A MetricField factors chi = L L^* one entry of L at a time, each entry one
+array operation over the whole grid, for any n; det, the trace against a
+constant form, the inverse and h = chi^{-1} g chi^{-1} are read from that
+factor, so a flow stage runs no per-point LAPACK call.
 """
 
 from __future__ import annotations
@@ -112,10 +118,13 @@ def cosine_mode(grid: TorusGrid, kvec: Sequence[int], amplitude: float = 1.0,
 
 
 def _fd4(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
-    up1 = np.roll(values, -1, axis=axis)
-    dn1 = np.roll(values, 1, axis=axis)
-    up2 = np.roll(values, -2, axis=axis)
-    dn2 = np.roll(values, 2, axis=axis)
+    # the four neighbours are slices of one copy wrapped by two cells
+    lead = (slice(None),) * axis
+    points = values.shape[axis]
+    padded = np.concatenate((values[lead + (slice(-2, None),)], values,
+                             values[lead + (slice(None, 2),)]), axis=axis)
+    up1, dn1, up2, dn2 = (padded[lead + (slice(2 + s, 2 + s + points),)]
+                          for s in (1, -1, 2, -2))
     return (8.0 * (up1 - dn1) - (up2 - dn2)) / (12.0 * dx)
 
 
@@ -222,14 +231,14 @@ def null_mode_projection(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     in {0, N/2} (the mean among them).  Both derivative modes annihilate
     exactly this set.
     """
-    vhat = np.fft.fftn(values)
+    real = not np.iscomplexobj(values)
+    # rfftn keeps bins 0..N//2 of the last axis, which hold both dead bins
+    vhat = np.fft.rfftn(values) if real else np.fft.fftn(values)
     dead = [0, grid.points // 2] if grid.points % 2 == 0 else [0]
-    grids = np.ix_(*([np.array(dead)] * grid.naxes))
-    vhat[grids] = 0.0
-    out = np.fft.ifftn(vhat)
-    if not np.iscomplexobj(values):
-        return out.real.copy()
-    return out
+    vhat[np.ix_(*([np.array(dead)] * grid.naxes))] = 0.0
+    if real:
+        return np.fft.irfftn(vhat, s=values.shape, axes=range(values.ndim))
+    return np.fft.ifftn(vhat)
 
 
 def integrate_top(values: np.ndarray, grid: TorusGrid) -> float:
@@ -285,37 +294,74 @@ def load_field(path) -> tuple:
     return PotentialField(grid, values), extra
 
 
-class MetricField:
-    """chi = chi0 + i ddbar(phi) sampled on a grid, with its Cholesky stack.
+def _lower_factor(chi: np.ndarray) -> list:
+    """Rows of the lower factor L of a Hermitian stack chi = L L^*.
 
-    Construction fails with SingularFormError as soon as chi stops being
-    positive definite somewhere, which is the blow-up signal the flow driver
-    listens for.
+    low[i][j], j <= i, is one array over the stack, so each entry costs one
+    array operation for every grid point at once.  Raises SingularFormError
+    where a pivot is <= 0, the test of LAPACK potrf: a NaN pivot passes.
+    """
+    n = chi.shape[-1]
+    low = [[] for _ in range(n)]
+    for j in range(n):
+        pivot = chi[..., j, j].real
+        for k in range(j):
+            pivot = pivot - (low[j][k] * low[j][k].conj()).real
+        if (pivot <= 0.0).any():
+            raise SingularFormError("metric lost positivity on the grid")
+        diag = np.sqrt(pivot)
+        low[j].append(diag)
+        for i in range(j + 1, n):
+            entry = chi[..., i, j]
+            for k in range(j):
+                entry = entry - low[i][k] * low[j][k].conj()
+            low[i].append(entry / diag)
+    return low
+
+
+def _forward(low: list, rhs: np.ndarray) -> list:
+    """Rows of L^{-1} R for a constant lower-triangular n x n R, by forward
+    substitution; the result is lower triangular, stored as low is."""
+    n = len(low)
+    out = [[None] * (i + 1) for i in range(n)]
+    for k in range(n):
+        for i in range(k, n):
+            entry = rhs[i, k]
+            for m in range(k, i):
+                entry = entry - low[i][m] * out[m][k]
+            out[i][k] = entry / low[i][i]
+    return out
+
+
+class MetricField:
+    """chi = chi0 + i ddbar(phi) sampled on a grid, with its lower factor.
+
+    chi0 is a constant form the caller coerced once with as_matrix, as
+    FlowSetup.chi0 is; chi is real when the Hessian is and chi0 has no
+    imaginary part.  low holds the factor chi = L L^* entry by entry
+    (_lower_factor), and det, the traces, the inverse and h all read it.
+    Construction fails with SingularFormError as soon as a pivot is <= 0
+    somewhere, which is the blow-up signal the flow driver listens for; a
+    NaN passes through to the stepper's finiteness check.
     """
 
-    __slots__ = ("grid", "chi0", "hessian", "chi", "chol", "_det")
+    __slots__ = ("grid", "chi0", "hessian", "chi", "low", "_det")
 
-    def __init__(self, grid: TorusGrid, chi0, hessian: np.ndarray):
+    def __init__(self, grid: TorusGrid, chi0: np.ndarray, hessian: np.ndarray):
         self.grid = grid
-        self.chi0 = as_matrix(chi0)
+        self.chi0 = chi0
         n = grid.n
-        if self.chi0.shape != (n, n):
+        if chi0.shape != (n, n):
             raise ShapeError(
-                f"background form is {self.chi0.shape}, expected {(n, n)}"
+                f"background form is {chi0.shape}, expected {(n, n)}"
             )
         if hessian.shape != grid.shape + (n, n):
             raise ShapeError("hessian stack does not match the grid")
         self.hessian = hessian
-        chi0_cast = self.chi0
-        if not np.iscomplexobj(hessian) and np.allclose(chi0_cast.imag, 0.0):
-            chi0_cast = chi0_cast.real
-        self.chi = chi0_cast + hessian
-        try:
-            self.chol = np.linalg.cholesky(self.chi)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFormError(
-                "metric lost positivity on the grid"
-            ) from exc
+        if not (np.iscomplexobj(hessian) or chi0.imag.any()):
+            chi0 = chi0.real
+        self.chi = chi0 + hessian
+        self.low = _lower_factor(self.chi)
         self._det = None
 
     @property
@@ -324,23 +370,30 @@ class MetricField:
 
     def det(self) -> np.ndarray:
         if self._det is None:
-            diag = self.chol[..., range(self.n), range(self.n)]
-            if np.iscomplexobj(diag):
-                diag = diag.real
-            self._det = np.prod(diag, axis=-1) ** 2
+            prod = self.low[0][0]
+            for j in range(1, self.n):
+                prod = prod * self.low[j][j]
+            self._det = prod * prod
         return self._det
 
     def trace_with(self, factor: np.ndarray) -> np.ndarray:
-        """Pointwise chi^{ij} g_{ij} for a constant positive form g, given
-        its Cholesky factor form_factor(g)."""
-        sol = np.linalg.solve(self.chol,
-                              np.broadcast_to(factor, self.chol.shape))
-        return (np.abs(sol) ** 2).sum(axis=(-2, -1))
+        """Pointwise chi^{ij} g_{ij} = |L^{-1} F|^2 for a constant positive
+        form g = F F^*, given its lower factor F = form_factor(g)."""
+        return sum((x * x.conj()).real
+                   for row in _forward(self.low, factor) for x in row)
 
     def inverse(self) -> np.ndarray:
-        eye = np.eye(self.n, dtype=self.chol.dtype)
-        low_inv = np.linalg.solve(self.chol, np.broadcast_to(eye, self.chol.shape))
-        return low_inv.conj().swapaxes(-1, -2) @ low_inv
+        """chi^{-1} = L^{-*} L^{-1} as a stack, from the triangular inverse."""
+        n = self.n
+        tri = _forward(self.low, np.eye(n))
+        inv = np.empty(self.chi.shape, dtype=self.chi.dtype)
+        for a in range(n):
+            for b in range(a, n):
+                entry = sum(tri[k][a].conj() * tri[k][b] for k in range(b, n))
+                inv[..., a, b] = entry
+                if b > a:
+                    inv[..., b, a] = entry.conj()
+        return inv
 
     def h_matrix(self, g: np.ndarray) -> np.ndarray:
         """Pointwise chi^{-1} g chi^{-1}, the kernel of the linearized trace.
@@ -365,15 +418,21 @@ class MetricField:
 
 
 def form_factor(g) -> np.ndarray:
-    """Lower Cholesky factor of a constant positive form, real when g is;
-    computed once per form and passed to MetricField.trace_with."""
+    """Lower factor F of a constant positive form g = F F^*, real when g
+    has no imaginary part; computed once per form and passed to
+    MetricField.trace_with."""
     gm = as_matrix(g)
-    low = np.linalg.cholesky(gm)
-    return low.real if np.allclose(gm.imag, 0.0) else low
+    if not gm.imag.any():
+        gm = gm.real
+    low = np.zeros_like(gm)
+    for i, row in enumerate(_lower_factor(gm)):
+        low[i, : i + 1] = row
+    return low
 
 
-def metric_field(grid: TorusGrid, chi0, phi: np.ndarray,
+def metric_field(grid: TorusGrid, chi0: np.ndarray, phi: np.ndarray,
                  deriv: str = "fd4") -> MetricField:
+    """The MetricField of phi over chi0, a form coerced with as_matrix."""
     return MetricField(grid, chi0, complex_hessian_of(phi, grid, deriv))
 
 

@@ -6,6 +6,7 @@ import pytest
 from jflow import (
     CSV_COLUMNS,
     FlowSetup,
+    NumericalFailureError,
     SingularFormError,
     TorusGrid,
     blowup_monitor,
@@ -81,6 +82,17 @@ class TestStepping:
         after = step(setup, state, 0.1)
         assert np.max(np.abs(after.phi)) < 1e-14
         assert after.diss == pytest.approx(0.0, abs=1e-16)
+
+    def test_nan_ends_in_numerical_failure(self):
+        # a NaN passes the metric's pivot test (as through LAPACK) and is
+        # caught by the step's finiteness check, not reported as blow-up
+        setup = small_setup()
+        phi = cosine_mode(setup.grid, [1], 0.2)
+        phi[5] = np.nan
+        state = initial_state(setup, phi)
+        assert np.isnan(state.lam).any()
+        with pytest.raises(NumericalFailureError):
+            step(setup, state, 1e-3)
 
     def test_linear_decay_rate(self):
         # In the linearized regime a single mode decays like
@@ -347,3 +359,18 @@ class TestFieldBuilds:
         step(setup, state, dt)
         assert len(traces) == 4
         assert len(builds) == 4
+
+    def test_step_makes_no_lapack_factor_or_solve(self, monkeypatch):
+        setup, state = self._state()
+        dt = dt_control(setup, state)
+        calls = []
+        for name in ("cholesky", "solve"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        step(setup, state, dt)
+        assert calls == []

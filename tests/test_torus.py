@@ -18,6 +18,8 @@ from jflow import (
     metric_field,
     save_field,
 )
+from jflow.hermitian import as_matrix
+from jflow.sampling import random_admissible_potential
 from jflow.torus import (
     derivative_symbol,
     first_derivative,
@@ -158,6 +160,25 @@ class TestDerivatives:
         for deriv in ("fd4", "spectral"):
             assert np.max(np.abs(first_derivative(f, grid, 0, deriv))) < 1e-12
 
+    @pytest.mark.parametrize("points", [12, 9])
+    @pytest.mark.parametrize("layout", [(3, "invariant"), (2, "full")])
+    def test_fd4_matches_roll_reference(self, rng, points, layout):
+        # the sliced stencil reads the same neighbours as np.roll and keeps
+        # the expression, so it is bit-identical on every axis
+        n, mode = layout
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        real = rng.standard_normal(grid.shape)
+        fields = (real, real + 1j * rng.standard_normal(grid.shape))
+        for values in fields:
+            for axis in range(grid.naxes):
+                up1 = np.roll(values, -1, axis=axis)
+                dn1 = np.roll(values, 1, axis=axis)
+                up2 = np.roll(values, -2, axis=axis)
+                dn2 = np.roll(values, 2, axis=axis)
+                want = (8.0 * (up1 - dn1) - (up2 - dn2)) / (12.0 * grid.dx)
+                got = first_derivative(values, grid, axis, "fd4")
+                assert np.array_equal(got, want)
+
     def test_validation(self):
         grid = TorusGrid(n=1, points=8)
         with pytest.raises(ShapeError):
@@ -250,6 +271,36 @@ class TestNullModes:
         twice = null_mode_projection(once, grid)
         assert np.max(np.abs(twice - once)) < 1e-13
 
+    @pytest.mark.parametrize("points", [16, 9])
+    @pytest.mark.parametrize("layout", [(1, "invariant"), (2, "invariant"),
+                                        (3, "invariant"), (1, "full")])
+    def test_real_route_matches_complex_route(self, rng, points, layout):
+        n, mode = layout
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        f = rng.standard_normal(grid.shape)
+        got = null_mode_projection(f, grid)
+        assert got.dtype == np.float64 and got.shape == grid.shape
+        fhat = np.fft.fftn(f)
+        dead = [0, points // 2] if points % 2 == 0 else [0]
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[np.ix_(*([np.array(dead)] * grid.naxes))] = True
+        want = np.fft.ifftn(np.where(mask, 0.0, fhat)).real
+        assert np.max(np.abs(got - want)) <= 1e-14
+        # exactly the dead bins are removed; every other bin is kept
+        ghat = np.fft.fftn(got)
+        scale = np.abs(fhat).max()
+        assert np.max(np.abs(ghat[mask])) < 1e-13 * scale
+        assert np.max(np.abs(ghat - fhat)[~mask]) < 1e-13 * scale
+        assert mask.sum() == len(dead) ** grid.naxes
+
+    def test_complex_input_keeps_imaginary_part(self, rng):
+        grid = TorusGrid(n=2, points=10)
+        f = rng.standard_normal(grid.shape)
+        g = rng.standard_normal(grid.shape)
+        out = null_mode_projection(f + 1j * g, grid)
+        want = null_mode_projection(f, grid) + 1j * null_mode_projection(g, grid)
+        assert np.max(np.abs(out - want)) < 1e-14
+
 
 class TestPotentialIO:
     def test_shape_validation(self):
@@ -326,6 +377,128 @@ class TestMetricField:
         chi_pt = sample_metric.chi[3, 5]
         want = relative_spectrum(g, chi_pt).lambdas
         assert np.allclose(lam[3, 5], want, rtol=1e-10)
+
+
+def _random_form(rng, n, complex_entries):
+    a = rng.standard_normal((n, n))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((n, n))
+    return as_matrix(a @ a.conj().T + n * np.eye(n))
+
+
+def _lapack_route(chi, g):
+    """det, trace against g, inverse and h through np.linalg.cholesky and
+    np.linalg.solve, the route the entrywise factor replaced."""
+    n = chi.shape[-1]
+    low = np.linalg.cholesky(chi)
+    det = np.prod(low[..., range(n), range(n)].real, axis=-1) ** 2
+    gm = g if g.imag.any() else g.real
+    sol = np.linalg.solve(low, np.broadcast_to(np.linalg.cholesky(gm),
+                                               low.shape))
+    trace = (np.abs(sol) ** 2).sum(axis=(-2, -1))
+    low_inv = np.linalg.solve(low, np.broadcast_to(np.eye(n), low.shape))
+    inv = low_inv.conj().swapaxes(-1, -2) @ low_inv
+    return det, trace, inv, inv @ gm @ inv
+
+
+def _raises(fn, errors) -> bool:
+    try:
+        fn()
+    except errors:
+        return True
+    return False
+
+
+class TestEntrywiseFactor:
+    """The entrywise lower factor against the LAPACK Cholesky/solve route."""
+
+    @pytest.mark.parametrize("complex_omega", [False, True])
+    @pytest.mark.parametrize("complex_chi0", [False, True])
+    @pytest.mark.parametrize("case", [(1, "invariant", 16), (2, "invariant", 12),
+                                      (3, "invariant", 8), (4, "invariant", 8),
+                                      (1, "full", 12), (2, "full", 8)])
+    def test_matches_lapack_route(self, case, complex_chi0, complex_omega):
+        n, mode, points = case
+        rng = np.random.default_rng([n, points, complex_chi0, complex_omega])
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        chi0 = _random_form(rng, n, complex_chi0)
+        omega = _random_form(rng, n, complex_omega)
+        phi = random_admissible_potential(rng, grid, chi0, band=2,
+                                          amplitude=0.8, rel_margin=0.2)
+        metric = metric_field(grid, chi0, phi)
+        # a Hermitian 1 x 1 form is real, so n = 1 has no complex chi0
+        complex_chi = (complex_chi0 and n > 1) or mode == "full"
+        assert np.iscomplexobj(metric.chi) == complex_chi
+        det, trace, inv, h = _lapack_route(metric.chi, omega)
+        got = (metric.det(), metric.trace_with(form_factor(omega)),
+               metric.inverse(), metric.h_matrix(omega))
+        for value, want in zip(got, (det, trace, inv, h)):
+            assert value.shape == want.shape
+            assert np.max(np.abs(value - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_form_factor_matches_lapack(self, rng):
+        for n in (1, 2, 3, 4):
+            for complex_entries in (False, True):
+                g = _random_form(rng, n, complex_entries)
+                got = form_factor(g)
+                want = np.linalg.cholesky(g if g.imag.any() else g.real)
+                assert np.iscomplexobj(got) == (complex_entries and n > 1)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_positivity_boundary_matches_lapack(self, n, complex_entries):
+        # chi with smallest eigenvalue +-1e-14 |chi| at one grid point:
+        # SingularFormError exactly where np.linalg.cholesky raises
+        rng = np.random.default_rng([7, n, complex_entries])
+        grid = TorusGrid(n=n, points=8)
+        dtype = complex if complex_entries else float
+        chi0 = np.zeros((n, n), dtype=dtype)
+        outcomes = []
+        for _ in range(12):
+            a = rng.standard_normal((n, n))
+            if complex_entries:
+                a = a + 1j * rng.standard_normal((n, n))
+            q, _ = np.linalg.qr(a)
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            for sign in (1.0, -1.0):
+                ev = scale * np.concatenate(
+                    ([sign * 1e-14], rng.uniform(0.5, 1.0, n - 1)))
+                point = as_matrix((q * ev) @ q.conj().T)
+                stack = np.empty(grid.shape + (n, n), dtype=dtype)
+                stack[...] = scale * np.eye(n)
+                stack[(3,) * grid.naxes] = point if complex_entries else point.real
+                lapack = _raises(lambda: np.linalg.cholesky(stack),
+                                 np.linalg.LinAlgError)
+                ours = _raises(lambda: MetricField(grid, chi0, stack),
+                               SingularFormError)
+                assert ours == lapack
+                outcomes.append(ours)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_zero_pivot_raises(self):
+        grid = TorusGrid(n=2, points=8)
+        stack = np.empty(grid.shape + (2, 2))
+        stack[...] = np.eye(2)
+        stack[2, 5] = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack)
+        with pytest.raises(SingularFormError):
+            MetricField(grid, np.zeros((2, 2)), stack)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (1, 1)])
+    def test_nan_passes_the_pivot_test(self, entry):
+        # as through LAPACK, a NaN is no positivity failure: it propagates
+        # into det and the trace for the flow's finiteness check to catch
+        grid = TorusGrid(n=2, points=8)
+        hess = np.zeros(grid.shape + (2, 2))
+        hess[(3, 4) + entry] = np.nan
+        np.linalg.cholesky(2.0 * np.eye(2) + hess)
+        metric = MetricField(grid, 2.0 * np.eye(2), hess)
+        trace = metric.trace_with(form_factor(np.eye(2)))
+        for field in (metric.det(), trace):
+            assert np.isnan(field[3, 4])
+            assert np.isfinite(np.delete(field.ravel(), 3 * 8 + 4)).all()
 
 
 class TestCurvatureAndConstants:
