@@ -36,10 +36,10 @@ from .torus import (
     TorusGrid,
     class_constant_c,
     complex_hessian_of,
-    derivative_symbol,
     form_factor,
     metric_field,
     null_mode_projection,
+    symbol_mesh,
 )
 
 
@@ -94,23 +94,15 @@ def linearized_apply(metric: MetricField, g, v: np.ndarray,
 def _mean_symbol_inverse(grid: TorusGrid, h: np.ndarray, deriv: str):
     """Exact inverse of -Ltilde with h frozen at its grid mean, as a map.
 
-    With w_a = s(k_{x_a}) on invariant grids and s(k_{x_a}) + i s(k_{y_a})
-    on full grids (s the first-derivative symbol), the symbol of the frozen
-    operator is (1/(4n)) Re sum_ab hbar_ab w_a conj(w_b).  It is real and
-    even, so a real FFT pair applies its inverse to real fields; it is zero
-    on exactly the dead modes, which the map sends to 0.
+    With the per-variable symbols w_a of torus.symbol_mesh, the symbol of
+    the frozen operator is (1/(4n)) Re sum_ab hbar_ab w_a conj(w_b).  It is
+    real and even, so a real FFT pair applies its inverse to real fields;
+    it is zero on exactly the dead modes, which the map sends to 0.
     """
     n = grid.n
     axes = tuple(range(grid.naxes))
     hbar = h.mean(axis=axes)
-    s = derivative_symbol(grid, deriv)
-    # rfftn keeps the non-negative half of the last axis
-    mesh = np.meshgrid(*([s] * (grid.naxes - 1)), s[: grid.points // 2 + 1],
-                       indexing="ij", sparse=True)
-    if grid.mode == "invariant":
-        w = mesh
-    else:
-        w = [mesh[a] + 1j * mesh[n + a] for a in range(n)]
+    w = symbol_mesh(grid, deriv)
     symbol = sum(hbar[a, b] * w[a] * np.conj(w[b])
                  for a in range(n) for b in range(n)).real / (4.0 * n)
     inv = np.zeros(symbol.shape)
@@ -132,6 +124,12 @@ def residual_field(grid: TorusGrid, omega_factor: np.ndarray,
     return c - lam / grid.n, metric
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # einsum runs its own loop; np.vdot goes to BLAS ddot, whose thread
+    # pool stalls when the cores are shared
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def _pcg(apply_a, b: np.ndarray, precond, grid: TorusGrid,
          rtol: float, maxiter: int) -> tuple:
     """Preconditioned CG on the dead-mode complement with stagnation guard.
@@ -145,18 +143,18 @@ def _pcg(apply_a, b: np.ndarray, precond, grid: TorusGrid,
     b = null_mode_projection(b, grid)
     x = np.zeros_like(b)
     r = b.copy()
-    norm_b = float(np.sqrt(np.vdot(r, r).real))
+    norm_b = np.sqrt(_dot(r, r))
     if norm_b == 0.0:
         return x, 0
     z = precond(r)
     p = z.copy()
-    rz = float(np.vdot(r, z).real)
+    rz = _dot(r, z)
     best_x, best_norm = x, norm_b
     stall = 0
     it = 0
     for it in range(1, maxiter + 1):
         ap = null_mode_projection(apply_a(p), grid)
-        pap = float(np.vdot(p, ap).real)
+        pap = _dot(p, ap)
         if pap <= 0.0:
             # loss of positivity in the projected operator: stop with the
             # best iterate; the outer backtracking absorbs the inexactness
@@ -164,7 +162,7 @@ def _pcg(apply_a, b: np.ndarray, precond, grid: TorusGrid,
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        norm_r = float(np.sqrt(np.vdot(r, r).real))
+        norm_r = np.sqrt(_dot(r, r))
         if norm_r < best_norm:
             best_x, best_norm = x, norm_r
             stall = 0
@@ -175,7 +173,7 @@ def _pcg(apply_a, b: np.ndarray, precond, grid: TorusGrid,
         if norm_r <= rtol * norm_b:
             return x, it
         z = precond(r)
-        rz_new = float(np.vdot(r, z).real)
+        rz_new = _dot(r, z)
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p

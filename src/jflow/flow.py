@@ -2,16 +2,20 @@
 
 The evolution is d(phi)/dt = c - (1/n) Lambda_{chi_phi} omega with constant
 background forms omega and chi0.  Stepping is classical four-stage
-Runge-Kutta; the step size comes from the explicit parabolic bound
-safety * dx^2 / (2n * max lambda_max((1/n) h)) with h = chi^{-1} g chi^{-1},
-which sits an order of magnitude inside the actual RK4 stability region for
-the composed fourth-order stencils.
+Runge-Kutta under two limits.  The stability ceiling dt_control is
+safety * 2.785 / rho, where rho bounds the frozen-coefficient symbol of the
+linearization and 2.785 is where the RK4 stability region crosses the
+negative real axis; refreshed at every sample, it is the largest step the
+run takes.  Under it an accuracy controller sizes each step from the
+embedded third-order estimate of its local error (see step and run), which
+reads phi alone.
 
 Alongside phi the stepper integrates the dissipation
 q(t) = int_0^t n * (int phidot^2 det chi dV) ds with the same RK4 weights,
 reusing the stage evaluations.  The descent identity d(Jhat)/dt = -dq/dt can
 then be checked between any two samples without quadrature error from the
-time axis dominating.
+time axis dominating; the controller never reads Jhat or q, so that check
+stays independent of it.
 
 A monitor sample integrates no path: J, I and Jhat come in closed form and
 the Mabuchi column is the entropy (see _sample).
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import collections
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +39,7 @@ from .torus import (
     integrate_top,
     laplacian_w,
     metric_field,
+    symbol_mesh,
 )
 from .functionals import eval_IE_JE, eval_entropy, flow_functional_bundle
 
@@ -56,6 +61,14 @@ CSV_COLUMNS = (
 
 VERDICTS = ("converged", "blowup", "timeout")
 
+# where the RK4 stability region meets the negative real axis (Hairer &
+# Wanner, Solving ODEs II, IV.2), rounded down
+RK4_REAL_STABILITY = 2.785
+
+# a step is accepted when its local error estimate is at most this
+# fraction of dt * sup|phidot|
+STEP_ERROR_TOL = 1e-4
+
 
 class NumericalFailureError(RuntimeError):
     """A step produced non-finite values."""
@@ -69,8 +82,9 @@ class FlowSetup:
     the convergence conditions); the factor applied is kept for the audit
     trail.  c and omega_factor, the Cholesky factor every trace reads, are
     derived from the (rescaled) forms.  Tolerances follow the module
-    defaults: convergence at sup residual 1e-8, sampling every 10 steps,
-    hard stop at t_max.
+    defaults: convergence at sup residual 1e-8, sampling every 10 accepted
+    steps, hard stop at t_max.  safety is the fraction of the RK4
+    stability ceiling (dt_control) that caps every step.
     """
 
     grid: TorusGrid
@@ -114,7 +128,8 @@ class FlowState:
     metric and lam = Lambda_chi omega are built once, by _make_state, and
     every consumer of the state reads them: the residual, the next step's
     first RK4 stage, and every monitor and functional of a sample.
-    diss is the accumulated n * int phidot^2 det chi dV ds from t = 0.
+    diss is the accumulated n * int phidot^2 det chi dV ds from t = 0, and
+    err the local error estimate of the step that produced the state.
     """
 
     t: float
@@ -123,11 +138,13 @@ class FlowState:
     lam: np.ndarray
     residual: float
     diss: float = 0.0
+    err: float = 0.0
 
 
 @dataclass(frozen=True)
 class MonitorRecord:
-    """One sampled row of the flow time series (the CSV column set)."""
+    """One sampled row of the flow time series (the CSV column set); dt is
+    the step proposed after the sample, never above the ceiling."""
 
     t: float
     residual: float
@@ -160,6 +177,8 @@ class RunResult:
     # per-sample companions to records (same length):
     diss_totals: np.ndarray = None
     min_rel_eig: np.ndarray = None
+    # steps retried with a smaller dt; not counted in steps
+    rejected_steps: int = 0
 
 
 def flow_rhs(setup: FlowSetup, metric: MetricField, lam: np.ndarray) -> tuple:
@@ -194,15 +213,31 @@ def initial_state(setup: FlowSetup, phi0: np.ndarray) -> FlowState:
 
 
 def dt_control(setup: FlowSetup, state: FlowState, safety: float = None) -> float:
-    """Explicit parabolic step bound from the linearization coefficients."""
+    """RK4 stability ceiling from the linearization at the state.
+
+    The linearization (1/n) h^{ab} d^2/dz_a dzbar_b, h = chi^{-1} omega
+    chi^{-1}, has with frozen coefficients the symbol
+    -(1/(4n)) Re sum_ab h_ab w_a conj(w_b) (w_a from torus.symbol_mesh).
+    Its modulus is at most rho = (m/4) s_max^2 max_x lambda_max(h), with
+    s_max = max |derivative_symbol| and m = 1 on invariant and 2 on full
+    grids.  Returns safety * 2.785 / rho.
+    """
     s = setup.safety if safety is None else safety
     h = state.metric.h_matrix(setup.omega)
-    top = float(np.linalg.eigvalsh(h)[..., -1].max()) / setup.grid.n
-    return s * setup.grid.dx**2 / (2.0 * setup.grid.n * top)
+    top = float(np.linalg.eigvalsh(h)[..., -1].max())
+    # each w_a varies along its own axes, so max_k |w|^2 is a sum of maxima
+    wsq = sum(float(np.max((w * np.conj(w)).real))
+              for w in symbol_mesh(setup.grid, setup.deriv))
+    rho = top * wsq / (4.0 * setup.grid.n)
+    return s * RK4_REAL_STABILITY / rho
 
 
 def step(setup: FlowSetup, state: FlowState, dt: float) -> FlowState:
     """One RK4 update of (phi, dissipation accumulator).
+
+    The new state's err is (dt/6) sup|k4 - k5|, with k5 = phidot(phi_new)
+    the next step's first stage: the gap to the third-order companion with
+    weights (1/6, 1/3, 1/3, 0, 1/6), so the estimate costs no extra stage.
 
     Raises SingularFormError if any stage or the result loses positivity
     (the caller reports it as blow-up) and NumericalFailureError on NaN.
@@ -220,7 +255,16 @@ def step(setup: FlowSetup, state: FlowState, dt: float) -> FlowState:
     diss_new = state.diss + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     if not np.all(np.isfinite(phi_new)):
         raise NumericalFailureError(f"non-finite potential at t={state.t}")
-    return _make_state(setup, state.t + dt, phi_new, diss_new)
+    new = _make_state(setup, state.t + dt, phi_new, diss_new)
+    k5 = setup.c - new.lam / setup.grid.n
+    return replace(new, err=(dt / 6.0) * float(np.max(np.abs(k4 - k5))))
+
+
+def _step_factor(err: float, tol: float) -> float:
+    """Next-step factor of a third-order estimate, clipped to [0.2, 2]."""
+    if err == 0.0:
+        return 2.0
+    return min(2.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0)))
 
 
 def blowup_monitor(setup: FlowSetup, state: FlowState) -> float:
@@ -275,14 +319,23 @@ def run(setup: FlowSetup, phi0: np.ndarray,
 
     Convergence means sup residual < tol_converge with the sampled Jhat
     sequence monotone non-increasing over the trailing 100 samples (up to a
-    relative slack of 1e-9 for rounding noise).  The step bound is
-    refreshed at every sample, which is safe because the enforced bound sits
-    far inside the actual stability region and the metric moves slowly on
-    the sample cadence.
+    relative slack of 1e-9 for rounding noise).
+
+    A step is accepted when its error estimate (FlowState.err) is at most
+    tol = STEP_ERROR_TOL * dt * sup|phidot| at its start, with sup|phidot|
+    floored where its rounding would dominate the estimate (about 4e-11 c,
+    far below any useful tol_converge).  A rejected step is retried with a
+    smaller dt.  Each next step is dt * clip(0.9 (tol/err)^(1/3), 0.2, 2),
+    never above the stability ceiling dt_control, which is refreshed at
+    every sample: the metric moves little between samples, and a step that
+    went unstable under a stale ceiling would show in the error estimate
+    and be retried.  sample_interval and max_steps count accepted steps,
+    and a record's dt is the step proposed after its sample.
     """
     t_start = time.perf_counter()
     state = initial_state(setup, phi0)
-    dt = dt_control(setup, state)
+    ceiling = dt_control(setup, state)
+    dt = ceiling
     records = []
     eig_mins = []
     diss_totals = []
@@ -298,17 +351,30 @@ def run(setup: FlowSetup, phi0: np.ndarray,
     take_sample(dt)
     verdict = None
     steps = 0
+    rejected = 0
+    # phidot = c - lam/n, and so k4 - k5, carries rounding of a few eps*c;
+    # an error test against a smaller velocity would reject noise forever
+    noise_floor = 16.0 * np.finfo(float).eps * setup.c / STEP_ERROR_TOL
     if state.residual < setup.tol_converge:
         verdict = "converged"
     while verdict is None:
         try:
-            state = step(setup, state, dt)
+            trial = step(setup, state, dt)
         except SingularFormError:
             verdict = "blowup"
             break
+        tol = STEP_ERROR_TOL * dt * max(state.residual, noise_floor)
+        factor = _step_factor(trial.err, tol)
+        if trial.err > tol:
+            rejected += 1
+            dt *= factor
+            continue
+        state = trial
         steps += 1
+        dt = min(dt * factor, ceiling)
         if steps % setup.sample_interval == 0:
-            dt = dt_control(setup, state)
+            ceiling = dt_control(setup, state)
+            dt = min(dt, ceiling)
             take_sample(dt)
             if records[-1].blowup > setup.blowup_ceiling:
                 verdict = "blowup"
@@ -329,6 +395,7 @@ def run(setup: FlowSetup, phi0: np.ndarray,
         jhat_monotone=_jhat_monotone([r.Jhat for r in records]),
         diss_totals=np.asarray(diss_totals),
         min_rel_eig=np.asarray(eig_mins),
+        rejected_steps=rejected,
     )
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -70,8 +71,9 @@ class TorusGrid:
     def dx(self) -> float:
         return TWO_PI / self.points
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
+        # read by every derivative pass, so built once per grid
         return (self.points,) * self.naxes
 
     @property
@@ -141,7 +143,10 @@ def derivative_symbol(grid: TorusGrid, deriv: str = "fd4") -> np.ndarray:
     residue.
     """
     points = grid.points
-    k = np.fft.fftfreq(points, d=1.0 / points)
+    # integer wavenumbers in numpy's FFT bin order, built without np.fft:
+    # the fd4 flow never loads it otherwise
+    k = np.arange(points, dtype=float)
+    k[(points + 1) // 2:] -= points
     if deriv == "fd4":
         dx = grid.dx
         k = (8.0 * np.sin(k * dx) - np.sin(2.0 * k * dx)) / (6.0 * dx)
@@ -150,6 +155,27 @@ def derivative_symbol(grid: TorusGrid, deriv: str = "fd4") -> np.ndarray:
     if points % 2 == 0:
         k[points // 2] = 0.0
     return k
+
+
+def symbol_mesh(grid: TorusGrid, deriv: str = "fd4") -> list:
+    """Per-variable symbols w_a of the complex Hessian, over the real-FFT
+    half spectrum.
+
+    Entry (a, b) of complex_hessian_of multiplies Fourier bin k by
+    -(1/4) conj(w_a(k)) w_b(k), with w_a = s(k_{x_a}) on invariant grids
+    and s(k_{x_a}) + i s(k_{y_a}) on full grids, s = derivative_symbol.  The
+    mesh is sparse: each w_a broadcasts against the rfftn layout, which
+    keeps the non-negative half of the last axis.  Frozen-coefficient
+    symbols of second-order operators (the Newton preconditioner, the flow's
+    stability ceiling) are built from it.
+    """
+    s = derivative_symbol(grid, deriv)
+    mesh = np.meshgrid(*([s] * (grid.naxes - 1)), s[: grid.points // 2 + 1],
+                       indexing="ij", sparse=True)
+    if grid.mode == "invariant":
+        return mesh
+    n = grid.n
+    return [mesh[a] + 1j * mesh[n + a] for a in range(n)]
 
 
 def _spectral_derivative(values: np.ndarray, axis: int,
@@ -163,21 +189,32 @@ def _spectral_derivative(values: np.ndarray, axis: int,
     return out
 
 
-def first_derivative(values: np.ndarray, grid: TorusGrid, axis: int,
-                     deriv: str = "fd4") -> np.ndarray:
+def _check_field(values: np.ndarray, grid: TorusGrid, deriv: str) -> None:
     if values.shape != grid.shape:
         raise ShapeError(f"field shape {values.shape} != grid shape {grid.shape}")
-    if not 0 <= axis < grid.naxes:
-        raise ShapeError(f"axis {axis} out of range for {grid.naxes} axes")
+    if deriv not in DERIV_MODES:
+        raise ShapeError(f"derivative mode must be one of {DERIV_MODES}")
+
+
+def _derivative(values: np.ndarray, grid: TorusGrid, axis: int,
+                deriv: str) -> np.ndarray:
+    # input checked by the public caller, once per field
     if deriv == "fd4":
         return _fd4(values, axis, grid.dx)
-    if deriv == "spectral":
-        return _spectral_derivative(values, axis, grid)
-    raise ShapeError(f"derivative mode must be one of {DERIV_MODES}")
+    return _spectral_derivative(values, axis, grid)
+
+
+def first_derivative(values: np.ndarray, grid: TorusGrid, axis: int,
+                     deriv: str = "fd4") -> np.ndarray:
+    _check_field(values, grid, deriv)
+    if not 0 <= axis < grid.naxes:
+        raise ShapeError(f"axis {axis} out of range for {grid.naxes} axes")
+    return _derivative(values, grid, axis, deriv)
 
 
 def gradient(values: np.ndarray, grid: TorusGrid, deriv: str = "fd4") -> list:
-    return [first_derivative(values, grid, j, deriv) for j in range(grid.naxes)]
+    _check_field(values, grid, deriv)
+    return [_derivative(values, grid, j, deriv) for j in range(grid.naxes)]
 
 
 def complex_hessian_of(values: np.ndarray, grid: TorusGrid,
@@ -197,7 +234,7 @@ def complex_hessian_of(values: np.ndarray, grid: TorusGrid,
     def second(j: int, k: int) -> np.ndarray:
         key = (j, k) if j <= k else (k, j)
         if key not in cache:
-            cache[key] = first_derivative(du[key[0]], grid, key[1], deriv)
+            cache[key] = _derivative(du[key[0]], grid, key[1], deriv)
         return cache[key]
 
     if grid.mode == "invariant":

@@ -30,6 +30,14 @@ from jflow.flow import (
 )
 
 
+def parabolic_dt(setup, state):
+    """The fixed step 0.9 dx^2 / (2 max lambda_max(h)) that the stage
+    algebra tests step at, in the arithmetic of the former step bound."""
+    h = state.metric.h_matrix(setup.omega)
+    top = float(np.linalg.eigvalsh(h)[..., -1].max()) / setup.grid.n
+    return 0.9 * setup.grid.dx**2 / (2.0 * setup.grid.n * top)
+
+
 def small_setup(**overrides):
     grid = TorusGrid(n=1, points=16, mode="invariant")
     defaults = dict(grid=grid, omega=np.eye(1), chi0=2.0 * np.eye(1))
@@ -63,17 +71,43 @@ class TestFlowSetup:
 
 class TestStepping:
     def test_dt_control_flat_example(self):
-        # chi = omega = I in two variables gives h = I and top = 1/2, so
-        # the bound collapses to safety * dx^2 / 2.
+        # chi = omega = I in two variables gives h = I, so on an invariant
+        # grid rho = s_max^2 / 4 and the ceiling is safety * 2.785 * 4 /
+        # s_max^2, with s_max the largest fd4 symbol on the grid.
         grid = TorusGrid(n=2, points=16)
         setup = FlowSetup(grid=grid, omega=np.eye(2), chi0=np.eye(2))
         state = initial_state(setup, grid.zeros())
+        k = np.arange(grid.points)
+        s_max = np.max((8.0 * np.sin(k * grid.dx)
+                        - np.sin(2.0 * k * grid.dx)) / (6.0 * grid.dx))
         assert dt_control(setup, state) == pytest.approx(
-            0.9 * grid.dx**2 / 2.0, rel=1e-13
+            0.9 * 2.785 * 4.0 / s_max**2, rel=1e-13
         )
         assert dt_control(setup, state, safety=0.5) == pytest.approx(
-            0.5 * grid.dx**2 / 2.0, rel=1e-13
+            0.5 * 2.785 * 4.0 / s_max**2, rel=1e-13
         )
+
+    def test_dt_control_full_grid_doubles_rho(self):
+        # on a full grid |w_a|^2 = s(k_x)^2 + s(k_y)^2 reaches 2 s_max^2
+        grids = [TorusGrid(n=2, points=8, mode=mode)
+                 for mode in ("invariant", "full")]
+        ceilings = []
+        for grid in grids:
+            setup = FlowSetup(grid=grid, omega=np.eye(2), chi0=np.eye(2))
+            ceilings.append(dt_control(setup, initial_state(setup,
+                                                            grid.zeros())))
+        assert ceilings[1] == pytest.approx(ceilings[0] / 2.0, rel=1e-13)
+
+    def test_step_error_estimate_is_fourth_order(self):
+        # err = (dt/6) sup|k4 - k5| measures the local error of the
+        # third-order companion, so halving dt divides it by about 16
+        setup = small_setup()
+        phi0 = (cosine_mode(setup.grid, [1], 0.2)
+                + cosine_mode(setup.grid, [2], 0.1))
+        state = initial_state(setup, phi0)
+        dt = dt_control(setup, state) / 4.0
+        ratio = step(setup, state, dt).err / step(setup, state, dt / 2.0).err
+        assert 12.8 < ratio < 20.0
 
     def test_equilibrium_is_stationary(self):
         setup = small_setup()
@@ -105,7 +139,7 @@ class TestStepping:
         s = (8.0 * np.sin(grid.dx) - np.sin(2.0 * grid.dx)) / (6.0 * grid.dx)
         rate = s * s / 16.0
         horizon = 3.0
-        dt = dt_control(setup, state)
+        dt = parabolic_dt(setup, state)
         nsteps = int(np.ceil(horizon / dt))
         dt = horizon / nsteps
         for _ in range(nsteps):
@@ -128,7 +162,7 @@ class TestStepping:
         setup = small_setup()
         state = initial_state(setup, cosine_mode(setup.grid, [1], 0.2))
         j0 = jhat(state)
-        dt = dt_control(setup, state)
+        dt = parabolic_dt(setup, state)
         for _ in range(50):
             state = step(setup, state, dt)
         j1 = jhat(state)
@@ -205,6 +239,90 @@ class TestRunVerdicts:
         assert len(result.diss_totals) == len(result.records)
         assert len(result.min_rel_eig) == len(result.records)
         assert np.all(np.diff(result.diss_totals) >= 0.0)
+
+
+def descent_ratio(result):
+    """Worst |dJhat/dt + dissipation rate| over criterion 5's tolerance."""
+    jhat = np.array([r.Jhat for r in result.records])
+    t = np.array([r.t for r in result.records])
+    mismatch = np.abs(np.diff(jhat) + np.diff(result.diss_totals)) / np.diff(t)
+    tol = 1e-4 * np.maximum(np.abs(jhat[1:]), 1e-7 * abs(jhat[0]))
+    return float(np.max(mismatch / tol))
+
+
+class TestControlledRun:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flow16_instance_passes_its_checks(self, seed):
+        # the benchmark's flow16 instance under the error-controlled step
+        from jflow.sampling import make_rng, random_admissible_potential
+
+        grid = TorusGrid(n=2, points=16)
+        setup = FlowSetup(grid=grid, omega=np.eye(2), chi0=2.0 * np.eye(2),
+                          deriv="fd4", sample_interval=10, tol_converge=1e-8)
+        phi0 = random_admissible_potential(make_rng(seed, stream=7), grid,
+                                           setup.chi0, band=2, amplitude=0.4)
+        result = run(setup, phi0)
+        assert result.verdict == "converged"
+        assert descent_ratio(result) <= 1.0
+        assert monitor_max_principle(result)["band_ok"]
+
+    def test_max_steps_counts_accepted_steps(self):
+        # the first step, taken at the ceiling, is too long for the error
+        # test and is retried; only accepted steps are counted
+        setup = small_setup()
+        phi0 = (cosine_mode(setup.grid, [1], 0.2)
+                + cosine_mode(setup.grid, [3], 0.05))
+        result = run(setup, phi0, max_steps=20)
+        assert result.verdict == "timeout"
+        assert result.rejected_steps > 0
+        assert result.steps == 20
+        assert len(result.records) == 3
+
+    def test_tolerance_near_rounding_needs_no_rejection_storm(self):
+        # the error test floors sup|phidot| where rounding in k4 - k5
+        # would otherwise be read as error and every step rejected
+        setup = small_setup(tol_converge=1e-14)
+        result = run(setup, cosine_mode(setup.grid, [1], 0.3))
+        assert result.verdict == "converged"
+        assert result.rejected_steps <= 2
+
+    @staticmethod
+    def _descent_defect(deriv, points):
+        """|dJhat + dq| / |dJhat| over t in [0, 1] for a potential of two
+        variables, stepped at the parabolic step."""
+        from jflow import flow_functional_bundle
+
+        grid = TorusGrid(n=2, points=points)
+        setup = FlowSetup(grid=grid, omega=np.diag([1.0, 0.8]),
+                          chi0=np.array([[2.0, 0.3], [0.3, 1.5]]),
+                          deriv=deriv)
+        phi0 = (cosine_mode(grid, [1, 0], 0.3)
+                + cosine_mode(grid, [1, 1], 0.15, 0.4)
+                + cosine_mode(grid, [0, 2], 0.05))
+        state = initial_state(setup, phi0)
+
+        def jhat(st):
+            return flow_functional_bundle(st.metric, setup.omega,
+                                          st.phi)["Jhat"]
+
+        j0 = jhat(state)
+        nsteps = int(np.ceil(1.0 / parabolic_dt(setup, state)))
+        for _ in range(nsteps):
+            state = step(setup, state, 1.0 / nsteps)
+        drop = jhat(state) - j0
+        return abs(drop + state.diss) / abs(drop)
+
+    def test_descent_defect_two_dimensional_fd4(self):
+        # fd4 sums by parts exactly but breaks the product rule, so the
+        # flow is the gradient flow of the discrete Jhat only up to a
+        # defect of fourth order in dx
+        coarse = self._descent_defect("fd4", 16)
+        fine = self._descent_defect("fd4", 32)
+        assert fine * 8.0 <= coarse
+
+    @pytest.mark.parametrize("points", [16, 32])
+    def test_descent_defect_two_dimensional_spectral(self, points):
+        assert self._descent_defect("spectral", points) <= 1e-8
 
 
 class TestMonotoneCheck:
@@ -346,7 +464,7 @@ class TestFieldBuilds:
         from jflow import MetricField
 
         setup, state = self._state()
-        dt = dt_control(setup, state)
+        dt = parabolic_dt(setup, state)
         original = MetricField.trace_with
         traces = []
 
@@ -362,7 +480,7 @@ class TestFieldBuilds:
 
     def test_step_makes_no_lapack_factor_or_solve(self, monkeypatch):
         setup, state = self._state()
-        dt = dt_control(setup, state)
+        dt = parabolic_dt(setup, state)
         calls = []
         for name in ("cholesky", "solve"):
             original = getattr(np.linalg, name)

@@ -28,6 +28,7 @@ from jflow.torus import (
     laplacian_w,
     null_mode_projection,
     scalar_curvature,
+    symbol_mesh,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -187,6 +188,12 @@ class TestDerivatives:
             first_derivative(grid.zeros(), grid, 2)
         with pytest.raises(ShapeError):
             first_derivative(grid.zeros(), grid, 0, deriv="fd2")
+        # the multi-pass routes check their input once, up front
+        for route in (gradient, complex_hessian_of):
+            with pytest.raises(ShapeError):
+                route(np.zeros((4,)), grid)
+            with pytest.raises(ShapeError):
+                route(grid.zeros(), grid, "fd2")
 
     def test_gradient_length(self):
         grid = TorusGrid(n=2, points=8, mode="full")
@@ -194,6 +201,51 @@ class TestDerivatives:
 
 
 class TestComplexHessian:
+    @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
+    @pytest.mark.parametrize("layout", [(2, "invariant"), (2, "full")])
+    def test_matches_composed_first_derivatives(self, rng, deriv, layout):
+        # the passes skip first_derivative's per-call checks, not its
+        # arithmetic: every entry is bit-identical to the public route
+        n, mode = layout
+        grid = TorusGrid(n=n, points=8, mode=mode)
+        values = rng.standard_normal(grid.shape)
+
+        def second(j, k):
+            # the lower axis is differentiated first, as the Hessian does
+            j, k = min(j, k), max(j, k)
+            return first_derivative(first_derivative(values, grid, j, deriv),
+                                    grid, k, deriv)
+
+        hess = complex_hessian_of(values, grid, deriv)
+        for a in range(n):
+            for b in range(a, n):
+                if mode == "invariant":
+                    want = 0.25 * second(a, b)
+                else:
+                    real = second(a, b) + second(n + a, n + b)
+                    imag = second(a, n + b) - second(n + a, b)
+                    want = (0.25 * real if a == b
+                            else 0.25 * (real + 1j * imag))
+                assert np.array_equal(hess[..., a, b], want)
+
+    @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
+    @pytest.mark.parametrize("mode", ["invariant", "full"])
+    def test_symbol_mesh_gives_hessian_symbol(self, deriv, mode):
+        # entry (a, b) multiplies the mode k by -(1/4) conj(w_a) w_b, which
+        # is even in k, so it scales a real cosine mode by the same factor;
+        # the last wavenumber lies in the half spectrum the mesh covers
+        grid = TorusGrid(n=2, points=8, mode=mode)
+        kvec = (1, 2, 3, 1)[: grid.naxes]
+        wave = cosine_mode(grid, kvec, 1.0, 0.3)
+        hess = complex_hessian_of(wave, grid, deriv)
+        w = symbol_mesh(grid, deriv)
+        shape = np.broadcast_shapes(*(wa.shape for wa in w))
+        at = [np.broadcast_to(wa, shape)[kvec] for wa in w]
+        for a in range(2):
+            for b in range(2):
+                want = -0.25 * np.conj(at[a]) * at[b] * wave
+                assert np.max(np.abs(hess[..., a, b] - want)) < 1e-12
+
     def test_invariant_symbol_identity(self):
         grid = TorusGrid(n=1, points=64)
         f = cosine_mode(grid, [1], 1.0)
