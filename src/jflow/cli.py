@@ -35,6 +35,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -48,8 +49,8 @@ from .flow import (FlowSetup, NumericalFailureError, monitor_max_principle,
 from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
                           flow_functional_bundle, ie_second_form,
                           path_functional_bundle, path_independence_gap)
-from .hermitian import (SingularFormError, as_matrix, check_condition,
-                        cone_form_positive, relative_spectrum)
+from .hermitian import (SettingError, SingularFormError, as_matrix,
+                        check_condition, cone_form_positive, relative_spectrum)
 from .sampling import (FAULTS, make_rng, random_admissible_potential,
                        report_digest, run_property_suites)
 from .torus import (DERIV_MODES, GRID_MODES, PotentialField, TorusGrid,
@@ -104,6 +105,31 @@ def _as_bool(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise SchemaError(path, f"expected true/false, got {type(value).__name__}")
     return value
+
+
+# policy fields of FlowSetup and NewtonSettings by annotation; flow.py and
+# critical.py postpone annotations, so f.type is the string named here
+_SETTING_PARSERS = {
+    "bool": _as_bool,
+    "int": lambda value, path: _as_int(value, path, 1),
+    "float": lambda value, path: _as_float(value, path, positive=True),
+}
+
+
+def _setting_fields(cls) -> dict:
+    return {f.name: f for f in fields(cls)
+            if f.init and f.type in _SETTING_PARSERS}
+
+
+def _build_settings(cls, cfg: dict, path: str, **problem) -> tuple:
+    """(cls instance, its policy fields from cfg or the class defaults)."""
+    resolved = {name: _SETTING_PARSERS[f.type](cfg.get(name, f.default),
+                                               _join(path, name))
+                for name, f in _setting_fields(cls).items()}
+    try:
+        return cls(**problem, **resolved), resolved
+    except SettingError as err:
+        raise SchemaError(_join(path, err.field), str(err)) from None
 
 
 def _as_choice(value, choices, path: str) -> str:
@@ -305,43 +331,18 @@ def _emit(payload: dict, out_path: str | None, quiet: bool,
         print(text)
 
 
-_FLOW_DEFAULTS = {
-    "normalize": False, "tol_converge": 1e-8, "t_max": 1e3, "safety": 0.9,
-    "sample_interval": 10, "blowup_ceiling": 1e6, "max_steps": 10_000_000,
-}
-
-
 def cmd_flow(args) -> int:
     cfg = _load_config(args.config)
-    problem = _build_problem(cfg, extra_allowed=_FLOW_DEFAULTS)
-    merged = dict(_FLOW_DEFAULTS)
-    for key in _FLOW_DEFAULTS:
-        if key in cfg:
-            merged[key] = cfg[key]
-    normalize = _as_bool(merged["normalize"], "normalize")
-    tol = _as_float(merged["tol_converge"], "tol_converge", positive=True)
-    t_max = _as_float(merged["t_max"], "t_max", positive=True)
-    safety = _as_float(merged["safety"], "safety", positive=True)
-    interval = _as_int(merged["sample_interval"], "sample_interval", 1)
-    ceiling = _as_float(merged["blowup_ceiling"], "blowup_ceiling", positive=True)
-    max_steps = _as_int(merged["max_steps"], "max_steps", 1)
-
-    setup = FlowSetup(grid=problem["grid"], omega=problem["omega"],
-                      chi0=problem["chi0"], deriv=problem["deriv"],
-                      normalize=normalize, tol_converge=tol, t_max=t_max,
-                      safety=safety, sample_interval=interval,
-                      blowup_ceiling=ceiling)
-    resolved = dict(problem["resolved"])
-    resolved.update({
-        "normalize": normalize, "tol_converge": tol, "t_max": t_max,
-        "safety": safety, "sample_interval": interval,
-        "blowup_ceiling": ceiling, "max_steps": max_steps,
-    })
+    problem = _build_problem(cfg, extra_allowed=_setting_fields(FlowSetup))
+    setup, settings = _build_settings(
+        FlowSetup, cfg, "", grid=problem["grid"], omega=problem["omega"],
+        chi0=problem["chi0"], deriv=problem["deriv"])
+    resolved = dict(problem["resolved"], **settings)
 
     t0 = time.perf_counter()
     note = ""
     try:
-        result = run(setup, problem["phi0"], max_steps=max_steps)
+        result = run(setup, problem["phi0"])
     except NumericalFailureError as err:
         payload = {
             "command": "flow", "config": resolved, "verdict": "blowup",
@@ -390,40 +391,15 @@ def cmd_flow(args) -> int:
     return code
 
 
-_NEWTON_FIELDS = ("tol", "max_iters", "damping", "cg_rtol", "cg_maxiter",
-                  "damping_floor")
-
-
 def cmd_critical(args) -> int:
     cfg = _load_config(args.config)
     problem = _build_problem(cfg, extra_allowed=("newton",))
     newton_cfg = cfg.get("newton", {})
     if not isinstance(newton_cfg, dict):
         raise SchemaError("newton", "expected an object")
-    _reject_unknown(newton_cfg, _NEWTON_FIELDS, "newton")
-    defaults = NewtonSettings()
-    settings = NewtonSettings(
-        tol=_as_float(newton_cfg.get("tol", defaults.tol), "newton.tol",
-                      positive=True),
-        max_iters=_as_int(newton_cfg.get("max_iters", defaults.max_iters),
-                          "newton.max_iters", 1),
-        damping=_as_float(newton_cfg.get("damping", defaults.damping),
-                          "newton.damping", positive=True),
-        cg_rtol=_as_float(newton_cfg.get("cg_rtol", defaults.cg_rtol),
-                          "newton.cg_rtol", positive=True),
-        cg_maxiter=_as_int(newton_cfg.get("cg_maxiter", defaults.cg_maxiter),
-                           "newton.cg_maxiter", 1),
-        damping_floor=_as_float(
-            newton_cfg.get("damping_floor", defaults.damping_floor),
-            "newton.damping_floor", positive=True),
-    )
-    resolved = dict(problem["resolved"])
-    resolved["newton"] = {
-        "tol": settings.tol, "max_iters": settings.max_iters,
-        "damping": settings.damping, "cg_rtol": settings.cg_rtol,
-        "cg_maxiter": settings.cg_maxiter,
-        "damping_floor": settings.damping_floor,
-    }
+    _reject_unknown(newton_cfg, _setting_fields(NewtonSettings), "newton")
+    settings, newton = _build_settings(NewtonSettings, newton_cfg, "newton")
+    resolved = dict(problem["resolved"], newton=newton)
 
     t0 = time.perf_counter()
     phi, report = newton_solve(problem["grid"], problem["omega"],
@@ -515,14 +491,14 @@ _FUNCTIONAL_DEFAULTS = {"path_steps": 32, "mabuchi_steps": 16,
 def cmd_functionals(args) -> int:
     cfg = _load_config(args.config)
     problem = _build_problem(cfg, extra_allowed=_FUNCTIONAL_DEFAULTS)
-    steps = _as_int(cfg.get("path_steps", 32), "path_steps", 16)
-    mab_steps = _as_int(cfg.get("mabuchi_steps", 16), "mabuchi_steps", 16)
-    compare = _as_bool(cfg.get("compare_paths", True), "compare_paths")
+    merged = dict(_FUNCTIONAL_DEFAULTS, **cfg)
+    steps = _as_int(merged["path_steps"], "path_steps", 16)
+    mab_steps = _as_int(merged["mabuchi_steps"], "mabuchi_steps", 16)
+    compare = _as_bool(merged["compare_paths"], "compare_paths")
     grid, omega, chi0 = problem["grid"], problem["omega"], problem["chi0"]
     phi, deriv = problem["phi0"], problem["deriv"]
-    resolved = dict(problem["resolved"])
-    resolved.update({"path_steps": steps, "mabuchi_steps": mab_steps,
-                     "compare_paths": compare})
+    resolved = dict(problem["resolved"], path_steps=steps,
+                    mabuchi_steps=mab_steps, compare_paths=compare)
 
     t0 = time.perf_counter()
     metric = metric_field(grid, as_matrix(chi0), phi, deriv)

@@ -26,11 +26,11 @@ inner iteration and treats the returned vector as a quasi-Newton direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .hermitian import SingularFormError, as_matrix
+from .hermitian import SettingError, SingularFormError, as_matrix
 from .torus import (
     MetricField,
     TorusGrid,
@@ -54,9 +54,9 @@ class NewtonSettings:
 
     def __post_init__(self):
         if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+            raise SettingError("tol", "must be positive")
         if not (0.0 < self.damping <= 1.0):
-            raise ValueError("initial damping must lie in (0, 1]")
+            raise SettingError("damping", "must lie in (0, 1]")
 
 
 @dataclass
@@ -69,26 +69,22 @@ class NewtonReport:
     message: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residuals": self.residuals,
-            "damping_history": self.damping_history,
-            "cg_iterations": self.cg_iterations,
-            "message": self.message,
-        }
+        return asdict(self)
+
+
+def _ltilde(h: np.ndarray, v: np.ndarray, grid: TorusGrid,
+            deriv: str) -> np.ndarray:
+    # Ltilde v; private, so traced Hessian calls sit under newton_solve
+    out = np.einsum("...ab,...ba->...", h,
+                    complex_hessian_of(v, grid, deriv)) / grid.n
+    return out.real if np.iscomplexobj(out) else out
 
 
 def linearized_apply(metric: MetricField, g, v: np.ndarray,
                      deriv: str = "fd4") -> np.ndarray:
     """Ltilde v = (1/n) h^{ab} (complex Hessian of v)_{ab}; g is coerced
     as for MetricField.h_matrix."""
-    h = metric.h_matrix(g)
-    hess = complex_hessian_of(v, metric.grid, deriv)
-    out = np.einsum("...ab,...ba->...", h, hess) / metric.grid.n
-    if np.iscomplexobj(out):
-        return out.real.copy()
-    return out
+    return _ltilde(metric.h_matrix(g), v, metric.grid, deriv)
 
 
 def _mean_symbol_inverse(grid: TorusGrid, h: np.ndarray, deriv: str):
@@ -208,16 +204,9 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
             break
         h = metric.h_matrix(om)
         precond = _mean_symbol_inverse(grid, h, deriv)
-
-        def apply_a(v):
-            hess = complex_hessian_of(v, grid, deriv)
-            out = np.einsum("...ab,...ba->...", h, hess) / grid.n
-            if np.iscomplexobj(out):
-                out = out.real
-            return -out
-
-        delta, cg_iters = _pcg(apply_a, res, precond, grid,
-                               settings.cg_rtol, settings.cg_maxiter)
+        delta, cg_iters = _pcg(lambda v: -_ltilde(h, v, grid, deriv), res,
+                               precond, grid, settings.cg_rtol,
+                               settings.cg_maxiter)
         report.cg_iterations.append(cg_iters)
 
         s = settings.damping

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hermitian import SingularFormError, as_matrix
+from .hermitian import SettingError, SingularFormError, as_matrix
 from .torus import (
     MetricField,
     TorusGrid,
@@ -83,8 +83,8 @@ class FlowSetup:
     trail.  c and omega_factor, the Cholesky factor every trace reads, are
     derived from the (rescaled) forms.  Tolerances follow the module
     defaults: convergence at sup residual 1e-8, sampling every 10 accepted
-    steps, hard stop at t_max.  safety is the fraction of the RK4
-    stability ceiling (dt_control) that caps every step.
+    steps, hard stop at t_max or max_steps accepted steps.  safety is the
+    fraction of the RK4 stability ceiling (dt_control) capping every step.
     """
 
     grid: TorusGrid
@@ -97,6 +97,7 @@ class FlowSetup:
     safety: float = 0.9
     sample_interval: int = 10
     blowup_ceiling: float = 1e6
+    max_steps: int = 10_000_000
     c: float = field(init=False)
     omega_scale: float = field(init=False)
     omega_factor: np.ndarray = field(init=False)
@@ -116,9 +117,9 @@ class FlowSetup:
         object.__setattr__(self, "omega_scale", scale)
         object.__setattr__(self, "omega_factor", form_factor(om))
         if not (0.0 < self.safety <= 1.0):
-            raise ValueError("safety factor must lie in (0, 1]")
+            raise SettingError("safety", "must lie in (0, 1]")
         if self.sample_interval < 1:
-            raise ValueError("sample interval must be at least 1")
+            raise SettingError("sample_interval", "must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ def initial_state(setup: FlowSetup, phi0: np.ndarray) -> FlowState:
     return _make_state(setup, 0.0, np.array(phi0, dtype=float))
 
 
-def dt_control(setup: FlowSetup, state: FlowState, safety: float = None) -> float:
+def dt_control(setup: FlowSetup, state: FlowState) -> float:
     """RK4 stability ceiling from the linearization at the state.
 
     The linearization (1/n) h^{ab} d^2/dz_a dzbar_b, h = chi^{-1} omega
@@ -220,16 +221,15 @@ def dt_control(setup: FlowSetup, state: FlowState, safety: float = None) -> floa
     -(1/(4n)) Re sum_ab h_ab w_a conj(w_b) (w_a from torus.symbol_mesh).
     Its modulus is at most rho = (m/4) s_max^2 max_x lambda_max(h), with
     s_max = max |derivative_symbol| and m = 1 on invariant and 2 on full
-    grids.  Returns safety * 2.785 / rho.
+    grids.  Returns setup.safety * 2.785 / rho.
     """
-    s = setup.safety if safety is None else safety
     h = state.metric.h_matrix(setup.omega)
     top = float(np.linalg.eigvalsh(h)[..., -1].max())
     # each w_a varies along its own axes, so max_k |w|^2 is a sum of maxima
     wsq = sum(float(np.max((w * np.conj(w)).real))
               for w in symbol_mesh(setup.grid, setup.deriv))
     rho = top * wsq / (4.0 * setup.grid.n)
-    return s * RK4_REAL_STABILITY / rho
+    return setup.safety * RK4_REAL_STABILITY / rho
 
 
 def step(setup: FlowSetup, state: FlowState, dt: float) -> FlowState:
@@ -313,8 +313,7 @@ def _jhat_monotone(jhats: Sequence, rel_slack: float = 1e-9) -> bool:
     return bool(np.all(np.diff(arr) <= allowed))
 
 
-def run(setup: FlowSetup, phi0: np.ndarray,
-        max_steps: int = 10_000_000) -> RunResult:
+def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
     """Drive the flow to convergence, blow-up, or timeout.
 
     Convergence means sup residual < tol_converge with the sampled Jhat
@@ -380,7 +379,7 @@ def run(setup: FlowSetup, phi0: np.ndarray,
                 verdict = "blowup"
             elif state.residual < setup.tol_converge and _jhat_monotone(window):
                 verdict = "converged"
-            elif state.t >= setup.t_max or steps >= max_steps:
+            elif state.t >= setup.t_max or steps >= setup.max_steps:
                 verdict = "timeout"
 
     if records[-1].t < state.t:

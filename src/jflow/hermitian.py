@@ -34,6 +34,14 @@ class SingularFormError(ValueError):
     """A form required to be positive definite is not."""
 
 
+class SettingError(ValueError):
+    """A settings field lies outside its range; field is its name."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field} {message}")
+
+
 def as_matrix(form) -> np.ndarray:
     """Coerce an array-like to a Hermitian ndarray.
 

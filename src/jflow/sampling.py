@@ -162,10 +162,6 @@ def _is_failing_with_positive_square(lattice: SurfaceLattice, vec) -> bool:
     return rep.square > 0 and ref_ok
 
 
-def _pyfloat(x) -> float:
-    return float(x)
-
-
 def _counterexample(dim: int, prop: str, lam: np.ndarray,
                     margins: dict, index: int) -> dict:
     return {
@@ -280,7 +276,7 @@ def suite_conditions(seed: int, samples: int = 10_000,
             "chain_violations": int(viol_23.size + viol_31.size),
             "n2_equality_violations": eq_violations,
             "spectrum_violations": spectrum_violations,
-            "spectrum_gap_max": _pyfloat(spectrum_gap.max()),
+            "spectrum_gap_max": float(spectrum_gap.max()),
             "cone_disagreements": cone_disagreements,
             "cone_min_abs_margin": cone_min_abs_margin,
             "scalar_api_disagreements": scalar_disagreements,
@@ -330,24 +326,24 @@ def suite_functionals(seed: int, count: int = 1000, points: int = 16,
         gaps["ie_min"] = min(gaps["ie_min"], ie)
         if ie < -slack:
             failures.append({"sample": i, "property": "ie-nonnegative",
-                             "value": _pyfloat(ie)})
+                             "value": float(ie)})
         if low < -slack:
             failures.append({"sample": i, "property": "sandwich-low",
-                             "value": _pyfloat(low)})
+                             "value": float(low)})
         if high < -slack:
             failures.append({"sample": i, "property": "sandwich-high",
-                             "value": _pyfloat(high)})
+                             "value": float(high)})
         ie2 = ie_second_form(metric, phi)
         route_gap = abs(ie - ie2) / max(1.0, abs(ie))
         gaps["ie_routes"] = max(gaps["ie_routes"], route_gap)
         if route_gap > 1e-8:
             failures.append({"sample": i, "property": "ie-two-routes",
-                             "value": _pyfloat(route_gap)})
+                             "value": float(route_gap)})
         ent = eval_entropy(metric)
         gaps["entropy_min"] = min(gaps["entropy_min"], ent)
         if ent < -1e-6:
             failures.append({"sample": i, "property": "entropy-nonnegative",
-                             "value": _pyfloat(ent)})
+                             "value": float(ent)})
         if i % invariance_every == 0:
             base = flow_functional_bundle(metric, omega, phi)
             # the shifted potential is differentiated afresh, so the check
@@ -360,13 +356,13 @@ def suite_functionals(seed: int, count: int = 1000, points: int = 16,
             gaps["jhat_shift"] = max(gaps["jhat_shift"], shift_gap)
             if shift_gap > 1e-9:
                 failures.append({"sample": i, "property": "jhat-translation",
-                                 "value": _pyfloat(shift_gap)})
+                                 "value": float(shift_gap)})
     return {
         "name": "functionals",
         "samples": count,
         "points": points,
         "band": band,
-        "gaps": {k: _pyfloat(v) for k, v in gaps.items()},
+        "gaps": {k: float(v) for k, v in gaps.items()},
         "failures": failures[:10],
         "failure_count": len(failures),
         "passed": not failures,

@@ -225,8 +225,10 @@ def complex_hessian_of(values: np.ndarray, grid: TorusGrid,
     result is real symmetric; in full mode it is Hermitian, with conjugate
     symmetry holding exactly because the lower triangle is assigned by
     conjugation.  Composed first-derivative passes commute across axes, so
-    the symmetric part needs no averaging.
+    the symmetric part needs no averaging.  Both layouts need a real field.
     """
+    if np.iscomplexobj(values):
+        raise ShapeError("the complex Hessian takes a real field")
     n = grid.n
     du = gradient(values, grid, deriv)
     cache: dict = {}

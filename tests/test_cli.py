@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv): exit codes and report shapes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from jflow.cli import (
     EXIT_TIMEOUT,
     main,
 )
-from jflow.flow import CSV_COLUMNS
+from jflow.critical import NewtonSettings
+from jflow.flow import CSV_COLUMNS, FlowSetup
 from jflow.torus import load_field
 from jflow.cone import builtin_lattice
 
@@ -89,6 +91,12 @@ class TestExitCodes:
         assert main(["flow", cfg]) == EXIT_INADMISSIBLE
         assert "inadmissible" in capsys.readouterr().err
 
+    def test_out_of_range_setting_is_a_schema_error(self, tmp_path, capsys):
+        # positive, so past the parser, but outside FlowSetup's range
+        cfg = write_cfg(tmp_path, "f.json", flow_cfg(safety=1.5))
+        assert main(["flow", cfg]) == EXIT_SCHEMA
+        assert "config error: field 'safety'" in capsys.readouterr().err
+
     def test_property_failure_via_fault(self, tmp_path):
         out = tmp_path / "prop.json"
         code = main(["proptest", "--seed", "42",
@@ -127,14 +135,26 @@ class TestFlowOutputs:
         assert payloads[0] == payloads[1]
 
     def test_resolved_config_embedded(self, tmp_path):
-        cfg = write_cfg(tmp_path, "f.json", flow_cfg(t_max=1.0))
+        cfg = flow_cfg()
+        for key in ("t_max", "tol_converge", "sample_interval"):
+            del cfg[key]
         out = tmp_path / "summary.json"
-        main(["flow", cfg, "--summary", str(out), "--quiet"])
+        main(["flow", write_cfg(tmp_path, "f.json", cfg), "--summary",
+              str(out), "--quiet"])
         resolved = json.loads(out.read_text())["config"]
         # defaults are filled in so the report stands on its own
         assert resolved["deriv"] == "fd4"
         assert resolved["normalize"] is False
         assert resolved["safety"] == 0.9
+        # a config that sets no policy key echoes every FlowSetup default
+        defaults = {f.name: f.default for f in fields(FlowSetup) if f.init
+                    and f.name not in ("grid", "omega", "chi0", "deriv")}
+        assert defaults == {
+            "normalize": False, "tol_converge": 1e-8, "t_max": 1e3,
+            "safety": 0.9, "sample_interval": 10, "blowup_ceiling": 1e6,
+            "max_steps": 10_000_000,
+        }
+        assert {key: resolved[key] for key in defaults} == defaults
 
     def test_random_phi0_accepted(self, tmp_path):
         cfg = write_cfg(tmp_path, "f.json", flow_cfg(
@@ -173,6 +193,26 @@ class TestCritical:
         assert field.grid.n == 1 and field.grid.points == 32
         assert abs(float(np.mean(field.values))) < 1e-12
         assert meta["source"] == "critical"
+
+    def test_newton_block_echoes_defaults(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", self.crit_cfg(
+            newton={"tol": 1e-10, "max_iters": 7}))
+        out = tmp_path / "report.json"
+        main(["critical", cfg, "--summary", str(out), "--quiet"])
+        echoed = json.loads(out.read_text())["config"]["newton"]
+        expected = {f.name: f.default for f in fields(NewtonSettings)}
+        expected.update(tol=1e-10, max_iters=7)
+        assert echoed == expected
+
+    @pytest.mark.parametrize("newton, field", [
+        ({"bogus": 1}, "newton.bogus"),
+        ({"tol": -1}, "newton.tol"),
+        ({"damping": 1.5}, "newton.damping"),
+    ])
+    def test_newton_schema_errors(self, tmp_path, capsys, newton, field):
+        cfg = write_cfg(tmp_path, "c.json", self.crit_cfg(newton=newton))
+        assert main(["critical", cfg]) == EXIT_SCHEMA
+        assert f"config error: field {field!r}" in capsys.readouterr().err
 
     def test_budget_exhaustion(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",

@@ -83,7 +83,9 @@ class TestStepping:
         assert dt_control(setup, state) == pytest.approx(
             0.9 * 2.785 * 4.0 / s_max**2, rel=1e-13
         )
-        assert dt_control(setup, state, safety=0.5) == pytest.approx(
+        half = FlowSetup(grid=grid, omega=np.eye(2), chi0=np.eye(2),
+                         safety=0.5)
+        assert dt_control(half, state) == pytest.approx(
             0.5 * 2.785 * 4.0 / s_max**2, rel=1e-13
         )
 
@@ -269,10 +271,10 @@ class TestControlledRun:
     def test_max_steps_counts_accepted_steps(self):
         # the first step, taken at the ceiling, is too long for the error
         # test and is retried; only accepted steps are counted
-        setup = small_setup()
+        setup = small_setup(max_steps=20)
         phi0 = (cosine_mode(setup.grid, [1], 0.2)
                 + cosine_mode(setup.grid, [3], 0.05))
-        result = run(setup, phi0, max_steps=20)
+        result = run(setup, phi0)
         assert result.verdict == "timeout"
         assert result.rejected_steps > 0
         assert result.steps == 20

@@ -194,6 +194,11 @@ class TestDerivatives:
                 route(np.zeros((4,)), grid)
             with pytest.raises(ShapeError):
                 route(grid.zeros(), grid, "fd2")
+        # a complex field would lose its imaginary part in the Hessian
+        for mode in ("invariant", "full"):
+            grid = TorusGrid(n=2, points=8, mode=mode)
+            with pytest.raises(ShapeError):
+                complex_hessian_of(grid.zeros() + 1j, grid)
 
     def test_gradient_length(self):
         grid = TorusGrid(n=2, points=8, mode="full")
