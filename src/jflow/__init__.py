@@ -46,25 +46,3 @@ from .sampling import (make_rng, random_admissible_potential,
                        run_property_suites)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOUNDARY_TOL", "BUILTIN_LATTICES", "CSV_COLUMNS", "ConditionReport",
-    "ConeError", "Curve", "DivisorSearchReport", "FlowSetup", "FlowState",
-    "LatticeError", "MetricField", "MonitorRecord", "NakaiReport",
-    "NewtonReport", "NewtonSettings", "NumericalFailureError", "PathSpec",
-    "PotentialField", "RelativeSpectrum", "RunResult", "SINGULARITY_NOTE",
-    "ShapeError", "SingularFormError", "SurfaceLattice", "TorusGrid",
-    "blowup_monitor", "builtin_lattice", "check_condition",
-    "class_condition", "class_constant_c", "complex_hessian_of",
-    "condition_margin", "cone_form_positive", "cosine_mode",
-    "divisor_search", "dt_control", "eval_IE_JE", "eval_entropy",
-    "eval_mabuchi", "field_mean", "fit_properness",
-    "flow_functional_bundle", "ie_second_form", "integrate_top",
-    "intersect", "lattice_from_dict", "load_field", "load_lattice",
-    "make_rng", "metric_field", "monitor_max_principle", "nakai_test",
-    "newton_solve", "path_independence_gap", "random_admissible_potential",
-    "random_positive_pair", "refinement_shrink", "relative_spectrum",
-    "report_digest", "run", "run_property_suites", "save_field",
-    "signature", "step", "trace_pair", "verify_certificate", "volume_of",
-    "wedge_oracle", "write_series_csv",
-]

@@ -50,7 +50,7 @@ from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
                           flow_functional_bundle, ie_second_form,
                           path_functional_bundle, path_independence_gap)
 from .hermitian import (SettingError, SingularFormError, as_matrix,
-                        check_condition, cone_form_positive, relative_spectrum)
+                        check_condition, relative_spectrum)
 from .sampling import (FAULTS, make_rng, random_admissible_potential,
                        report_digest, run_property_suites)
 from .torus import (DERIV_MODES, GRID_MODES, PotentialField, TorusGrid,
@@ -457,11 +457,6 @@ def cmd_conditions(args) -> int:
         conditions[which] = {"passed": rep.passed,
                              "margin": rep.margin,
                              "boundary": rep.boundary}
-    cone = None
-    if n >= 2:
-        rep = cone_form_positive(omega, chi)
-        cone = {"passed": rep.passed, "margin": rep.margin,
-                "boundary": rep.boundary}
     payload = {
         "command": "conditions",
         "config": {"omega": _matrix_to_json(omega_input),
@@ -474,7 +469,7 @@ def cmd_conditions(args) -> int:
         "lambdas": [float(v) for v in spec.lambdas],
         "trace_of_inverse": spec.trace_of_inverse(),
         "conditions": conditions,
-        "cone": cone,
+        "cone": conditions["C3"] if n >= 2 else None,
         "wall_time_s": time.perf_counter() - t0,
     }
     _emit(payload, args.summary, args.quiet,
@@ -576,23 +571,15 @@ def cmd_cone(args) -> int:
         "lattice": lattice.as_dict(),
         "exit_code": EXIT_OK,
     }
+    target = None
     if args.alpha is not None:
-        alpha = _parse_class(args.alpha, lattice.rank, "alpha")
-        nakai = nakai_test(lattice, alpha)
-        search = divisor_search(lattice, alpha)
-        verified = verify_certificate(lattice, alpha, search)
+        target = _parse_class(args.alpha, lattice.rank, "alpha")
+        nakai = nakai_test(lattice, target)
         payload.update({
-            "alpha": [str(x) for x in alpha],
+            "alpha": [str(x) for x in target],
             "nakai": {"passed": nakai.passed, "square": str(nakai.square),
                       "detail": nakai.describe()},
-            "search": search.as_dict(),
-            "verified": verified,
         })
-        if not verified:
-            code = EXIT_INVARIANT
-            payload["note"] = ("certificate failed its independent audit"
-                               if search.status == "certificate" else
-                               "search result failed its independent audit")
     else:
         omega = _parse_class(args.omega, lattice.rank, "omega")
         chi0 = _parse_class(args.chi0, lattice.rank, "chi0")
@@ -611,13 +598,17 @@ def cmd_cone(args) -> int:
             code = EXIT_INVARIANT
             payload["note"] = "exact class identities failed"
         elif cond["needs_divisor"]:
-            search = divisor_search(lattice, cond["target"])
-            verified = verify_certificate(lattice, cond["target"], search)
-            payload["search"] = search.as_dict()
-            payload["verified"] = verified
-            if not verified:
-                code = EXIT_INVARIANT
-                payload["note"] = "certificate failed its independent audit"
+            target = cond["target"]
+    if target is not None:
+        search = divisor_search(lattice, target)
+        verified = verify_certificate(lattice, target, search)
+        payload["search"] = search.as_dict()
+        payload["verified"] = verified
+        if not verified:
+            code = EXIT_INVARIANT
+            payload["note"] = ("certificate failed its independent audit"
+                               if search.status == "certificate" else
+                               "search result failed its independent audit")
     payload["exit_code"] = code
     payload["wall_time_s"] = time.perf_counter() - t0
     status = payload.get("search", {}).get("status", "kahler")

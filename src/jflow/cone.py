@@ -13,7 +13,9 @@ The divisor search splits a non-Kahler class with positive square into a
 positive combination of negative self-intersection curves plus a remainder,
 by repeatedly solving the Gram system on the curves the class currently
 fails against, then inflating the coefficients by the first dyadic margin
-2^-k (k ascending from 0) whose remainder passes the strict cone test.
+2^-k (k ascending from 0) whose remainder passes the strict cone test.  A
+support is admitted only if its Gram matrix is negative definite, which is
+read from the exact inertia (signature): all of its eigenvalues negative.
 """
 
 from __future__ import annotations
@@ -21,12 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from typing import Sequence
-
-try:
-    from importlib import resources as importlib_resources
-except ImportError:  # pragma: no cover
-    importlib_resources = None
 
 
 class LatticeError(ValueError):
@@ -40,9 +38,7 @@ class ConeError(ValueError):
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise LatticeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -52,10 +48,6 @@ def _vec(xs, rank: int) -> tuple:
     if len(v) != rank:
         raise LatticeError(f"class vector has length {len(v)}, rank is {rank}")
     return v
-
-
-def _fmt(q: Fraction) -> str:
-    return str(q)
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ class DivisorCandidate:
     def as_dict(self) -> dict:
         return {
             "support": list(self.support),
-            "coefficients": [_fmt(a) for a in self.coefficients],
+            "coefficients": [str(a) for a in self.coefficients],
         }
 
 
@@ -117,8 +109,8 @@ class DivisorSearchReport:
         return {
             "status": self.status,
             "certificate": self.candidate.as_dict(),
-            "remainder": [_fmt(x) for x in self.remainder],
-            "margin": None if self.margin is None else _fmt(self.margin),
+            "remainder": [str(x) for x in self.remainder],
+            "margin": None if self.margin is None else str(self.margin),
             "rounds": self.rounds,
             "reason": self.reason,
         }
@@ -185,13 +177,13 @@ class SurfaceLattice:
         return {
             "name": self.name,
             "rank": self.rank,
-            "Q": [_fmt(x) for row in self.q for x in row],
+            "Q": [str(x) for row in self.q for x in row],
             "curves": [
-                {"name": c.name, "class": [_fmt(x) for x in c.cls],
-                 "self": _fmt(c.self_intersection)}
+                {"name": c.name, "class": [str(x) for x in c.cls],
+                 "self": str(c.self_intersection)}
                 for c in self.curves
             ],
-            "reference_kahler": [_fmt(x) for x in self.reference_kahler],
+            "reference_kahler": [str(x) for x in self.reference_kahler],
         }
 
 
@@ -308,16 +300,12 @@ def class_condition(lattice: SurfaceLattice, omega, chi0) -> dict:
     }
 
 
-def _solve_exact(gram, rhs) -> list | None:
-    """Gaussian elimination over the rationals; None if singular."""
+def _solve_exact(gram, rhs) -> list:
+    """Gauss-Jordan elimination over the rationals for a definite gram,
+    whose pivots are nonzero without row exchanges."""
     size = len(rhs)
     a = [list(gram[i]) + [rhs[i]] for i in range(size)]
     for col in range(size):
-        pivot_row = next(
-            (r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        a[col], a[pivot_row] = a[pivot_row], a[col]
         pivot = a[col][col]
         for r in range(size):
             if r == col or a[r][col] == 0:
@@ -328,50 +316,27 @@ def _solve_exact(gram, rhs) -> list | None:
     return [a[i][size] / a[i][i] for i in range(size)]
 
 
-def _negative_definite(gram) -> bool:
-    """Leading principal minors of -G all positive."""
-    size = len(gram)
-    flipped = [[-gram[i][j] for j in range(size)] for i in range(size)]
-    for k in range(1, size + 1):
-        minor = _determinant([row[:k] for row in flipped[:k]])
-        if not minor > 0:
-            return False
-    return True
-
-
-def _determinant(m) -> Fraction:
-    size = len(m)
-    a = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, size):
-            factor = a[r][col] / a[col][col]
-            if factor != 0:
-                for k in range(col, size):
-                    a[r][k] -= factor * a[col][k]
-    return det
+def _no_certificate(av: tuple, rounds: int,
+                    reason: str) -> DivisorSearchReport:
+    return DivisorSearchReport(
+        status="no-certificate",
+        candidate=DivisorCandidate(support=(), coefficients=()),
+        remainder=av, margin=None, rounds=rounds, reason=reason)
 
 
 MAX_MARGIN_EXPONENT = 30
 
 
-def divisor_search(lattice: SurfaceLattice, alpha,
-                   max_rounds: int | None = None) -> DivisorSearchReport:
+def divisor_search(lattice: SurfaceLattice, alpha) -> DivisorSearchReport:
     """Decompose alpha into negative curves plus a Kahler remainder.
 
     Preconditions are those of the underlying decomposition statement:
     alpha^2 > 0 and alpha . reference > 0.  If alpha already passes the
     cone test the certificate is empty.  Otherwise Zariski-style rounds
     build the support set, and a dyadic margin opens the remainder into the
-    strict cone.  A no-certificate report means the curve list cannot
-    explain the failure (typically because it is incomplete).
+    strict cone, within 3 rounds per listed curve plus 10.  A
+    no-certificate report means the curve list cannot explain the failure
+    (typically because it is incomplete).
     """
     av = _vec(alpha, lattice.rank)
     square = intersect(lattice, av, av)
@@ -381,8 +346,7 @@ def divisor_search(lattice: SurfaceLattice, alpha,
             f"divisor search needs alpha^2 > 0 and alpha . reference > 0; "
             f"got {square} and {ref}"
         )
-    first = nakai_test(lattice, av)
-    if first.passed:
+    if nakai_test(lattice, av).passed:
         return DivisorSearchReport(
             status="kahler",
             candidate=DivisorCandidate(support=(), coefficients=()),
@@ -390,16 +354,11 @@ def divisor_search(lattice: SurfaceLattice, alpha,
 
     negatives = lattice.negative_curves()
     if not negatives:
-        return DivisorSearchReport(
-            status="no-certificate",
-            candidate=DivisorCandidate(support=(), coefficients=()),
-            remainder=av, margin=None, rounds=0,
-            reason="class fails the cone test but the lattice lists no "
+        return _no_certificate(
+            av, 0, "class fails the cone test but the lattice lists no "
                    "negative curves")
 
-    if max_rounds is None:
-        max_rounds = 3 * len(lattice.curves) + 10
-
+    max_rounds = 3 * len(lattice.curves) + 10
     support: list = []
     coeffs: dict = {}
     current = av
@@ -415,22 +374,13 @@ def divisor_search(lattice: SurfaceLattice, alpha,
         while True:
             gram = [[intersect(lattice, ci.cls, cj.cls) for cj in support]
                     for ci in support]
-            if not _negative_definite(gram):
-                return DivisorSearchReport(
-                    status="no-certificate",
-                    candidate=DivisorCandidate(support=(), coefficients=()),
-                    remainder=av, margin=None, rounds=rounds,
-                    reason="Gram matrix of the candidate support is not "
-                           "negative definite; curve list is inconsistent "
-                           "or incomplete")
+            if signature(gram)[1] != len(gram):
+                return _no_certificate(
+                    av, rounds, "Gram matrix of the candidate support is not "
+                                "negative definite; curve list is "
+                                "inconsistent or incomplete")
             rhs = [intersect(lattice, av, c.cls) for c in support]
             solution = _solve_exact(gram, rhs)
-            if solution is None:
-                return DivisorSearchReport(
-                    status="no-certificate",
-                    candidate=DivisorCandidate(support=(), coefficients=()),
-                    remainder=av, margin=None, rounds=rounds,
-                    reason="Gram system is singular")
             # zero coefficients stay: a curve the class touches with equality
             # belongs in the support so the margin phase can open it up
             dropped = [c for c, a in zip(support, solution) if a < 0]
@@ -452,12 +402,9 @@ def divisor_search(lattice: SurfaceLattice, alpha,
             break
 
     if not coeffs:
-        return DivisorSearchReport(
-            status="no-certificate",
-            candidate=DivisorCandidate(support=(), coefficients=()),
-            remainder=av, margin=None, rounds=rounds,
-            reason="no positive combination of listed negative curves "
-                   "explains the failure")
+        return _no_certificate(
+            av, rounds, "no positive combination of listed negative curves "
+                        "explains the failure")
 
     for k in range(MAX_MARGIN_EXPONENT + 1):
         delta = Fraction(1, 2**k)
@@ -475,11 +422,8 @@ def divisor_search(lattice: SurfaceLattice, alpha,
                 status="certificate", candidate=candidate,
                 remainder=remainder, margin=delta, rounds=rounds)
 
-    return DivisorSearchReport(
-        status="no-certificate",
-        candidate=DivisorCandidate(support=(), coefficients=()),
-        remainder=av, margin=None, rounds=rounds,
-        reason=f"margin schedule exhausted at 2^-{MAX_MARGIN_EXPONENT}")
+    return _no_certificate(
+        av, rounds, f"margin schedule exhausted at 2^-{MAX_MARGIN_EXPONENT}")
 
 
 def verify_certificate(lattice: SurfaceLattice, alpha,
@@ -538,5 +482,5 @@ def builtin_lattice(name: str) -> SurfaceLattice:
     if name not in BUILTIN_LATTICES:
         raise LatticeError(
             f"unknown builtin lattice {name!r}; have {BUILTIN_LATTICES}")
-    ref = importlib_resources.files("jflow.data.lattices") / f"{name}.json"
+    ref = resources.files("jflow.data.lattices") / f"{name}.json"
     return lattice_from_dict(json.loads(ref.read_text(encoding="utf-8")))

@@ -59,8 +59,6 @@ CSV_COLUMNS = (
     "entropy", "mabuchi", "blowup", "sup_phi", "inf_phi", "dt",
 )
 
-VERDICTS = ("converged", "blowup", "timeout")
-
 # where the RK4 stability region meets the negative real axis (Hairer &
 # Wanner, Solving ODEs II, IV.2), rounded down
 RK4_REAL_STABILITY = 2.785
@@ -83,7 +81,9 @@ class FlowSetup:
     trail.  c and omega_factor, the Cholesky factor every trace reads, are
     derived from the (rescaled) forms.  Tolerances follow the module
     defaults: convergence at sup residual 1e-8, sampling every 10 accepted
-    steps, hard stop at t_max or max_steps accepted steps.  safety is the
+    steps.  t_max and max_steps are hard stops: run ends no later than
+    t = t_max (its last step is shortened to land there) and after at most
+    max_steps accepted steps, whichever comes first.  safety is the
     fraction of the RK4 stability ceiling (dt_control) capping every step.
     """
 
@@ -116,6 +116,8 @@ class FlowSetup:
         object.__setattr__(self, "c", c0)
         object.__setattr__(self, "omega_scale", scale)
         object.__setattr__(self, "omega_factor", form_factor(om))
+        if not self.t_max > 0.0:
+            raise SettingError("t_max", "must be positive")
         if not (0.0 < self.safety <= 1.0):
             raise SettingError("safety", "must lie in (0, 1]")
         if self.sample_interval < 1:
@@ -305,11 +307,11 @@ def _sample(setup: FlowSetup, state: FlowState, dt: float) -> tuple:
     return rec, eig_min
 
 
-def _jhat_monotone(jhats: Sequence, rel_slack: float = 1e-9) -> bool:
+def _jhat_monotone(jhats: Sequence) -> bool:
     arr = np.asarray(jhats, dtype=float)
     if arr.shape[0] < 2:
         return True
-    allowed = rel_slack * np.maximum(1.0, np.abs(arr[:-1]))
+    allowed = 1e-9 * np.maximum(1.0, np.abs(arr[:-1]))
     return bool(np.all(np.diff(arr) <= allowed))
 
 
@@ -329,7 +331,10 @@ def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
     every sample: the metric moves little between samples, and a step that
     went unstable under a stale ceiling would show in the error estimate
     and be retried.  sample_interval and max_steps count accepted steps,
-    and a record's dt is the step proposed after its sample.
+    and a record's dt is the step proposed after its sample.  t_max and
+    max_steps are hard stops: both are tested after every accepted step,
+    the step that reaches t_max is shortened to end on it, and the state
+    at either stop is sampled.
     """
     t_start = time.perf_counter()
     state = initial_state(setup, phi0)
@@ -357,21 +362,24 @@ def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
     if state.residual < setup.tol_converge:
         verdict = "converged"
     while verdict is None:
+        last = setup.t_max - state.t <= dt
+        h = setup.t_max - state.t if last else dt
         try:
-            trial = step(setup, state, dt)
+            trial = step(setup, state, h)
         except SingularFormError:
             verdict = "blowup"
             break
-        tol = STEP_ERROR_TOL * dt * max(state.residual, noise_floor)
+        tol = STEP_ERROR_TOL * h * max(state.residual, noise_floor)
         factor = _step_factor(trial.err, tol)
         if trial.err > tol:
             rejected += 1
-            dt *= factor
+            dt = h * factor
             continue
-        state = trial
+        state = replace(trial, t=setup.t_max) if last else trial
         steps += 1
-        dt = min(dt * factor, ceiling)
-        if steps % setup.sample_interval == 0:
+        dt = min(h * factor, ceiling)
+        stop = last or steps >= setup.max_steps
+        if stop or steps % setup.sample_interval == 0:
             ceiling = dt_control(setup, state)
             dt = min(dt, ceiling)
             take_sample(dt)
@@ -379,7 +387,7 @@ def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
                 verdict = "blowup"
             elif state.residual < setup.tol_converge and _jhat_monotone(window):
                 verdict = "converged"
-            elif state.t >= setup.t_max or steps >= setup.max_steps:
+            elif stop:
                 verdict = "timeout"
 
     if records[-1].t < state.t:
@@ -398,14 +406,18 @@ def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
     )
 
 
-def monitor_max_principle(result: RunResult, floor: float = 1e-13) -> dict:
+# violation magnitudes at or below this are rounding, and count as zero
+VIOLATION_FLOOR = 1e-13
+
+
+def monitor_max_principle(result: RunResult) -> dict:
     """Band violations of the trace monitor along a sampled trajectory.
 
     The sampled extremes of Lambda_chi omega must stay inside the initial
     band; the induced lower bound on chi (minimum relative eigenvalue at
     least the reciprocal of the initial upper extreme) is checked from the
     per-sample eigenvalue minima.  Violations are reported as magnitudes,
-    with anything at or below `floor` treated as zero.
+    with anything at or below VIOLATION_FLOOR treated as zero.
     """
     recs = result.records
     if len(recs) < 1:
@@ -421,24 +433,20 @@ def monitor_max_principle(result: RunResult, floor: float = 1e-13) -> dict:
     return {
         "band": (lam0_min, lam0_max),
         "band_violation": band_violation,
-        "band_ok": band_violation <= floor,
+        "band_ok": band_violation <= VIOLATION_FLOOR,
         "chi_lower_bound": eig_floor,
         "chi_bound_violation": eig_violation,
-        "floor": floor,
+        "floor": VIOLATION_FLOOR,
     }
 
 
-def refinement_shrink(coarse: float, fine: float, factor: float = 4.0,
-                      floor: float = 1e-13) -> bool:
-    """True when a violation magnitude shrinks by `factor` under refinement.
+def refinement_shrink(coarse: float, fine: float) -> bool:
+    """True when a violation magnitude shrinks by 4 under refinement.
 
-    Both magnitudes at or below the floor count as a pass: a scheme whose
-    violations sit at rounding level on both grids has nothing left to
-    shrink.
+    A fine magnitude at or below VIOLATION_FLOOR counts as a pass: a scheme
+    whose violations sit at rounding level has nothing left to shrink.
     """
-    if fine <= floor:
-        return True
-    return fine * factor <= coarse
+    return fine <= VIOLATION_FLOOR or fine * 4.0 <= coarse
 
 
 def write_series_csv(path, records: Sequence) -> None:
@@ -449,20 +457,19 @@ def write_series_csv(path, records: Sequence) -> None:
             handle.write(",".join("%.17g" % v for v in rec.row()) + "\n")
 
 
-def wedge_trace_consistency(setup: FlowSetup, state: FlowState,
-                            points: int = 16) -> float:
+def wedge_trace_consistency(setup: FlowSetup, state: FlowState) -> float:
     """Max gap between the wedge and trace forms of the velocity.
 
     The right-hand side c - (omega wedge chi^{n-1})/(chi^n) evaluated with
     the brute-force wedge coefficients must match c - Lambda/n pointwise;
-    checked on a deterministic subset of grid points.
+    checked on 16 evenly spaced grid points.
     """
     from .hermitian import wedge_oracle
 
     grid = setup.grid
     chi = state.metric.chi.reshape(-1, grid.n, grid.n)
     lam_flat = state.lam.reshape(-1)
-    idx = np.linspace(0, chi.shape[0] - 1, min(points, chi.shape[0]))
+    idx = np.linspace(0, chi.shape[0] - 1, min(16, chi.shape[0]))
     worst = 0.0
     for i in idx.astype(int):
         top = wedge_oracle([(setup.omega, 1), (chi[i], grid.n - 1)])

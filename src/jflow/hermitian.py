@@ -13,7 +13,7 @@ batch-of-one calls into them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -147,22 +147,17 @@ def condition_margin(lambdas: np.ndarray, which: str) -> float:
     return float(margins[which])
 
 
-def _report(which: str, margin: float, lambdas) -> ConditionReport:
-    boundary = abs(margin) <= BOUNDARY_TOL
-    return ConditionReport(
-        which=which,
-        passed=bool(margin > BOUNDARY_TOL),
-        margin=margin,
-        boundary=boundary,
-        lambdas=tuple(float(x) for x in np.atleast_1d(lambdas)),
-    )
-
-
 def check_condition(g, chi, which: str) -> ConditionReport:
     """Evaluate one of the pointwise conditions C1/C2/C3 for the pair (g, chi)."""
     spec = relative_spectrum(g, chi)
     margin = condition_margin(spec.lambdas, which)
-    return _report(which, margin, spec.lambdas)
+    return ConditionReport(
+        which=which,
+        passed=bool(margin > BOUNDARY_TOL),
+        margin=margin,
+        boundary=abs(margin) <= BOUNDARY_TOL,
+        lambdas=tuple(float(x) for x in spec.lambdas),
+    )
 
 
 def cone_form_positive(omega, chi_prime) -> ConditionReport:
@@ -175,11 +170,10 @@ def cone_form_positive(omega, chi_prime) -> ConditionReport:
 
     is equivalent to condition C3 for the pair.  The reported margin is the
     normalized one, min_k (1 - sum_{i != k} 1/lambda_i), which matches
-    check_condition(omega, chi', "C3") identically.
+    check_condition(omega, chi', "C3") identically: it is that report
+    under the label "cone".
     """
-    spec = relative_spectrum(omega, chi_prime)
-    margin = condition_margin(spec.lambdas, "C3")
-    return _report("cone", margin, spec.lambdas)
+    return replace(check_condition(omega, chi_prime, "C3"), which="cone")
 
 
 def _perm_sign(p: tuple) -> int:
@@ -220,6 +214,19 @@ def _expand_factors(forms: Sequence) -> list:
     return mats
 
 
+def _kept_indices(n: int, k, m: int) -> list:
+    """Indices a wedge monomial keeps (all n, or all but k), checked
+    against the total degree m of its factors."""
+    if k is not None and not 0 <= k < n:
+        raise ShapeError(f"omitted index {k} out of range for dimension {n}")
+    idx = [i for i in range(n) if i != k]
+    if m != len(idx):
+        raise ShapeError(
+            f"total degree {m} does not match kept index count {len(idx)}"
+        )
+    return idx
+
+
 def wedge_oracle(forms: Sequence, k=None) -> float:
     """Coefficient of a wedge monomial by brute-force permutation summation.
 
@@ -236,18 +243,8 @@ def wedge_oracle(forms: Sequence, k=None) -> float:
         sum_{sigma, tau} sign(sigma) sign(tau) prod_s A_s[sigma(s), tau(s)]
     """
     mats = _expand_factors(forms)
-    n = mats[0].shape[0]
     m = len(mats)
-    if k is None:
-        idx = list(range(n))
-    else:
-        if not 0 <= k < n:
-            raise ShapeError(f"omitted index {k} out of range for dimension {n}")
-        idx = [i for i in range(n) if i != k]
-    if m != len(idx):
-        raise ShapeError(
-            f"total degree {m} does not match kept index count {len(idx)}"
-        )
+    idx = _kept_indices(mats[0].shape[0], k, m)
     total = 0.0 + 0.0j
     perms = _perms_with_signs(m)
     for sigma, ssign in perms:
@@ -269,14 +266,7 @@ def wedge_coefficient_batch(mats: Sequence[np.ndarray], n: int, k=None):
     coefficient array of shape (...,).
     """
     m = len(mats)
-    if k is None:
-        idx = list(range(n))
-    else:
-        idx = [i for i in range(n) if i != k]
-    if m != len(idx):
-        raise ShapeError(
-            f"total degree {m} does not match kept index count {len(idx)}"
-        )
+    idx = _kept_indices(n, k, m)
     perms = _perms_with_signs(m)
     total = None
     for sigma, ssign in perms:

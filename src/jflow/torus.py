@@ -307,12 +307,6 @@ class PotentialField:
                 f"values shape {self.values.shape} != grid {self.grid.shape}"
             )
 
-    def mean(self) -> float:
-        return field_mean(self.values, self.grid)
-
-    def zero_mean(self) -> "PotentialField":
-        return PotentialField(self.grid, self.values - self.values.mean())
-
 
 def save_field(path, field: PotentialField, meta: dict | None = None) -> None:
     """Write a potential with its grid metadata to a .npz archive."""

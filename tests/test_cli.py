@@ -19,7 +19,7 @@ from jflow.cli import (
 from jflow.critical import NewtonSettings
 from jflow.flow import CSV_COLUMNS, FlowSetup
 from jflow.torus import load_field
-from jflow.cone import builtin_lattice
+from jflow.cone import SurfaceLattice, builtin_lattice
 
 
 def write_cfg(tmp_path, name, payload):
@@ -340,6 +340,37 @@ class TestConeCommand:
                      "--out", str(out), "--quiet"])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["search"]["status"] == "kahler"
+
+    @pytest.fixture
+    def degenerate_lattice(self, tmp_path):
+        # E and E2 = 2E are proportional negative curves, so any support
+        # holding both has a singular Gram matrix and the search refuses
+        lattice = SurfaceLattice(
+            2, [[1, 0], [0, -1]],
+            [{"name": "E", "class": [0, 1], "self": "-1"},
+             {"name": "E2", "class": [0, 2], "self": "-4"}],
+            [2, -1], name="degenerate")
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(lattice.as_dict()))
+        return str(path)
+
+    @pytest.mark.parametrize("target", [
+        ["--alpha", "3,1"],
+        # a Kahler pair whose condition class 2c chi0 - omega = (7/4, 1/4)
+        # fails against both curves
+        ["--omega", "2,-1", "--chi0", "5,-1"],
+    ])
+    def test_refused_search_fails_its_audit(self, tmp_path,
+                                            degenerate_lattice, target):
+        out = tmp_path / "cone.json"
+        code = main(["cone", degenerate_lattice, *target,
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_INVARIANT
+        payload = json.loads(out.read_text())
+        assert payload["exit_code"] == EXIT_INVARIANT
+        assert payload["search"]["status"] == "no-certificate"
+        assert not payload["verified"]
+        assert payload["note"] == "search result failed its independent audit"
 
     def test_unknown_lattice(self, tmp_path, capsys):
         assert main(["cone", "no_such_lattice", "--alpha", "1,0"]) == EXIT_SCHEMA

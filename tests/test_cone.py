@@ -1,6 +1,7 @@
 """Exact rational intersection lattices and divisor certificates."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,63 @@ class TestSignature:
 
     def test_scaling_invariance(self):
         assert signature([[Fraction(1, 3), 0], [0, Fraction(-2, 7)]]) == (1, 1, 0)
+
+
+def _laplace_det(m):
+    """Determinant by cofactor expansion along the first row; an oracle
+    that shares no elimination step with signature."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j]
+               * _laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _random_symmetric(rng, size):
+    """Symmetric rationals of three kinds: unstructured, -B B^T (negative
+    definite unless B is rank deficient), and with a repeated row and
+    column (singular)."""
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        m = [[None] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                m[i][j] = m[j][i] = entry()
+        return m
+    b = [[entry() for _ in range(size)] for _ in range(size)]
+    m = [[-sum(b[i][k] * b[j][k] for k in range(size)) for j in range(size)]
+         for i in range(size)]
+    if kind == 2 and size > 1:
+        src, dst = rng.sample(range(size), 2)
+        m[dst] = list(m[src])
+        for row in m:
+            row[dst] = row[src]
+    return m
+
+
+class TestNegativeDefiniteness:
+    def test_inertia_agrees_with_sylvester(self):
+        # negative definite iff (-1)^k times every leading k x k minor is
+        # positive (Sylvester); the cone module reads it from the inertia
+        rng = random.Random(20)
+        verdicts = {"definite": 0, "singular": 0, "other": 0}
+        for trial in range(300):
+            size = 1 + trial % 4
+            m = _random_symmetric(rng, size)
+            sylvester = all(
+                (-1) ** k * _laplace_det([row[:k] for row in m[:k]]) > 0
+                for k in range(1, size + 1))
+            assert (signature(m)[1] == size) == sylvester, m
+            if sylvester:
+                verdicts["definite"] += 1
+            elif _laplace_det(m) == 0:
+                verdicts["singular"] += 1
+            else:
+                verdicts["other"] += 1
+        assert min(verdicts.values()) >= 30, verdicts
 
 
 class TestLatticeValidation:

@@ -67,6 +67,8 @@ class TestFlowSetup:
             small_setup(safety=1.5)
         with pytest.raises(ValueError):
             small_setup(sample_interval=0)
+        with pytest.raises(ValueError):
+            small_setup(t_max=0.0)
 
 
 class TestStepping:
@@ -211,7 +213,7 @@ class TestRunVerdicts:
         setup = small_setup(t_max=0.5)
         result = run(setup, cosine_mode(setup.grid, [1], 0.2))
         assert result.verdict == "timeout"
-        assert result.final.t >= 0.5
+        assert result.final.t == 0.5
 
     def test_blowup_verdict_via_ceiling(self):
         setup = small_setup(blowup_ceiling=1e-3, t_max=10.0)
@@ -279,6 +281,28 @@ class TestControlledRun:
         assert result.rejected_steps > 0
         assert result.steps == 20
         assert len(result.records) == 3
+
+    def test_max_steps_is_a_hard_stop(self):
+        # the cap falls between samples (sample_interval is 10); the run
+        # stops at it and samples the state it stopped at
+        setup = small_setup(max_steps=5)
+        phi0 = (cosine_mode(setup.grid, [1], 0.2)
+                + cosine_mode(setup.grid, [3], 0.05))
+        result = run(setup, phi0)
+        assert result.verdict == "timeout"
+        assert result.steps == 5
+        assert len(result.records) == 2
+        assert result.records[-1].t == result.final.t
+
+    def test_t_max_is_a_hard_stop(self):
+        # the stability ceiling here is far above t_max, so the first step
+        # is the one shortened to land on it
+        setup = small_setup(t_max=1e-3)
+        result = run(setup, cosine_mode(setup.grid, [1], 0.2))
+        assert result.verdict == "timeout"
+        assert result.final.t == 1e-3
+        assert result.records[-1].t == 1e-3
+        assert result.steps == 1
 
     def test_tolerance_near_rounding_needs_no_rejection_storm(self):
         # the error test floors sup|phidot| where rounding in k4 - k5

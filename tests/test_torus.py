@@ -365,11 +365,6 @@ class TestPotentialIO:
         with pytest.raises(ShapeError):
             PotentialField(grid, np.zeros((8,)))
 
-    def test_zero_mean(self):
-        grid = TorusGrid(n=1, points=16)
-        field = PotentialField(grid, cosine_mode(grid, [1]) + 4.0)
-        assert field.zero_mean().mean() == pytest.approx(0.0, abs=1e-12)
-
     def test_roundtrip(self, tmp_path):
         grid = TorusGrid(n=2, points=8, mode="invariant")
         field = PotentialField(grid, cosine_mode(grid, [1, 1], 0.3))
