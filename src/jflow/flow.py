@@ -67,6 +67,10 @@ RK4_REAL_STABILITY = 2.785
 # fraction of dt * sup|phidot|
 STEP_ERROR_TOL = 1e-4
 
+# monitor violation magnitudes at or below this are rounding, and count
+# as zero
+VIOLATION_FLOOR = 1e-13
+
 
 class NumericalFailureError(RuntimeError):
     """A step produced non-finite values."""
@@ -404,10 +408,6 @@ def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
         min_rel_eig=np.asarray(eig_mins),
         rejected_steps=rejected,
     )
-
-
-# violation magnitudes at or below this are rounding, and count as zero
-VIOLATION_FLOOR = 1e-13
 
 
 def monitor_max_principle(result: RunResult) -> dict:
