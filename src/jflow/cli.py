@@ -23,6 +23,7 @@ Exit codes:
   4  flow blow-up (positivity loss or monitor past its ceiling)
   5  timeout or iteration budget exhausted
   6  internal invariant violation (descent monotonicity, certificate audit)
+  141  stdout closed by its reader before the output was written
 
 JFLOW_THREADS caps the BLAS thread pool best-effort: the package __init__
 copies it into the usual thread-count variables, which takes effect when
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import fields
@@ -64,6 +66,7 @@ EXIT_INADMISSIBLE = 3
 EXIT_BLOWUP = 4
 EXIT_TIMEOUT = 5
 EXIT_INVARIANT = 6
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 class SchemaError(ValueError):
@@ -707,7 +710,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: devnull keeps the flush at exit from raising
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except SchemaError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_SCHEMA

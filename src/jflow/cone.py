@@ -1,13 +1,16 @@
 """Exact intersection arithmetic on Kahler surface lattices.
 
-Everything in this module runs on fractions.Fraction: verdicts are exact
-and reproducible, never floating point.  A SurfaceLattice is a rank-r
-rational intersection form together with a finite list of curve classes and
-one class asserted to be Kahler.  Cone membership (positive square,
-positive pairing with the reference class and with every listed curve) is
-always relative to that finite curve list, which stands in for the set of
-all irreducible curves; the shipped lattices have complete negative-curve
-lists, arbitrary user lattices may not.
+Verdicts are exact, never floating point.  Each lattice stores Q, and the
+covectors Q.c of its reference class and curves, as integer rows over one
+positive denominator; products and signs are read from integer numerators
+of classes over their common denominator.  Reported values are Fractions.
+
+A SurfaceLattice is a rank-r rational intersection form together with a
+finite list of curve classes and one class asserted to be Kahler.  Cone
+membership (positive square, positive pairing with the reference class and
+with every listed curve) is always relative to that finite curve list, which
+stands in for the set of all irreducible curves; the shipped lattices have
+complete negative-curve lists, arbitrary user lattices may not.
 
 The divisor search splits a non-Kahler class with positive square into a
 positive combination of negative self-intersection curves plus a remainder,
@@ -21,9 +24,11 @@ read from the exact inertia (signature): all of its eigenvalues negative.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from operator import mul
 from typing import Sequence
 
 
@@ -48,6 +53,33 @@ def _vec(xs, rank: int) -> tuple:
     if len(v) != rank:
         raise LatticeError(f"class vector has length {len(v)}, rank is {rank}")
     return v
+
+
+def _numerators(v) -> tuple:
+    """Fractions v as (integer numerators, one positive denominator)."""
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def _covector(q_num, nums) -> list:
+    return [sum(map(mul, row, nums)) for row in q_num]
+
+
+def _pairings(lattice, nums) -> list:
+    """Integer numerators of a.a (over den^2 q_den), a.reference and a.c for
+    each listed curve c (over den cov_den), for a = nums / den, den > 0."""
+    square = sum(map(mul, nums, _covector(lattice._q_num, nums)))
+    return [square] + [sum(map(mul, nums, row)) for row in lattice._covectors]
+
+
+def _passes(lattice, v) -> bool:
+    return min(_pairings(lattice, _numerators(v)[0])) > 0
+
+
+def _minus(av, terms) -> tuple:
+    """av minus the sum of a * curve.cls over the (curve, a) terms."""
+    return tuple(x - sum(a * c.cls[i] for c, a in terms)
+                 for i, x in enumerate(av))
 
 
 @dataclass(frozen=True)
@@ -128,10 +160,8 @@ class SurfaceLattice:
         rows = [tuple(_frac(x) for x in row) for row in q_rows]
         if len(rows) != rank or any(len(r) != rank for r in rows):
             raise LatticeError("intersection matrix must be rank x rank")
-        for i in range(rank):
-            for j in range(rank):
-                if rows[i][j] != rows[j][i]:
-                    raise LatticeError("intersection matrix must be symmetric")
+        if rows != list(zip(*rows)):
+            raise LatticeError("intersection matrix must be symmetric")
         self.q = tuple(rows)
         self.curves = tuple(
             Curve(name=c.name, cls=_vec(c.cls, rank),
@@ -142,6 +172,13 @@ class SurfaceLattice:
             for c in curves
         )
         self.reference_kahler = _vec(reference_kahler, rank)
+        flat, self._q_den = _numerators([x for row in rows for x in row])
+        self._q_num = [flat[i:i + rank] for i in range(0, len(flat), rank)]
+        classes = (self.reference_kahler, *(c.cls for c in self.curves))
+        flat, den = _numerators([x for v in classes for x in v])
+        self._cov_den = self._q_den * den
+        self._covectors = [_covector(self._q_num, flat[i:i + rank])
+                           for i in range(0, len(flat), rank)]
         self._validate()
 
     def _validate(self):
@@ -236,36 +273,25 @@ def signature(q_rows) -> tuple:
 
 def intersect(lattice: SurfaceLattice, x, y) -> Fraction:
     """x . y through the intersection form, exact."""
-    xv = _vec(x, lattice.rank)
-    yv = _vec(y, lattice.rank)
-    total = Fraction(0)
-    for i in range(lattice.rank):
-        if xv[i] == 0:
-            continue
-        row = lattice.q[i]
-        total += xv[i] * sum(row[j] * yv[j] for j in range(lattice.rank))
-    return total
+    xn, xd = _numerators(_vec(x, lattice.rank))
+    yn, yd = _numerators(_vec(y, lattice.rank))
+    return Fraction(sum(map(mul, xn, _covector(lattice._q_num, yn))),
+                    xd * yd * lattice._q_den)
 
 
 def nakai_test(lattice: SurfaceLattice, alpha) -> NakaiReport:
     """Strict cone membership relative to the lattice's curve list."""
-    av = _vec(alpha, lattice.rank)
-    square = intersect(lattice, av, av)
-    ref = intersect(lattice, av, lattice.reference_kahler)
-    products = tuple(intersect(lattice, av, c.cls) for c in lattice.curves)
-    witness = None
-    if not square > 0:
-        witness = ("square", square)
-    elif not ref > 0:
-        witness = ("reference", ref)
-    else:
-        for c, p in zip(lattice.curves, products):
-            if not p > 0:
-                witness = ("curve", c.name, p)
-                break
-    return NakaiReport(passed=witness is None, square=square,
-                       reference_product=ref, curve_products=products,
-                       witness=witness)
+    nums, den = _numerators(_vec(alpha, lattice.rank))
+    signs = _pairings(lattice, nums)
+    values = [Fraction(signs[0], den * den * lattice._q_den)] + [
+        Fraction(p, den * lattice._cov_den) for p in signs[1:]]
+    labels = [("square",), ("reference",)] + [
+        ("curve", c.name) for c in lattice.curves]
+    witness = next((label + (value,) for label, value, sign
+                    in zip(labels, values, signs) if sign <= 0), None)
+    return NakaiReport(passed=witness is None, square=values[0],
+                       reference_product=values[1],
+                       curve_products=tuple(values[2:]), witness=witness)
 
 
 def class_condition(lattice: SurfaceLattice, omega, chi0) -> dict:
@@ -279,12 +305,11 @@ def class_condition(lattice: SurfaceLattice, omega, chi0) -> dict:
     ov = _vec(omega, lattice.rank)
     cv = _vec(chi0, lattice.rank)
     for label, vec in (("omega", ov), ("chi0", cv)):
-        rep = nakai_test(lattice, vec)
-        if not rep.passed:
-            raise ConeError(f"{label} is not Kahler here: {rep.describe()}")
-    chi_sq = intersect(lattice, cv, cv)
+        if not _passes(lattice, vec):
+            raise ConeError(f"{label} is not Kahler here: "
+                            f"{nakai_test(lattice, vec).describe()}")
     mixed = intersect(lattice, ov, cv)
-    c = mixed / chi_sq
+    c = mixed / intersect(lattice, cv, cv)
     target = tuple(2 * c * cv[i] - ov[i] for i in range(lattice.rank))
     identity_square = (intersect(lattice, target, target)
                        == intersect(lattice, ov, ov))
@@ -316,11 +341,10 @@ def _solve_exact(gram, rhs) -> list:
     return [a[i][size] / a[i][i] for i in range(size)]
 
 
-def _no_certificate(av: tuple, rounds: int,
-                    reason: str) -> DivisorSearchReport:
+def _empty_report(av: tuple, rounds: int, reason: str,
+                  status: str = "no-certificate") -> DivisorSearchReport:
     return DivisorSearchReport(
-        status="no-certificate",
-        candidate=DivisorCandidate(support=(), coefficients=()),
+        status=status, candidate=DivisorCandidate(support=(), coefficients=()),
         remainder=av, margin=None, rounds=rounds, reason=reason)
 
 
@@ -339,35 +363,29 @@ def divisor_search(lattice: SurfaceLattice, alpha) -> DivisorSearchReport:
     (typically because it is incomplete).
     """
     av = _vec(alpha, lattice.rank)
-    square = intersect(lattice, av, av)
-    ref = intersect(lattice, av, lattice.reference_kahler)
-    if not (square > 0 and ref > 0):
+    rep = nakai_test(lattice, av)
+    if not (rep.square > 0 and rep.reference_product > 0):
         raise ConeError(
             f"divisor search needs alpha^2 > 0 and alpha . reference > 0; "
-            f"got {square} and {ref}"
-        )
-    if nakai_test(lattice, av).passed:
-        return DivisorSearchReport(
-            status="kahler",
-            candidate=DivisorCandidate(support=(), coefficients=()),
-            remainder=av, margin=None, rounds=0)
+            f"got {rep.square} and {rep.reference_product}")
+    if rep.passed:
+        return _empty_report(av, 0, "", status="kahler")
 
-    negatives = lattice.negative_curves()
+    # pairings index 2 + k belongs to lattice.curves[k]
+    negatives = [(k, c) for k, c in enumerate(lattice.curves, 2) if c.negative]
     if not negatives:
-        return _no_certificate(
+        return _empty_report(
             av, 0, "class fails the cone test but the lattice lists no "
                    "negative curves")
 
-    max_rounds = 3 * len(lattice.curves) + 10
+    def failing_against(v) -> list:
+        signs = _pairings(lattice, _numerators(v)[0])
+        return [c for k, c in negatives if c not in support and signs[k] <= 0]
+
     support: list = []
     coeffs: dict = {}
-    current = av
-    rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        failing = [c for c in negatives
-                   if c not in support
-                   and intersect(lattice, current, c.cls) <= 0]
+    failing = failing_against(av)
+    for rounds in range(1, 3 * len(lattice.curves) + 11):
         support.extend(failing)
         if not support:
             break
@@ -375,7 +393,7 @@ def divisor_search(lattice: SurfaceLattice, alpha) -> DivisorSearchReport:
             gram = [[intersect(lattice, ci.cls, cj.cls) for cj in support]
                     for ci in support]
             if signature(gram)[1] != len(gram):
-                return _no_certificate(
+                return _empty_report(
                     av, rounds, "Gram matrix of the candidate support is not "
                                 "negative definite; curve list is "
                                 "inconsistent or incomplete")
@@ -391,38 +409,27 @@ def divisor_search(lattice: SurfaceLattice, alpha) -> DivisorSearchReport:
             if not support:
                 coeffs = {}
                 break
-        current = tuple(
-            av[i] - sum(a * c.cls[i] for c, a in coeffs.items())
-            for i in range(lattice.rank)
-        )
-        still_failing = [c for c in negatives
-                         if c not in support
-                         and intersect(lattice, current, c.cls) <= 0]
-        if not still_failing:
+        failing = failing_against(_minus(av, coeffs.items()))
+        if not failing:
             break
 
     if not coeffs:
-        return _no_certificate(
+        return _empty_report(
             av, rounds, "no positive combination of listed negative curves "
                         "explains the failure")
 
     for k in range(MAX_MARGIN_EXPONENT + 1):
         delta = Fraction(1, 2**k)
         inflated = {c: a + delta for c, a in coeffs.items()}
-        remainder = tuple(
-            av[i] - sum(a * c.cls[i] for c, a in inflated.items())
-            for i in range(lattice.rank)
-        )
-        if nakai_test(lattice, remainder).passed:
-            ordered = list(inflated.items())
-            candidate = DivisorCandidate(
-                support=tuple(c.name for c, _ in ordered),
-                coefficients=tuple(a for _, a in ordered))
+        remainder = _minus(av, inflated.items())
+        if _passes(lattice, remainder):
+            candidate = DivisorCandidate(tuple(c.name for c in inflated),
+                                         tuple(inflated.values()))
             return DivisorSearchReport(
                 status="certificate", candidate=candidate,
                 remainder=remainder, margin=delta, rounds=rounds)
 
-    return _no_certificate(
+    return _empty_report(
         av, rounds, f"margin schedule exhausted at 2^-{MAX_MARGIN_EXPONENT}")
 
 
@@ -438,20 +445,17 @@ def verify_certificate(lattice: SurfaceLattice, alpha,
     av = _vec(alpha, lattice.rank)
     cand = report.candidate
     if cand.empty:
-        return nakai_test(lattice, av).passed
-    divisor = [Fraction(0)] * lattice.rank
+        return _passes(lattice, av)
+    terms = []
     for name, a in zip(cand.support, cand.coefficients):
         curve = lattice.curve(name)
-        if not a > 0:
+        if not (a > 0 and intersect(lattice, curve.cls, curve.cls) < 0):
             return False
-        if not intersect(lattice, curve.cls, curve.cls) < 0:
-            return False
-        for i in range(lattice.rank):
-            divisor[i] += a * curve.cls[i]
-    remainder = tuple(av[i] - divisor[i] for i in range(lattice.rank))
+        terms.append((curve, a))
+    remainder = _minus(av, terms)
     if remainder != tuple(report.remainder):
         return False
-    return nakai_test(lattice, remainder).passed
+    return _passes(lattice, remainder)
 
 
 def lattice_from_dict(data: dict) -> SurfaceLattice:

@@ -36,8 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cone import (SurfaceLattice, builtin_lattice, class_condition,
-                   divisor_search, nakai_test, verify_certificate)
+from .cone import (SurfaceLattice, _pairings, builtin_lattice,
+                   class_condition, divisor_search, verify_certificate)
 from .functionals import (eval_entropy, eval_IE_JE, flow_functional_bundle,
                           ie_second_form)
 from .hermitian import (as_matrix, condition_margins_batch, cone_form_positive,
@@ -127,35 +127,31 @@ def random_admissible_potential(rng: np.random.Generator, grid: TorusGrid,
     return phi
 
 
-def random_rational_class(rng: np.random.Generator, lattice: SurfaceLattice,
-                          predicate=None, tries: int = 400) -> tuple | None:
-    """Rejection-sample a rational class satisfying predicate(lattice, v).
+def _is_kahler(pairings) -> bool:
+    return min(pairings) > 0
 
-    Components are integers in [-5, 5] over one shared denominator from
-    1 to 4.
-    Returns None when the budget runs out (a predicate can be unsatisfiable
-    on a given lattice, e.g. there is no failing class with positive square
-    on a lattice without negative curves).
+
+def _is_failing_with_positive_square(pairings) -> bool:
+    return min(pairings[:2]) > 0 >= min(pairings[2:], default=1)
+
+
+def random_rational_class(rng: np.random.Generator, lattice: SurfaceLattice,
+                          predicate=_is_kahler,
+                          tries: int = 400) -> tuple | None:
+    """Rejection-sample a rational class v with predicate(pairings) true.
+
+    Components are integers in [-5, 5] over one shared denominator from 1
+    to 4; predicate reads the signs of their cone._pairings (v.v,
+    v.reference and v.c for each listed curve c).  Returns None when the
+    budget runs out: a predicate can be unsatisfiable, e.g. a failing class
+    with positive square on a lattice without negative curves.
     """
-    if predicate is None:
-        predicate = lambda lat, v: nakai_test(lat, v).passed
     for _ in range(tries):
         den = int(rng.integers(0, 4)) + 1
-        nums = rng.integers(-5, 6, size=lattice.rank)
-        vec = tuple(Fraction(int(x), den) for x in nums)
-        if all(x == 0 for x in vec):
-            continue
-        if predicate(lattice, vec):
-            return vec
+        nums = rng.integers(-5, 6, size=lattice.rank).tolist()
+        if any(nums) and predicate(_pairings(lattice, nums)):
+            return tuple(Fraction(x, den) for x in nums)
     return None
-
-
-def _is_failing_with_positive_square(lattice: SurfaceLattice, vec) -> bool:
-    rep = nakai_test(lattice, vec)
-    if rep.passed:
-        return False
-    ref_ok = rep.reference_product > 0
-    return rep.square > 0 and ref_ok
 
 
 def _counterexample(dim: int, prop: str, lam: np.ndarray,
@@ -369,9 +365,9 @@ def suite_functionals(seed: int, count: int = 1000) -> dict:
 def suite_cone(seed: int, count: int = 1000) -> dict:
     """Exact identities and certificate soundness on rational classes.
 
-    Odd samples draw a random Kahler pair and check the class-condition
+    Even samples draw a random Kahler pair and check the class-condition
     identities; whenever the condition class fails the cone test, the
-    divisor search must produce a certificate that re-verifies.  Even
+    divisor search must produce a certificate that re-verifies.  Odd
     samples draw a failing class with positive square directly and demand
     the same.  The shipped lattices carry complete negative-curve lists, so
     a no-certificate outcome on them is a failure.

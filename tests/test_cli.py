@@ -1,13 +1,18 @@
 """End-to-end CLI runs through main(argv): exit codes and report shapes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jflow.cli import (
     EXIT_BLOWUP,
+    EXIT_BROKEN_PIPE,
     EXIT_INADMISSIBLE,
     EXIT_INVARIANT,
     EXIT_OK,
@@ -386,6 +391,26 @@ class TestConeCommand:
 
     def test_missing_inputs(self):
         assert main(["cone", "blowup_p2_1"]) == EXIT_SCHEMA
+
+    def test_closed_stdout_ends_without_traceback(self):
+        # the read end is closed before the child starts, so its first
+        # write fails with EPIPE, as under `jflow cone ... | head`
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "jflow.cli", "cone", "blowup_p2_2",
+                 "--alpha", "3,1,0"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+        assert proc.stderr == b""
+        assert proc.returncode == EXIT_BROKEN_PIPE
 
 
 class TestProptestCommand:

@@ -22,7 +22,7 @@ from jflow import (
     signature,
     verify_certificate,
 )
-from jflow.cone import DivisorCandidate, DivisorSearchReport
+from jflow.cone import DivisorCandidate, DivisorSearchReport, NakaiReport
 
 
 @pytest.fixture
@@ -161,6 +161,143 @@ class TestIntersections:
         assert intersect(blowup, [1, 0], [1, 0]) == 1
         assert intersect(blowup, [0, 1], [0, 1]) == -1
         assert intersect(blowup, [1, 0], [0, 1]) == 0
+
+
+def _oracle_intersect(lattice, x, y):
+    """x . y summed in Fraction arithmetic over lattice.q, entry by entry:
+    the route the integer numerators replaced."""
+    xv = [Fraction(v) for v in x]
+    yv = [Fraction(v) for v in y]
+    total = Fraction(0)
+    for i in range(lattice.rank):
+        if xv[i] == 0:
+            continue
+        row = lattice.q[i]
+        total += xv[i] * sum(row[j] * yv[j] for j in range(lattice.rank))
+    return total
+
+
+def _oracle_nakai(lattice, alpha):
+    av = tuple(Fraction(x) for x in alpha)
+    square = _oracle_intersect(lattice, av, av)
+    ref = _oracle_intersect(lattice, av, lattice.reference_kahler)
+    products = tuple(_oracle_intersect(lattice, av, c.cls)
+                     for c in lattice.curves)
+    witness = None
+    if not square > 0:
+        witness = ("square", square)
+    elif not ref > 0:
+        witness = ("reference", ref)
+    else:
+        for c, p in zip(lattice.curves, products):
+            if not p > 0:
+                witness = ("curve", c.name, p)
+                break
+    return NakaiReport(passed=witness is None, square=square,
+                       reference_product=ref, curve_products=products,
+                       witness=witness)
+
+
+def _oracle_class_condition(lattice, omega, chi0):
+    ov = tuple(Fraction(x) for x in omega)
+    cv = tuple(Fraction(x) for x in chi0)
+    for label, vec in (("omega", ov), ("chi0", cv)):
+        rep = _oracle_nakai(lattice, vec)
+        if not rep.passed:
+            raise ConeError(f"{label} is not Kahler here: {rep.describe()}")
+    chi_sq = _oracle_intersect(lattice, cv, cv)
+    mixed = _oracle_intersect(lattice, ov, cv)
+    c = mixed / chi_sq
+    target = tuple(2 * c * cv[i] - ov[i] for i in range(lattice.rank))
+    report = _oracle_nakai(lattice, target)
+    return {
+        "c": c,
+        "target": target,
+        "identity_square": (_oracle_intersect(lattice, target, target)
+                            == _oracle_intersect(lattice, ov, ov)),
+        "identity_mixed": _oracle_intersect(lattice, target, cv) == mixed,
+        "nakai": report,
+        "needs_divisor": not report.passed,
+    }
+
+
+def _rational_lattice():
+    """Signature (1, 2) with non-integer Q entries and rational curve
+    classes; the self-intersections are declared from the oracle."""
+    q = [[Fraction(1, 2), Fraction(1, 6), 0],
+         [Fraction(1, 6), Fraction(-1, 3), 0],
+         [0, 0, Fraction(-2, 5)]]
+    probe = SurfaceLattice(3, q, [], [1, 0, 0])
+    classes = {"A": ["0", "3/2", "0"], "B": ["0", "0", "5/4"],
+               "C": ["1/3", "-1/2", "2/5"], "D": ["1", "-1/2", "-1/2"]}
+    curves = [{"name": name, "class": cls,
+               "self": str(_oracle_intersect(probe, cls, cls))}
+              for name, cls in classes.items()]
+    return SurfaceLattice(3, q, curves, ["1/2", "0", "-1/2"], name="rational")
+
+
+def _assert_fraction_report(rep):
+    fields = [rep.square, rep.reference_product, *rep.curve_products]
+    if rep.witness is not None:
+        fields.append(rep.witness[-1])
+    assert all(type(x) is Fraction for x in fields), rep
+
+
+class TestIntegerRouteOracle:
+    """The integer-numerator route against the Fraction formulas it
+    replaced: every report field equal, and a Fraction."""
+
+    @pytest.fixture(params=[*BUILTIN_LATTICES, "rational"])
+    def lattice(self, request):
+        if request.param == "rational":
+            return _rational_lattice()
+        return builtin_lattice(request.param)
+
+    @staticmethod
+    def _draw(rng, rank):
+        # a denominator per component, so classes rarely share one
+        return tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+                     for _ in range(rank))
+
+    def test_rational_lattice_is_nontrivial(self):
+        lattice = _rational_lattice()
+        assert lattice._q_den > 1 and lattice._cov_den > lattice._q_den
+        assert len(lattice.negative_curves()) == 3
+
+    def test_intersect_and_nakai(self, lattice):
+        rng = random.Random(9)
+        passed = 0
+        for _ in range(300):
+            x, y = self._draw(rng, lattice.rank), self._draw(rng, lattice.rank)
+            got = intersect(lattice, x, y)
+            assert got == _oracle_intersect(lattice, x, y)
+            assert type(got) is Fraction
+            rep = nakai_test(lattice, x)
+            assert rep == _oracle_nakai(lattice, x)
+            _assert_fraction_report(rep)
+            passed += rep.passed
+        assert passed > 0
+
+    def test_class_condition(self, lattice):
+        rng = random.Random(10)
+        kahler = [lattice.reference_kahler]
+        while len(kahler) < 20:
+            v = self._draw(rng, lattice.rank)
+            if _oracle_nakai(lattice, v).passed:
+                kahler.append(v)
+        for omega, chi0 in zip(kahler, kahler[1:] + kahler[:1]):
+            got = class_condition(lattice, omega, chi0)
+            assert got == _oracle_class_condition(lattice, omega, chi0)
+            assert all(type(x) is Fraction for x in (got["c"], *got["target"]))
+            _assert_fraction_report(got["nakai"])
+        bad = self._draw(rng, lattice.rank)
+        while _oracle_nakai(lattice, bad).passed:
+            bad = self._draw(rng, lattice.rank)
+        with pytest.raises(ConeError) as got:
+            class_condition(lattice, bad, kahler[0])
+        with pytest.raises(ConeError) as want:
+            _oracle_class_condition(lattice, bad, kahler[0])
+        assert str(got.value) == str(want.value)
 
 
 class TestNakai:

@@ -1,5 +1,7 @@
 """Deterministic random sampling and the property suites."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,40 @@ class TestGenerators:
                                     predicate=_is_failing_with_positive_square)
         assert vec is None
 
+    def test_rational_class_matches_fraction_loop(self):
+        # the Fraction rejection loop that the integer pairings replaced:
+        # the same draws and the same accepted classes, for both in-tree
+        # predicates
+        from jflow.sampling import _is_failing_with_positive_square
+
+        def fraction_loop(rng, lattice, accept):
+            for _ in range(400):
+                den = int(rng.integers(0, 4)) + 1
+                nums = rng.integers(-5, 6, size=lattice.rank)
+                vec = tuple(Fraction(int(x), den) for x in nums)
+                if any(vec) and accept(nakai_test(lattice, vec)):
+                    return vec
+            return None
+
+        def failing(rep):
+            return (not rep.passed and rep.square > 0
+                    and rep.reference_product > 0)
+
+        routes = ((random_rational_class, lambda rep: rep.passed),
+                  (lambda rng, lat: random_rational_class(
+                      rng, lat, predicate=_is_failing_with_positive_square),
+                   failing))
+        for name in ("blowup_p2_1", "blowup_p2_2", "product_curves"):
+            lattice = builtin_lattice(name)
+            for seed in range(8):
+                for draw, accept in routes:
+                    new_rng, old_rng = make_rng(seed), make_rng(seed)
+                    for _ in range(3):
+                        assert draw(new_rng, lattice) == fraction_loop(
+                            old_rng, lattice, accept)
+                    assert new_rng.integers(1 << 60) == old_rng.integers(
+                        1 << 60)
+
 
 class TestSuites:
     def test_conditions_suite_passes(self):
@@ -153,6 +189,13 @@ class TestSuites:
         assert canonical_json(a) == canonical_json(b)
         assert report_digest(a) == report_digest(b)
         assert a["all_passed"]
+
+    def test_cone_suite_digest_pinned(self):
+        # exact arithmetic and integer Philox draws only, so unlike the
+        # full proptest digest this one does not depend on the platform's
+        # floating point
+        assert report_digest(suite_cone(0, count=200)) == (
+            "fdadaa71bff04820260b4195bf77f0a2de1159addf0eb7f3d52948961db2ae2f")
 
     def test_report_digest_seed_sensitivity(self):
         sizes = {"conditions": 100, "functionals": 2, "cone": 10}
