@@ -10,15 +10,19 @@ Subcommands:
   proptest     run the randomized property suites under a fixed seed
 
 Configs are strictly validated: any unknown or malformed field aborts with
-exit code 2 and a message naming the field path.  Results are emitted as
-JSON with the fully resolved configuration embedded, so a report describes
-its own provenance; wall time sits in its own top-level key ("wall_time_s")
-and is the only field expected to differ between identical runs.
+exit code 2 and a message naming the field path.  Each cmd_* returns its
+exit code, its JSON payload (with the fully resolved configuration, so a
+report describes its own provenance) and a one-line headline; main adds
+the keys "command", "exit_code" and "wall_time_s" and emits the report,
+which --summary (flow, critical, conditions, functionals) and --out (cone,
+proptest) both write to a file.  wall_time_s is the seconds from the
+command's start to its report, the only field that may differ between
+identical runs.
 
 Exit codes:
   0  success
   1  property suite found a counterexample
-  2  config or lattice schema violation
+  2  schema violation (config, lattice file, phi0.file archive)
   3  inadmissible input (non-positive form, potential outside the cone)
   4  flow blow-up (positivity loss or monitor past its ceiling)
   5  timeout or iteration budget exhausted
@@ -39,6 +43,7 @@ import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -52,9 +57,10 @@ from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
                           flow_functional_bundle, ie_second_form,
                           path_functional_bundle, path_independence_gap)
 from .hermitian import (SettingError, SingularFormError, as_matrix,
-                        check_condition, relative_spectrum)
-from .sampling import (FAULTS, make_rng, random_admissible_potential,
-                       report_digest, run_property_suites)
+                        check_condition, relative_spectrum, require_positive)
+from .sampling import (DEFAULT_SIZES, FAULTS, make_rng,
+                       random_admissible_potential, report_digest,
+                       run_property_suites)
 from .torus import (DERIV_MODES, GRID_MODES, PotentialField, TorusGrid,
                     class_constant_c, cosine_mode, load_field, metric_field,
                     save_field)
@@ -168,24 +174,17 @@ def _parse_matrix(value, n: int, path: str) -> np.ndarray:
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
-    out = []
-    for row in np.asarray(m, dtype=complex):
-        entries = []
-        for v in row:
-            if v.imag == 0.0:
-                entries.append(float(v.real))
-            else:
-                entries.append([float(v.real), float(v.imag)])
-        out.append(entries)
-    return out
+    return [[float(v.real) if v.imag == 0.0 else [float(v.real), float(v.imag)]
+             for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _require_positive_matrix(m: np.ndarray, name: str) -> np.ndarray:
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise SingularFormError(f"{name} must be positive definite") from None
-    return m
+def _parse_form(cfg: dict, key: str, n: int) -> np.ndarray:
+    """The required n x n form cfg[key]; a non-positive one is inadmissible."""
+    if key not in cfg:
+        raise SchemaError(key, "required field is missing")
+    form = _parse_matrix(cfg[key], n, key)
+    require_positive(form, key)
+    return form
 
 
 _PHI0_MODE_KEYS = ("k", "amplitude", "phase")
@@ -216,8 +215,7 @@ def _parse_phi0(value, naxes: int, path: str) -> dict:
         if not isinstance(spec, dict):
             raise SchemaError(_join(path, "random"), "expected an object")
         _reject_unknown(spec, _PHI0_RANDOM_DEFAULTS, _join(path, "random"))
-        merged = dict(_PHI0_RANDOM_DEFAULTS)
-        merged.update(spec)
+        merged = dict(_PHI0_RANDOM_DEFAULTS, **spec)
         merged["seed"] = _as_int(merged["seed"], _join(path, "random.seed"))
         merged["band"] = _as_int(merged["band"], _join(path, "random.band"), 1)
         merged["amplitude"] = _as_float(
@@ -264,7 +262,11 @@ def _build_phi0(spec: dict, grid: TorusGrid, chi0: np.ndarray,
                                     mode["phase"])
         return phi
     if "file" in spec:
-        field, _ = load_field(spec["file"])
+        try:
+            field, _ = load_field(spec["file"])
+        except (OSError, ValueError, KeyError, BadZipFile) as err:
+            raise SchemaError("phi0.file", f"cannot load a stored potential: "
+                                           f"{err}") from None
         if field.grid != grid:
             raise SchemaError(
                 "phi0.file",
@@ -297,18 +299,16 @@ _PROBLEM_FIELDS = ("n", "points", "mode", "deriv", "omega", "chi0", "phi0")
 def _build_problem(cfg: dict, extra_allowed=()) -> dict:
     """Grid, forms, and initial potential shared by several subcommands."""
     _reject_unknown(cfg, set(_PROBLEM_FIELDS) | set(extra_allowed), "")
-    for key in ("n", "points", "omega", "chi0"):
+    for key in ("n", "points"):
         if key not in cfg:
             raise SchemaError(key, "required field is missing")
     n = _as_int(cfg["n"], "n", 1)
     points = _as_int(cfg["points"], "points", 8)
+    omega = _parse_form(cfg, "omega", n)
+    chi0 = _parse_form(cfg, "chi0", n)
     mode = _as_choice(cfg.get("mode", "invariant"), GRID_MODES, "mode")
     deriv = _as_choice(cfg.get("deriv", "fd4"), DERIV_MODES, "deriv")
     grid = TorusGrid(n=n, points=points, mode=mode)
-    omega = _require_positive_matrix(_parse_matrix(cfg["omega"], n, "omega"),
-                                     "omega")
-    chi0 = _require_positive_matrix(_parse_matrix(cfg["chi0"], n, "chi0"),
-                                    "chi0")
     phi0_spec = _parse_phi0(cfg.get("phi0"), grid.naxes, "phi0")
     phi0 = _build_phi0(phi0_spec, grid, chi0, deriv)
     resolved = {
@@ -323,40 +323,32 @@ def _build_problem(cfg: dict, extra_allowed=()) -> dict:
 def _emit(payload: dict, out_path: str | None, quiet: bool,
           headline: str) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as handle:
-            handle.write(text + "\n")
-        if not quiet:
-            print(headline)
-    elif quiet:
+    if not out_path:
+        print(headline if quiet else text)
+        return
+    with open(out_path, "w", encoding="ascii") as handle:
+        handle.write(text + "\n")
+    if not quiet:
         print(headline)
-    else:
-        print(text)
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> tuple:
     cfg = _load_config(args.config)
     problem = _build_problem(cfg, extra_allowed=_setting_fields(FlowSetup))
     setup, settings = _build_settings(
         FlowSetup, cfg, "", grid=problem["grid"], omega=problem["omega"],
         chi0=problem["chi0"], deriv=problem["deriv"])
     resolved = dict(problem["resolved"], **settings)
-
-    t0 = time.perf_counter()
-    note = ""
     try:
         result = run(setup, problem["phi0"])
     except NumericalFailureError as err:
-        payload = {
-            "command": "flow", "config": resolved, "verdict": "blowup",
-            "note": str(err), "exit_code": EXIT_BLOWUP,
-            "wall_time_s": time.perf_counter() - t0,
-        }
-        _emit(payload, args.summary, args.quiet, "flow: blowup (non-finite)")
-        return EXIT_BLOWUP
+        return (EXIT_BLOWUP,
+                {"config": resolved, "verdict": "blowup", "note": str(err)},
+                "flow: blowup (non-finite)")
 
     code = {"converged": EXIT_OK, "blowup": EXIT_BLOWUP,
             "timeout": EXIT_TIMEOUT}[result.verdict]
+    note = ""
     if code == EXIT_OK and not result.jhat_monotone:
         code = EXIT_INVARIANT
         note = "descent invariant violated: sampled Jhat is not monotone"
@@ -367,10 +359,8 @@ def cmd_flow(args) -> int:
     monitor = monitor_max_principle(result)
     monitor["band"] = list(monitor["band"])
     payload = {
-        "command": "flow",
         "config": resolved,
         "verdict": result.verdict,
-        "exit_code": code,
         "note": note,
         "c": setup.c,
         "omega_scale": setup.omega_scale,
@@ -386,15 +376,12 @@ def cmd_flow(args) -> int:
         "monitor": monitor,
         "jhat_monotone": result.jhat_monotone,
         "csv": args.csv,
-        "wall_time_s": result.wall_time_s,
     }
-    _emit(payload, args.summary, args.quiet,
-          f"flow: {result.verdict} after {result.steps} steps, "
-          f"residual {last.residual:.3e}")
-    return code
+    return code, payload, (f"flow: {result.verdict} after {result.steps} "
+                           f"steps, residual {last.residual:.3e}")
 
 
-def cmd_critical(args) -> int:
+def cmd_critical(args) -> tuple:
     cfg = _load_config(args.config)
     problem = _build_problem(cfg, extra_allowed=("newton",))
     newton_cfg = cfg.get("newton", {})
@@ -402,70 +389,54 @@ def cmd_critical(args) -> int:
         raise SchemaError("newton", "expected an object")
     _reject_unknown(newton_cfg, _setting_fields(NewtonSettings), "newton")
     settings, newton = _build_settings(NewtonSettings, newton_cfg, "newton")
-    resolved = dict(problem["resolved"], newton=newton)
 
-    t0 = time.perf_counter()
     phi, report = newton_solve(problem["grid"], problem["omega"],
                                problem["chi0"], problem["phi0"],
                                settings, problem["deriv"])
-    wall = time.perf_counter() - t0
     if args.save_field:
         save_field(args.save_field, PotentialField(problem["grid"], phi),
                    meta={"source": "critical"})
-    code = EXIT_OK if report.converged else EXIT_TIMEOUT
     final_res = report.residuals[-1] if report.residuals else float("nan")
     payload = {
-        "command": "critical",
-        "config": resolved,
-        "exit_code": code,
+        "config": dict(problem["resolved"], newton=newton),
         "newton": report.as_dict(),
         "final_residual": final_res,
         "c": class_constant_c(problem["omega"], problem["chi0"]),
         "sup_phi": float(np.max(phi)),
         "inf_phi": float(np.min(phi)),
         "field": args.save_field,
-        "wall_time_s": wall,
     }
-    _emit(payload, args.summary, args.quiet,
-          f"critical: {'converged' if report.converged else report.message} "
-          f"in {report.iterations} iterations, residual {final_res:.3e}")
-    return code
+    return (EXIT_OK if report.converged else EXIT_TIMEOUT, payload,
+            f"critical: {'converged' if report.converged else report.message} "
+            f"in {report.iterations} iterations, residual {final_res:.3e}")
 
 
 _CONDITIONS_FIELDS = ("omega", "chi", "normalize")
 
 
-def cmd_conditions(args) -> int:
+def cmd_conditions(args) -> tuple:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, _CONDITIONS_FIELDS, "")
-    for key in ("omega", "chi"):
-        if key not in cfg:
-            raise SchemaError(key, "required field is missing")
-    if not isinstance(cfg["omega"], list) or not cfg["omega"]:
+    if "omega" in cfg and (not isinstance(cfg["omega"], list)
+                           or not cfg["omega"]):
         raise SchemaError("omega", "expected a matrix (list of rows)")
-    n = len(cfg["omega"])
-    omega = _require_positive_matrix(_parse_matrix(cfg["omega"], n, "omega"),
-                                     "omega")
-    chi = _require_positive_matrix(_parse_matrix(cfg["chi"], n, "chi"), "chi")
+    n = len(cfg.get("omega", ()))
+    omega = _parse_form(cfg, "omega", n)
+    chi = _parse_form(cfg, "chi", n)
     normalize = _as_bool(cfg.get("normalize", False), "normalize")
-    t0 = time.perf_counter()
-    omega_input = omega
     c = class_constant_c(omega, chi)
-    if normalize:
-        omega = omega / (n * c)
-    spec = relative_spectrum(omega, chi)
+    scaled = omega / (n * c) if normalize else omega
+    spec = relative_spectrum(scaled, chi)
     conditions = {}
     for which in ("C1", "C2", "C3"):
-        rep = check_condition(omega, chi, which)
+        rep = check_condition(scaled, chi, which)
         conditions[which] = {"passed": rep.passed,
                              "margin": rep.margin,
                              "boundary": rep.boundary}
     payload = {
-        "command": "conditions",
-        "config": {"omega": _matrix_to_json(omega_input),
+        "config": {"omega": _matrix_to_json(omega),
                    "chi": _matrix_to_json(chi),
                    "normalize": normalize},
-        "exit_code": EXIT_OK,
         "n": n,
         "c": c,
         "nc": n * c,
@@ -473,20 +444,17 @@ def cmd_conditions(args) -> int:
         "trace_of_inverse": spec.trace_of_inverse(),
         "conditions": conditions,
         "cone": conditions["C3"] if n >= 2 else None,
-        "wall_time_s": time.perf_counter() - t0,
     }
-    _emit(payload, args.summary, args.quiet,
-          "conditions: " + ", ".join(
-              f"{k}={'pass' if v['passed'] else 'fail'}"
-              for k, v in conditions.items()))
-    return EXIT_OK
+    return EXIT_OK, payload, "conditions: " + ", ".join(
+        f"{k}={'pass' if v['passed'] else 'fail'}"
+        for k, v in conditions.items())
 
 
 _FUNCTIONAL_DEFAULTS = {"path_steps": 32, "mabuchi_steps": 16,
                         "compare_paths": True}
 
 
-def cmd_functionals(args) -> int:
+def cmd_functionals(args) -> tuple:
     cfg = _load_config(args.config)
     problem = _build_problem(cfg, extra_allowed=_FUNCTIONAL_DEFAULTS)
     merged = dict(_FUNCTIONAL_DEFAULTS, **cfg)
@@ -495,10 +463,7 @@ def cmd_functionals(args) -> int:
     compare = _as_bool(merged["compare_paths"], "compare_paths")
     grid, omega, chi0 = problem["grid"], problem["omega"], problem["chi0"]
     phi, deriv = problem["phi0"], problem["deriv"]
-    resolved = dict(problem["resolved"], path_steps=steps,
-                    mabuchi_steps=mab_steps, compare_paths=compare)
 
-    t0 = time.perf_counter()
     metric = metric_field(grid, as_matrix(chi0), phi, deriv)
     bundle = flow_functional_bundle(metric, omega, phi)
     ie, je = eval_IE_JE(metric, phi, deriv)
@@ -519,9 +484,8 @@ def cmd_functionals(args) -> int:
             "mabuchi": {"linear": m_lin, "quadratic": m_quad, "rel": m_rel},
         }
     payload = {
-        "command": "functionals",
-        "config": resolved,
-        "exit_code": EXIT_OK,
+        "config": dict(problem["resolved"], path_steps=steps,
+                       mabuchi_steps=mab_steps, compare_paths=compare),
         "c": class_constant_c(omega, chi0),
         "values": {
             "J": bundle["J"], "I": bundle["I"], "Jhat": bundle["Jhat"],
@@ -530,11 +494,9 @@ def cmd_functionals(args) -> int:
         },
         "ie_route_gap": abs(ie - ie2) / max(1.0, abs(ie)),
         "path_gaps": gaps,
-        "wall_time_s": time.perf_counter() - t0,
     }
-    _emit(payload, args.summary, args.quiet,
-          f"functionals: Jhat={bundle['Jhat']:.6e} IE={ie:.6e} JE={je:.6e}")
-    return EXIT_OK
+    return EXIT_OK, payload, (f"functionals: Jhat={bundle['Jhat']:.6e} "
+                              f"IE={ie:.6e} JE={je:.6e}")
 
 
 def _parse_class(text: str, rank: int, name: str) -> tuple:
@@ -547,7 +509,7 @@ def _parse_class(text: str, rank: int, name: str) -> tuple:
         raise SchemaError(name, f"bad rational component: {err}") from None
 
 
-def cmd_cone(args) -> int:
+def cmd_cone(args) -> tuple:
     if args.lattice in BUILTIN_LATTICES:
         lattice = builtin_lattice(args.lattice)
     else:
@@ -567,13 +529,8 @@ def cmd_cone(args) -> int:
     if args.alpha is not None and (args.omega or args.chi0):
         raise SchemaError("alpha", "--alpha excludes --omega/--chi0")
 
-    t0 = time.perf_counter()
     code = EXIT_OK
-    payload = {
-        "command": "cone",
-        "lattice": lattice.as_dict(),
-        "exit_code": EXIT_OK,
-    }
+    payload = {"lattice": lattice.as_dict()}
     target = None
     if args.alpha is not None:
         target = _parse_class(args.alpha, lattice.rank, "alpha")
@@ -612,36 +569,35 @@ def cmd_cone(args) -> int:
             payload["note"] = ("certificate failed its independent audit"
                                if search.status == "certificate" else
                                "search result failed its independent audit")
-    payload["exit_code"] = code
-    payload["wall_time_s"] = time.perf_counter() - t0
     status = payload.get("search", {}).get("status", "kahler")
-    _emit(payload, args.out, args.quiet, f"cone: {status}")
-    return code
+    return code, payload, f"cone: {status}"
 
 
-def cmd_proptest(args) -> int:
-    sizes = {}
-    if args.conditions_samples is not None:
-        sizes["conditions"] = args.conditions_samples
-    if args.functionals_samples is not None:
-        sizes["functionals"] = args.functionals_samples
-    if args.cone_samples is not None:
-        sizes["cone"] = args.cone_samples
-    t0 = time.perf_counter()
+def cmd_proptest(args) -> tuple:
+    sizes = {suite: size for suite in DEFAULT_SIZES
+             if (size := getattr(args, f"{suite}_samples")) is not None}
     report = run_property_suites(args.seed, sizes=sizes or None,
                                  fault=args.inject_fault)
-    wall = time.perf_counter() - t0
-    payload = {
-        "command": "proptest",
-        "report": report,
-        "digest": report_digest(report),
-        "exit_code": EXIT_OK if report["all_passed"] else EXIT_PROPERTY_FAILURE,
-        "wall_time_s": wall,
-    }
-    _emit(payload, args.out, args.quiet,
-          f"proptest: {'all passed' if report['all_passed'] else 'FAILED'} "
-          f"(digest {payload['digest'][:16]})")
-    return payload["exit_code"]
+    digest = report_digest(report)
+    passed = report["all_passed"]
+    return (EXIT_OK if passed else EXIT_PROPERTY_FAILURE,
+            {"report": report, "digest": digest},
+            f"proptest: {'all passed' if passed else 'FAILED'} "
+            f"(digest {digest[:16]})")
+
+
+def _add_command(sub, name: str, func, help: str, config: bool = True):
+    """Subparser with --quiet and the report flag: a config command takes
+    its config path and --summary, the others --out; both set args.report."""
+    parser = sub.add_parser(name, help=help)
+    if config:
+        parser.add_argument("config", help="JSON config path")
+    parser.add_argument("--summary" if config else "--out", dest="report",
+                        metavar="PATH", help="write the JSON report here")
+    parser.add_argument("--quiet", action="store_true",
+                        help="print only the one-line verdict")
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -651,66 +607,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "property suites for constant Hermitian pairs on tori")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    flow_p = sub.add_parser("flow", help="integrate the flow from a config")
-    flow_p.add_argument("config", help="JSON config path")
+    flow_p = _add_command(sub, "flow", cmd_flow,
+                          "integrate the flow from a config")
     flow_p.add_argument("--csv", help="write the sampled time series here")
-    flow_p.add_argument("--summary", help="write the JSON summary here")
-    flow_p.add_argument("--quiet", action="store_true",
-                        help="print only the one-line verdict")
-    flow_p.set_defaults(func=cmd_flow)
-
-    crit_p = sub.add_parser("critical", help="Newton solve from a config")
-    crit_p.add_argument("config")
+    crit_p = _add_command(sub, "critical", cmd_critical,
+                          "Newton solve from a config")
     crit_p.add_argument("--save-field", help="write the solution potential here")
-    crit_p.add_argument("--summary")
-    crit_p.add_argument("--quiet", action="store_true")
-    crit_p.set_defaults(func=cmd_critical)
+    _add_command(sub, "conditions", cmd_conditions,
+                 "condition margins for one constant pair")
+    _add_command(sub, "functionals", cmd_functionals,
+                 "evaluate the energies for one potential")
 
-    cond_p = sub.add_parser("conditions",
-                            help="condition margins for one constant pair")
-    cond_p.add_argument("config")
-    cond_p.add_argument("--summary")
-    cond_p.add_argument("--quiet", action="store_true")
-    cond_p.set_defaults(func=cmd_conditions)
-
-    func_p = sub.add_parser("functionals",
-                            help="evaluate the energies for one potential")
-    func_p.add_argument("config")
-    func_p.add_argument("--summary")
-    func_p.add_argument("--quiet", action="store_true")
-    func_p.set_defaults(func=cmd_functionals)
-
-    cone_p = sub.add_parser("cone",
-                            help="exact cone tests and divisor certificates")
+    cone_p = _add_command(sub, "cone", cmd_cone,
+                          "exact cone tests and divisor certificates",
+                          config=False)
     cone_p.add_argument("lattice",
                         help=f"builtin name ({', '.join(BUILTIN_LATTICES)}) "
                              f"or a lattice JSON path")
     cone_p.add_argument("--alpha", help="class to decompose, e.g. '3,1'")
     cone_p.add_argument("--omega", help="Kahler class for the pair condition")
     cone_p.add_argument("--chi0", help="Kahler class for the pair condition")
-    cone_p.add_argument("--out", help="write the JSON report here")
-    cone_p.add_argument("--quiet", action="store_true")
-    cone_p.set_defaults(func=cmd_cone)
 
-    prop_p = sub.add_parser("proptest", help="randomized property suites")
+    prop_p = _add_command(sub, "proptest", cmd_proptest,
+                          "randomized property suites", config=False)
     prop_p.add_argument("--seed", type=int, default=0)
-    prop_p.add_argument("--conditions-samples", type=int, default=None)
-    prop_p.add_argument("--functionals-samples", type=int, default=None)
-    prop_p.add_argument("--cone-samples", type=int, default=None)
+    for suite in DEFAULT_SIZES:
+        prop_p.add_argument(f"--{suite}-samples", type=int, default=None)
     prop_p.add_argument("--inject-fault", choices=FAULTS, default=None,
                         help="test-only: sabotage a checker to prove the "
                              "suite catches it")
-    prop_p.add_argument("--out", help="write the JSON report here")
-    prop_p.add_argument("--quiet", action="store_true")
-    prop_p.set_defaults(func=cmd_proptest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        code = args.func(args)
+        code, payload, headline = args.func(args)
+        payload.update(command=args.command, exit_code=code,
+                       wall_time_s=time.perf_counter() - t0)
+        _emit(payload, args.report, args.quiet, headline)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -458,20 +458,28 @@ def verify_certificate(lattice: SurfaceLattice, alpha,
     return _passes(lattice, remainder)
 
 
+def _require_keys(obj, keys, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise LatticeError(
+            f"{where} must be an object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise LatticeError(f"{where} has no {key!r} key")
+
+
 def lattice_from_dict(data: dict) -> SurfaceLattice:
+    _require_keys(data, ("rank", "Q", "reference_kahler"), "lattice")
+    curves = data.get("curves", [])
+    for i, curve in enumerate(curves):
+        _require_keys(curve, ("name", "class", "self"), f"curve {i}")
     rank = int(data["rank"])
     flat = list(data["Q"])
     if len(flat) != rank * rank:
         raise LatticeError(
             f"Q has {len(flat)} entries, expected {rank * rank}")
     rows = [flat[i * rank:(i + 1) * rank] for i in range(rank)]
-    return SurfaceLattice(
-        rank=rank,
-        q_rows=rows,
-        curves=data.get("curves", []),
-        reference_kahler=data["reference_kahler"],
-        name=str(data.get("name", "")),
-    )
+    return SurfaceLattice(rank, rows, curves, data["reference_kahler"],
+                          name=str(data.get("name", "")))
 
 
 def load_lattice(path) -> SurfaceLattice:

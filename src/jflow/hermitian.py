@@ -54,7 +54,7 @@ def as_matrix(form) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _require_positive(m: np.ndarray, name: str) -> None:
+def require_positive(m: np.ndarray, name: str) -> None:
     ev = np.linalg.eigvalsh(m)
     if not ev[0] > POSITIVITY_RTOL * max(float(ev[-1]), 0.0):
         raise SingularFormError(
@@ -69,7 +69,7 @@ def trace_pair(a, b) -> float:
     bm = as_matrix(b)
     if am.shape != bm.shape:
         raise ShapeError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    _require_positive(am, "a")
+    require_positive(am, "a")
     val = np.trace(np.linalg.solve(am, bm))
     return float(val.real)
 
@@ -102,7 +102,7 @@ def relative_spectrum(g, chi) -> RelativeSpectrum:
     cm = as_matrix(chi)
     if gm.shape != cm.shape:
         raise ShapeError(f"dimension mismatch: {gm.shape} vs {cm.shape}")
-    _require_positive(gm, "g")
+    require_positive(gm, "g")
     lam = pencil_eigenvalues_batch(gm, cm)
     if lam[0] <= 0.0:
         raise SingularFormError(

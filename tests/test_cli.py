@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv): exit codes and report shapes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +43,10 @@ def flow_cfg(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# positive definite to a Cholesky test, but below hermitian's relative floor
+NEAR_SINGULAR = [[1e-13, 0.0], [0.0, 1.0]]
 
 
 class TestExitCodes:
@@ -95,6 +100,15 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "f.json", flow_cfg(chi0=[[-2.0]]))
         assert main(["flow", cfg]) == EXIT_INADMISSIBLE
         assert "inadmissible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["omega", "chi0"])
+    def test_near_singular_form_is_inadmissible(self, tmp_path, capsys, key):
+        pair = {"omega": [[1.0, 0.0], [0.0, 1.0]],
+                "chi0": [[2.0, 0.0], [0.0, 2.0]], key: NEAR_SINGULAR}
+        cfg = write_cfg(tmp_path, "f.json", flow_cfg(
+            n=2, phi0={"zero": True}, **pair))
+        assert main(["flow", cfg]) == EXIT_INADMISSIBLE
+        assert f"form {key!r} is not positive" in capsys.readouterr().err
 
     def test_out_of_range_setting_is_a_schema_error(self, tmp_path, capsys):
         # positive, so past the parser, but outside FlowSetup's range
@@ -243,6 +257,23 @@ class TestCritical:
         assert main(["critical", bad_cfg]) == EXIT_SCHEMA
         assert "phi0.file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [
+        "missing", "not-npz", "no-values", "shape-mismatch",
+    ])
+    def test_unreadable_phi0_file(self, tmp_path, capsys, kind):
+        field_path = tmp_path / "phi.npz"
+        header = json.dumps({"n": 1, "points": 32, "mode": "invariant"})
+        if kind == "not-npz":
+            field_path.write_text("not an archive")
+        elif kind == "no-values":
+            np.savez(field_path, header=header)
+        elif kind == "shape-mismatch":
+            np.savez(field_path, values=np.zeros(5), header=header)
+        cfg = write_cfg(tmp_path, "c.json", self.crit_cfg(
+            phi0={"file": str(field_path)}))
+        assert main(["critical", cfg]) == EXIT_SCHEMA
+        assert "config error: field 'phi0.file'" in capsys.readouterr().err
+
 
 class TestConditionsCommand:
     def test_equal_margins_n2(self, tmp_path):
@@ -285,6 +316,13 @@ class TestConditionsCommand:
         })
         assert main(["conditions", cfg]) == EXIT_SCHEMA
         assert "Hermitian" in capsys.readouterr().err
+
+    def test_near_singular_omega_is_inadmissible(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "p.json", {
+            "omega": NEAR_SINGULAR, "chi": [[2.0, 0.0], [0.0, 2.0]],
+        })
+        assert main(["conditions", cfg]) == EXIT_INADMISSIBLE
+        assert "form 'omega' is not positive" in capsys.readouterr().err
 
 
 class TestFunctionalsCommand:
@@ -377,6 +415,22 @@ class TestConeCommand:
         assert not payload["verified"]
         assert payload["note"] == "search result failed its independent audit"
 
+    @pytest.mark.parametrize("mangle, names", [
+        (lambda data: {k: v for k, v in data.items() if k != "rank"},
+         "'rank'"),
+        (lambda data: [data], "list"),
+        (lambda data: dict(data, curves=[
+            {k: v for k, v in c.items() if k != "self"}
+            for c in data["curves"]]), "'self'"),
+    ], ids=["no-rank", "top-level-list", "curve-without-self"])
+    def test_malformed_lattice_file(self, tmp_path, capsys, mangle, names):
+        data = builtin_lattice("blowup_p2_1").as_dict()
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(mangle(data)))
+        assert main(["cone", str(path), "--alpha", "3,1"]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("lattice error:") and names in err
+
     def test_unknown_lattice(self, tmp_path, capsys):
         assert main(["cone", "no_such_lattice", "--alpha", "1,0"]) == EXIT_SCHEMA
         assert "lattice" in capsys.readouterr().err
@@ -434,3 +488,42 @@ class TestProptestCommand:
         captured = capsys.readouterr().out
         assert "proptest: all passed" in captured
         assert "digest" in captured
+
+
+# small inputs for every subcommand, without the report and --quiet flags
+ENVELOPE_ARGV = {
+    "flow": lambda tmp: ["flow", write_cfg(tmp, "c.json",
+                                           flow_cfg(t_max=2.0))],
+    "critical": lambda tmp: ["critical", write_cfg(tmp, "c.json", {
+        "n": 1, "points": 32, "omega": [[1.0]], "chi0": [[1.7]],
+        "phi0": {"modes": [{"k": [1], "amplitude": 0.25}]}})],
+    "conditions": lambda tmp: ["conditions", write_cfg(tmp, "c.json", {
+        "omega": [[1.0, 0.0], [0.0, 1.0]],
+        "chi": [[3.0, 0.0], [0.0, 3.0]]})],
+    "functionals": lambda tmp: ["functionals", write_cfg(tmp, "c.json", {
+        "n": 1, "points": 16, "omega": [[1.0]], "chi0": [[2.0]],
+        "phi0": {"modes": [{"k": [1], "amplitude": 0.3}]}})],
+    "cone": lambda tmp: ["cone", "blowup_p2_1", "--alpha", "3,1"],
+    "proptest": lambda tmp: ["proptest", "--seed", "11",
+                             "--conditions-samples", "100",
+                             "--functionals-samples", "2",
+                             "--cone-samples", "5"],
+}
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize("command", list(ENVELOPE_ARGV))
+    def test_envelope_and_quiet_headline(self, tmp_path, capsys, command):
+        argv = ENVELOPE_ARGV[command](tmp_path)
+        flag = "--out" if command in ("cone", "proptest") else "--summary"
+        out = tmp_path / "report.json"
+        code = main([*argv, flag, str(out), "--quiet"])
+        assert capsys.readouterr().out == ""
+        payload = json.loads(out.read_text())
+        assert payload["command"] == command
+        assert payload["exit_code"] == code
+        wall = payload["wall_time_s"]
+        assert isinstance(wall, float) and math.isfinite(wall) and wall >= 0
+        # quiet without a report path prints the headline alone
+        assert main([*argv, "--quiet"]) == code
+        assert len(capsys.readouterr().out.splitlines()) == 1
