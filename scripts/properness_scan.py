@@ -42,8 +42,8 @@ def main(argv=None):
                                               amplitude=amplitude,
                                               deriv="spectral")
             metric = metric_field(grid, chi0, phi, "spectral")
-            _, je = eval_IE_JE(metric, phi, "spectral")
-            mab = eval_mabuchi(metric, phi, path, "spectral")
+            _, je = eval_IE_JE(metric)
+            mab = eval_mabuchi(metric, path)
             je_vals.append(je)
             mab_vals.append(mab)
             ent_vals.append(eval_entropy(metric))

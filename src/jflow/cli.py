@@ -104,6 +104,9 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 def _as_float(value, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+    # an exact comparison, so an integer past the float range fails too
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise SchemaError(path, "must be a finite number")
     out = float(value)
     if positive and not out > 0.0:
         raise SchemaError(path, "must be positive")
@@ -148,15 +151,12 @@ def _as_choice(value, choices, path: str) -> str:
 
 
 def _parse_entry(value, path: str) -> complex:
-    if isinstance(value, bool):
-        raise SchemaError(path, "matrix entries must be numbers")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
-        return complex(value[0], value[1])
-    raise SchemaError(path, "matrix entries are numbers or [re, im] pairs")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    try:
+        return complex(*(_as_float(v, path) for v in parts))
+    except SchemaError:
+        raise SchemaError(path, "matrix entries are finite numbers or "
+                                "[re, im] pairs") from None
 
 
 def _parse_matrix(value, n: int, path: str) -> np.ndarray:
@@ -280,13 +280,18 @@ def _build_phi0(spec: dict, grid: TorusGrid, chi0: np.ndarray,
         rel_margin=params["rel_margin"], deriv=deriv)
 
 
+def _reject_constant(name: str):
+    raise SchemaError("(config)", f"{name} is not a finite number")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise SchemaError("(config)", f"no such file: {path}") from None
-    except json.JSONDecodeError as err:
+            data = json.load(handle, parse_constant=_reject_constant)
+    except OSError as err:
+        raise SchemaError("(config)",
+                          f"cannot read {path}: {err.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise SchemaError("(config)", f"invalid JSON: {err}") from None
     if not isinstance(data, dict):
         raise SchemaError("(config)", "top level must be an object")
@@ -462,23 +467,21 @@ def cmd_functionals(args) -> tuple:
     mab_steps = _as_int(merged["mabuchi_steps"], "mabuchi_steps", 16)
     compare = _as_bool(merged["compare_paths"], "compare_paths")
     grid, omega, chi0 = problem["grid"], problem["omega"], problem["chi0"]
-    phi, deriv = problem["phi0"], problem["deriv"]
 
-    metric = metric_field(grid, as_matrix(chi0), phi, deriv)
-    bundle = flow_functional_bundle(metric, omega, phi)
-    ie, je = eval_IE_JE(metric, phi, deriv)
-    ie2 = ie_second_form(metric, phi)
+    metric = metric_field(grid, as_matrix(chi0), problem["phi0"],
+                          problem["deriv"])
+    bundle = flow_functional_bundle(metric, omega)
+    ie, je = eval_IE_JE(metric)
+    ie2 = ie_second_form(metric)
     entropy = eval_entropy(metric)
-    mabuchi = eval_mabuchi(metric, phi, PathSpec("linear", mab_steps), deriv)
+    mabuchi = eval_mabuchi(metric, PathSpec("linear", mab_steps))
     gaps = None
     if compare:
         j_lin, j_quad, j_rel = path_independence_gap(
-            lambda path: path_functional_bundle(metric, omega, phi,
-                                                path)["Jhat"],
+            lambda path: path_functional_bundle(metric, omega, path)["Jhat"],
             steps=steps)
         m_lin, m_quad, m_rel = path_independence_gap(
-            lambda path: eval_mabuchi(metric, phi, path, deriv),
-            steps=mab_steps)
+            lambda path: eval_mabuchi(metric, path), steps=mab_steps)
         gaps = {
             "Jhat": {"linear": j_lin, "quadratic": j_quad, "rel": j_rel},
             "mabuchi": {"linear": m_lin, "quadratic": m_quad, "rel": m_rel},
@@ -515,13 +518,13 @@ def cmd_cone(args) -> tuple:
     else:
         try:
             lattice = load_lattice(args.lattice)
-        except FileNotFoundError:
+        except OSError:
             raise SchemaError(
                 "lattice",
                 f"{args.lattice!r} is neither a builtin "
                 f"({', '.join(BUILTIN_LATTICES)}) nor a readable file"
             ) from None
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise SchemaError("lattice", f"invalid JSON: {err}") from None
 
     if args.alpha is None and (args.omega is None or args.chi0 is None):

@@ -44,7 +44,10 @@ def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise LatticeError(f"{x!r} is not an exact rational") from None
     raise LatticeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -467,13 +470,22 @@ def _require_keys(obj, keys, where: str) -> None:
             raise LatticeError(f"{where} has no {key!r} key")
 
 
+def _require_type(value, kind: type, where: str):
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise LatticeError(f"{where} must be of type {kind.__name__}, "
+                           f"got {type(value).__name__}")
+    return value
+
+
 def lattice_from_dict(data: dict) -> SurfaceLattice:
     _require_keys(data, ("rank", "Q", "reference_kahler"), "lattice")
-    curves = data.get("curves", [])
+    rank = _require_type(data["rank"], int, "lattice 'rank'")
+    curves = _require_type(data.get("curves", []), list, "lattice 'curves'")
     for i, curve in enumerate(curves):
         _require_keys(curve, ("name", "class", "self"), f"curve {i}")
-    rank = int(data["rank"])
-    flat = list(data["Q"])
+        _require_type(curve["class"], list, f"curve {i} 'class'")
+    _require_type(data["reference_kahler"], list, "lattice 'reference_kahler'")
+    flat = _require_type(data["Q"], list, "lattice 'Q'")
     if len(flat) != rank * rank:
         raise LatticeError(
             f"Q has {len(flat)} entries, expected {rank * rank}")

@@ -80,11 +80,10 @@ def _ltilde(h: np.ndarray, v: np.ndarray, grid: TorusGrid,
     return out.real if np.iscomplexobj(out) else out
 
 
-def linearized_apply(metric: MetricField, g, v: np.ndarray,
-                     deriv: str = "fd4") -> np.ndarray:
-    """Ltilde v = (1/n) h^{ab} (complex Hessian of v)_{ab}; g is coerced
-    as for MetricField.h_matrix."""
-    return _ltilde(metric.h_matrix(g), v, metric.grid, deriv)
+def linearized_apply(metric: MetricField, g, v: np.ndarray) -> np.ndarray:
+    """Ltilde v = (1/n) h^{ab} (complex Hessian of v)_{ab} in the metric's
+    derivative mode; g is coerced as for MetricField.h_matrix."""
+    return _ltilde(metric.h_matrix(g), v, metric.grid, metric.deriv)
 
 
 def _mean_symbol_inverse(grid: TorusGrid, h: np.ndarray, deriv: str):

@@ -134,18 +134,21 @@ class FlowState:
 
     metric and lam = Lambda_chi omega are built once, by _make_state, and
     every consumer of the state reads them: the residual, the next step's
-    first RK4 stage, and every monitor and functional of a sample.
-    diss is the accumulated n * int phidot^2 det chi dV ds from t = 0, and
-    err the local error estimate of the step that produced the state.
+    first RK4 stage, and every monitor and functional of a sample; phi is
+    metric.phi.  diss is the accumulated n * int phidot^2 det chi dV ds from
+    t = 0, and err the local error estimate of the step that produced it.
     """
 
     t: float
-    phi: np.ndarray
     metric: MetricField
     lam: np.ndarray
     residual: float
     diss: float = 0.0
     err: float = 0.0
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.metric.phi
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,7 @@ def _make_state(setup: FlowSetup, t: float, phi: np.ndarray,
     SingularFormError if phi is not admissible."""
     metric = metric_field(setup.grid, setup.chi0, phi, setup.deriv)
     lam = metric.trace_with(setup.omega_factor)
-    return FlowState(t=t, phi=phi, metric=metric, lam=lam,
+    return FlowState(t=t, metric=metric, lam=lam,
                      residual=residual_of(setup, lam), diss=diss)
 
 
@@ -286,8 +289,8 @@ def _sample(setup: FlowSetup, state: FlowState, dt: float) -> tuple:
     the metric of phi.
     """
     metric, phi = state.metric, state.phi
-    bundle = flow_functional_bundle(metric, setup.omega, phi, c=setup.c)
-    ie, je = eval_IE_JE(metric, phi, setup.deriv)
+    bundle = flow_functional_bundle(metric, setup.omega)
+    ie, je = eval_IE_JE(metric)
     # Chen-Tian with Ric(chi0) = Rbar = 0 (flat torus): Mabuchi = entropy
     entropy = eval_entropy(metric)
     rec = MonitorRecord(

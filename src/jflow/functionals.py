@@ -8,11 +8,9 @@ becomes its permutation-sum coefficient W divided by n!.  A single global
 factor 2^n relating dz dzbar to dx dy is dropped everywhere; it cancels in
 every ratio, identity, and inequality below.
 
-Every functional reads the MetricField of its potential, which the caller
-builds once with torus.metric_field; none rebuilds it from phi.  A deriv
-argument appears only where a functional differentiates something other
-than phi's Hessian: the gradient of phi in I^E/J^E and the curvature of
-log det chi.
+Every functional takes the MetricField of its potential alone, which the
+caller builds once with torus.metric_field: phi, its derivative mode and
+chi all come from the metric, and none is rebuilt from phi.
 
 J, I and Jhat come in closed form; the path sweeps stay as their oracles.
 A sweep integrates over the segment phi_t = f(t) phi with
@@ -121,14 +119,14 @@ def _path_samples(metric: MetricField, path: PathSpec,
     endpoints)."""
     rows = []
     for t in np.linspace(0.0, 1.0, 2 * path.steps + 1):
-        node = MetricField(metric.grid, metric.chi0,
-                           path.weight(float(t)) * metric.hessian)
+        w = path.weight(float(t))
+        node = MetricField(metric.grid, metric.chi0, w * metric.phi,
+                           w * metric.hessian, metric.deriv)
         rows.append(path.rate(float(t)) * np.atleast_1d(kernel(node)))
     return np.array(rows).T.copy()
 
 
-def flow_functional_bundle(metric: MetricField, omega, phi: np.ndarray,
-                           c: float | None = None) -> dict:
+def flow_functional_bundle(metric: MetricField, omega) -> dict:
     """J, I, and Jhat = J - nc I in closed form.
 
     Along the linear path chi_t = (1-t) chi0 + t chi_phi the integrands of
@@ -139,10 +137,9 @@ def flow_functional_bundle(metric: MetricField, omega, phi: np.ndarray,
     the functional the flow descends; shifting phi by a constant changes
     nothing, because nc is exactly the class ratio.
     """
-    grid, chi0, chi = metric.grid, metric.chi0, metric.chi
+    grid, chi0, chi, phi = metric.grid, metric.chi0, metric.chi, metric.phi
     n, om = grid.n, as_matrix(omega)
-    if c is None:
-        c = class_constant_c(omega, chi0)
+    c = class_constant_c(omega, chi0)
 
     def moment(mats):
         return integrate_top(phi * mixed_density(mats, grid), grid)
@@ -154,11 +151,10 @@ def flow_functional_bundle(metric: MetricField, omega, phi: np.ndarray,
     return {"J": jval, "I": ival, "Jhat": jval - n * c * ival}
 
 
-def path_functional_bundle(metric: MetricField, omega, phi: np.ndarray,
-                           path: PathSpec) -> dict:
+def path_functional_bundle(metric: MetricField, omega, path: PathSpec) -> dict:
     """J, I, and Jhat from one shared quadrature sweep over the path nodes:
     the oracle for flow_functional_bundle and for path independence."""
-    grid = metric.grid
+    grid, phi = metric.grid, metric.phi
     factor = form_factor(omega)
     c = class_constant_c(omega, metric.chi0)
 
@@ -171,8 +167,7 @@ def path_functional_bundle(metric: MetricField, omega, phi: np.ndarray,
     return {"J": jval, "I": ival, "Jhat": jval - grid.n * c * ival}
 
 
-def aubin_yau_terms(metric: MetricField, phi: np.ndarray,
-                    deriv: str = "fd4") -> list:
+def aubin_yau_terms(metric: MetricField) -> list:
     """T_i = int W(P, chi0^i, chi_phi^{n-1-i}) dV for i = 0..n-1.
 
     Each integrand is a mixed discriminant with one rank-one positive
@@ -182,7 +177,7 @@ def aubin_yau_terms(metric: MetricField, phi: np.ndarray,
     """
     grid = metric.grid
     n = grid.n
-    p = dbar_energy_matrix(phi, grid, deriv)
+    p = dbar_energy_matrix(metric.phi, grid, metric.deriv)
     chi = metric.chi
     chi0_m = metric.chi0
     if not np.iscomplexobj(chi):
@@ -195,23 +190,22 @@ def aubin_yau_terms(metric: MetricField, phi: np.ndarray,
     return terms
 
 
-def eval_IE_JE(metric: MetricField, phi: np.ndarray,
-               deriv: str = "fd4") -> tuple:
+def eval_IE_JE(metric: MetricField) -> tuple:
     """Aubin-Yau energies (I^E, J^E) in closed form (no path).
 
     I^E = (1/(n! V)) sum_i T_i and J^E reweights term i by (i+1)/(n+1),
-    so (1/(n+1)) I^E <= J^E <= (n/(n+1)) I^E holds term by term.  deriv
-    differentiates phi for the gradient slot P.
+    so (1/(n+1)) I^E <= J^E <= (n/(n+1)) I^E holds term by term.  The
+    gradient slot P differentiates phi in the metric's derivative mode.
     """
     n = metric.n
-    terms = aubin_yau_terms(metric, phi, deriv)
+    terms = aubin_yau_terms(metric)
     norm = math.factorial(n) * volume_of(metric.chi0, metric.grid)
     ie = sum(terms) / norm
     je = sum((i + 1) * t for i, t in enumerate(terms)) / ((n + 1) * norm)
     return ie, je
 
 
-def ie_second_form(metric: MetricField, phi: np.ndarray) -> float:
+def ie_second_form(metric: MetricField) -> float:
     """I^E recomputed as (1/(n! V)) int phi (chi0^n - chi_phi^n).
 
     Equality with the sum-of-terms route is the discrete integration by
@@ -220,7 +214,7 @@ def ie_second_form(metric: MetricField, phi: np.ndarray) -> float:
     """
     grid = metric.grid
     det0 = float(np.linalg.det(metric.chi0).real)
-    return (integrate_top(phi * (det0 - metric.det()), grid)
+    return (integrate_top(metric.phi * (det0 - metric.det()), grid)
             / volume_of(metric.chi0, grid))
 
 
@@ -237,25 +231,24 @@ def eval_entropy(metric: MetricField) -> float:
     return integrate_top(np.log(det / det0) * det, metric.grid)
 
 
-def average_scalar_curvature(metric: MetricField, deriv: str = "fd4") -> float:
+def average_scalar_curvature(metric: MetricField) -> float:
     """Volume-weighted mean of R over the grid (0 in the continuum)."""
-    r = scalar_curvature(metric, deriv)
+    r = scalar_curvature(metric)
     det = metric.det()
     return integrate_top(r * det, metric.grid) / integrate_top(det, metric.grid)
 
 
-def eval_mabuchi(metric: MetricField, phi: np.ndarray,
-                 path: PathSpec = PathSpec(), deriv: str = "fd4") -> float:
+def eval_mabuchi(metric: MetricField, path: PathSpec = PathSpec()) -> float:
     """Mabuchi energy -int_0^1 int phidot_t (R_t - Rbar_t) chi_t^n/n! dt.
 
     Rbar_t is recomputed from the discrete field at every node rather than
     set to its continuum value zero, keeping the integrand consistent with
-    the discretization.  deriv differentiates log det chi_t for R_t.
+    the discretization, and R_t reads the metric's derivative mode.
     """
-    grid = metric.grid
+    grid, phi = metric.grid, metric.phi
 
     def kernel(node):
-        r = scalar_curvature(node, deriv)
+        r = scalar_curvature(node)
         det = node.det()
         rbar = integrate_top(r * det, grid) / integrate_top(det, grid)
         return -integrate_top(phi * (r - rbar) * det, grid)

@@ -78,18 +78,10 @@ def trace_pair(a, b) -> float:
 class RelativeSpectrum:
     """Pencil spectrum of a positive pair (g, chi).
 
-    lambdas[i] are the roots of det(chi - lambda g), ascending.  mus[i] are
-    the diagonal entries of g in the pencil eigenbasis normalized so that chi
-    becomes the identity; in that basis g is diagonal with entries 1/lambda,
-    paired index by index with lambdas.
+    lambdas[i] are the roots of det(chi - lambda g), ascending.
     """
 
     lambdas: np.ndarray
-    mus: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.lambdas.shape[0]
 
     def trace_of_inverse(self) -> float:
         """chi^{ij} g_{ij} recovered from the spectrum: sum of 1/lambda."""
@@ -109,9 +101,7 @@ def relative_spectrum(g, chi) -> RelativeSpectrum:
             f"chi is not positive against g (pencil minimum {lam[0]:.3e})"
         )
     lam.setflags(write=False)
-    mus = 1.0 / lam
-    mus.setflags(write=False)
-    return RelativeSpectrum(lambdas=lam, mus=mus)
+    return RelativeSpectrum(lambdas=lam)
 
 
 @dataclass(frozen=True)

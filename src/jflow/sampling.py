@@ -310,7 +310,7 @@ def suite_functionals(seed: int, count: int = 1000) -> dict:
             rng, grid, chi0, band=band, amplitude=0.6, rel_margin=0.25,
             deriv="spectral")
         metric = metric_field(grid, chi0, phi, "spectral")
-        ie, je = eval_IE_JE(metric, phi, "spectral")
+        ie, je = eval_IE_JE(metric)
         slack = 1e-12 * max(1.0, abs(ie))
         low = je - ie / 3.0
         high = 2.0 * ie / 3.0 - je
@@ -326,7 +326,7 @@ def suite_functionals(seed: int, count: int = 1000) -> dict:
         if high < -slack:
             failures.append({"sample": i, "property": "sandwich-high",
                              "value": float(high)})
-        ie2 = ie_second_form(metric, phi)
+        ie2 = ie_second_form(metric)
         route_gap = abs(ie - ie2) / max(1.0, abs(ie))
         gaps["ie_routes"] = max(gaps["ie_routes"], route_gap)
         if route_gap > 1e-8:
@@ -338,12 +338,11 @@ def suite_functionals(seed: int, count: int = 1000) -> dict:
             failures.append({"sample": i, "property": "entropy-nonnegative",
                              "value": float(ent)})
         if i % 10 == 0:
-            base = flow_functional_bundle(metric, omega, phi)
+            base = flow_functional_bundle(metric, omega)
             # the shifted potential is differentiated afresh, so the check
             # also covers the stencil's blindness to constants
             shifted = flow_functional_bundle(
-                metric_field(grid, chi0, phi + 0.7, "spectral"), omega,
-                phi + 0.7)
+                metric_field(grid, chi0, phi + 0.7, "spectral"), omega)
             shift_gap = abs(base["Jhat"] - shifted["Jhat"]) \
                 / max(1.0, abs(base["Jhat"]))
             gaps["jhat_shift"] = max(gaps["jhat_shift"], shift_gap)

@@ -369,20 +369,26 @@ def _forward(low: list, rhs: np.ndarray) -> list:
 class MetricField:
     """chi = chi0 + i ddbar(phi) sampled on a grid, with its lower factor.
 
-    chi0 is a constant form the caller coerced once with as_matrix, as
-    FlowSetup.chi0 is; chi is real when the Hessian is and chi0 has no
-    imaginary part.  low holds the factor chi = L L^* entry by entry
-    (_lower_factor), and det, the traces, the inverse and h all read it.
-    Construction fails with SingularFormError as soon as a pivot is <= 0
-    somewhere, which is the blow-up signal the flow driver listens for; a
-    NaN passes through to the stepper's finiteness check.
+    The metric of the potential phi: hessian is phi's complex Hessian in
+    derivative mode deriv, and every functional of phi and the curvature
+    read phi and deriv from here.  chi0 is a constant form the caller coerced once with as_matrix, as FlowSetup.chi0
+    is; chi is real when the Hessian is and chi0 has no imaginary part.  low
+    holds the factor chi = L L^* entry by entry (_lower_factor), and det,
+    the traces, the inverse and h all read it.  Construction fails with
+    SingularFormError as soon as a pivot is <= 0 somewhere, which is the
+    blow-up signal the flow driver listens for; a NaN passes through to the
+    stepper's finiteness check.
     """
 
-    __slots__ = ("grid", "chi0", "hessian", "chi", "low", "_det")
+    __slots__ = ("grid", "chi0", "phi", "hessian", "deriv", "chi", "low",
+                 "_det")
 
-    def __init__(self, grid: TorusGrid, chi0: np.ndarray, hessian: np.ndarray):
+    def __init__(self, grid: TorusGrid, chi0: np.ndarray, phi: np.ndarray,
+                 hessian: np.ndarray, deriv: str):
         self.grid = grid
         self.chi0 = chi0
+        self.phi = phi
+        self.deriv = deriv
         n = grid.n
         if chi0.shape != (n, n):
             raise ShapeError(
@@ -466,7 +472,8 @@ def form_factor(g) -> np.ndarray:
 def metric_field(grid: TorusGrid, chi0: np.ndarray, phi: np.ndarray,
                  deriv: str = "fd4") -> MetricField:
     """The MetricField of phi over chi0, a form coerced with as_matrix."""
-    return MetricField(grid, chi0, complex_hessian_of(phi, grid, deriv))
+    return MetricField(grid, chi0, phi, complex_hessian_of(phi, grid, deriv),
+                       deriv)
 
 
 def laplacian_w(omega, hessian: np.ndarray) -> np.ndarray:
@@ -490,10 +497,10 @@ def class_constant_c(omega, chi0) -> float:
     return trace_pair(chi0, omega) / n
 
 
-def scalar_curvature(metric: MetricField, deriv: str = "fd4") -> np.ndarray:
+def scalar_curvature(metric: MetricField) -> np.ndarray:
     """R = -chi^{ab} d^2(log det chi)/dz_a dzbar_b on the grid."""
     logdet = np.log(metric.det())
-    hess = complex_hessian_of(logdet, metric.grid, deriv)
+    hess = complex_hessian_of(logdet, metric.grid, metric.deriv)
     inv = metric.inverse()
     val = np.einsum("...ab,...ba->...", inv, hess)
     if np.iscomplexobj(val):

@@ -193,10 +193,10 @@ def test_criterion_07_functional_identities(functionals_suite, criterion):
         metric = metric_field(grid, chi0, phi, "spectral")
         evaluators = [
             (lambda path, key=key: path_functional_bundle(
-                metric, omega, phi, path)[key], 64)
+                metric, omega, path)[key], 64)
             for key in ("J", "I", "Jhat")]
         evaluators.append(
-            (lambda path: eval_mabuchi(metric, phi, path, "spectral"), 32))
+            (lambda path: eval_mabuchi(metric, path), 32))
         for fn, steps in evaluators:
             rel = path_independence_gap(fn, steps=steps)[2]
             path_worst = max(path_worst, rel)

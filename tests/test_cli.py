@@ -49,6 +49,47 @@ def flow_cfg(**overrides):
 NEAR_SINGULAR = [[1e-13, 0.0], [0.0, 1.0]]
 
 
+def raw_cfg(raw, **overrides):
+    """Writer of flow_cfg(**overrides) with every "@" value replaced by the
+    JSON text raw, for numbers json.dumps cannot write."""
+    def write(tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(flow_cfg(**overrides)).replace('"@"', raw))
+        return str(path)
+    return write
+
+
+def bytes_cfg(data):
+    def write(tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(data)
+        return str(path)
+    return write
+
+
+# (writer of a config path, the field its config error names)
+UNUSABLE_CONFIGS = [
+    pytest.param(str, "(config)", id="directory"),
+    pytest.param(bytes_cfg(b"\xff\xfe{}"), "(config)", id="utf16-bom"),
+    pytest.param(raw_cfg("Infinity", tol_converge="@"), "(config)",
+                 id="infinity"),
+    pytest.param(raw_cfg("-Infinity", safety="@"), "(config)",
+                 id="minus-infinity"),
+    pytest.param(raw_cfg("NaN", phi0={"modes": [{"k": [1], "amplitude": "@"}]}),
+                 "(config)", id="nan-amplitude"),
+    pytest.param(raw_cfg("1e400", omega=[["@"]]), "omega[0][0]",
+                 id="overflow-entry"),
+    pytest.param(raw_cfg("[1.0, -1e400]", chi0=[["@"]]), "chi0[0][0]",
+                 id="overflow-pair"),
+    pytest.param(raw_cfg("1e400", t_max="@"), "t_max", id="overflow-float"),
+    pytest.param(raw_cfg("1" + "0" * 400, t_max="@"), "t_max",
+                 id="overflow-int"),
+    pytest.param(raw_cfg("1e400", phi0={"modes": [
+        {"k": [1], "amplitude": 0.3, "phase": "@"}]}),
+        "phi0.modes[0].phase", id="overflow-phase"),
+]
+
+
 class TestExitCodes:
     def test_distinct_codes(self):
         codes = {EXIT_OK, EXIT_PROPERTY_FAILURE, EXIT_SCHEMA,
@@ -95,6 +136,14 @@ class TestExitCodes:
 
     def test_schema_missing_file(self, tmp_path):
         assert main(["flow", str(tmp_path / "absent.json")]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("write, field", UNUSABLE_CONFIGS)
+    def test_unusable_config_is_a_schema_error(self, tmp_path, capsys, write,
+                                               field):
+        assert main(["flow", write(tmp_path)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field {field!r}")
+        assert "Traceback" not in err
 
     def test_inadmissible_form(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "f.json", flow_cfg(chi0=[[-2.0]]))
@@ -422,7 +471,21 @@ class TestConeCommand:
         (lambda data: dict(data, curves=[
             {k: v for k, v in c.items() if k != "self"}
             for c in data["curves"]]), "'self'"),
-    ], ids=["no-rank", "top-level-list", "curve-without-self"])
+        (lambda data: dict(data, rank="x"), "'rank'"),
+        (lambda data: dict(data, rank=True), "'rank'"),
+        (lambda data: dict(data, Q=5), "'Q'"),
+        (lambda data: dict(data, reference_kahler="2,-1"),
+         "'reference_kahler'"),
+        (lambda data: dict(data, curves=5), "'curves'"),
+        (lambda data: dict(data, curves=[
+            dict(c, **{"class": 1}) for c in data["curves"]]), "'class'"),
+        (lambda data: dict(data, Q=["1", "0", "0", "x"]), "'x'"),
+        (lambda data: dict(data, Q=["1", "0", "0", "1/0"]), "'1/0'"),
+        (lambda data: dict(data, Q=["1", "0", "0", math.nan]), "float"),
+    ], ids=["no-rank", "top-level-list", "curve-without-self", "rank-string",
+            "rank-bool", "q-number", "reference-string", "curves-number",
+            "class-number", "entry-not-rational", "entry-zero-denominator",
+            "entry-nan"])
     def test_malformed_lattice_file(self, tmp_path, capsys, mangle, names):
         data = builtin_lattice("blowup_p2_1").as_dict()
         path = tmp_path / "lattice.json"
@@ -430,6 +493,15 @@ class TestConeCommand:
         assert main(["cone", str(path), "--alpha", "3,1"]) == EXIT_SCHEMA
         err = capsys.readouterr().err
         assert err.startswith("lattice error:") and names in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("write", [str, bytes_cfg(b"\xff\xfe{}")],
+                             ids=["directory", "utf16-bom"])
+    def test_unreadable_lattice_file(self, tmp_path, capsys, write):
+        assert main(["cone", write(tmp_path), "--alpha", "1"]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'lattice'")
+        assert "Traceback" not in err
 
     def test_unknown_lattice(self, tmp_path, capsys):
         assert main(["cone", "no_such_lattice", "--alpha", "1,0"]) == EXIT_SCHEMA

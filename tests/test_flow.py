@@ -160,8 +160,7 @@ class TestStepping:
         from jflow import flow_functional_bundle
 
         def jhat(state):
-            return flow_functional_bundle(state.metric, setup.omega,
-                                          state.phi)["Jhat"]
+            return flow_functional_bundle(state.metric, setup.omega)["Jhat"]
 
         setup = small_setup()
         state = initial_state(setup, cosine_mode(setup.grid, [1], 0.2))
@@ -328,8 +327,7 @@ class TestControlledRun:
         state = initial_state(setup, phi0)
 
         def jhat(st):
-            return flow_functional_bundle(st.metric, setup.omega,
-                                          st.phi)["Jhat"]
+            return flow_functional_bundle(st.metric, setup.omega)["Jhat"]
 
         j0 = jhat(state)
         nsteps = int(np.ceil(1.0 / parabolic_dt(setup, state)))

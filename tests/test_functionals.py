@@ -110,16 +110,15 @@ class TestPathFunctionals:
         vol = volume_of(chi0, grid)
         trace = np.trace(np.linalg.solve(chi0, omega))
         bundle = flow_functional_bundle(metric_field(grid, chi0, const),
-                                        omega, const)
+                                        omega)
         assert bundle["I"] == pytest.approx(0.7 * vol, rel=1e-12)
         assert bundle["J"] == pytest.approx(0.7 * trace * vol, rel=1e-12)
         assert bundle["Jhat"] == pytest.approx(0.0, abs=1e-9 * abs(0.7 * vol))
 
     def test_jhat_constant_shift_invariance(self, setup_n2):
         grid, omega, chi0, phi = setup_n2
-        a = flow_functional_bundle(metric_field(grid, chi0, phi), omega, phi)
-        b = flow_functional_bundle(metric_field(grid, chi0, phi + 0.9), omega,
-                                   phi + 0.9)
+        a = flow_functional_bundle(metric_field(grid, chi0, phi), omega)
+        b = flow_functional_bundle(metric_field(grid, chi0, phi + 0.9), omega)
         assert b["Jhat"] == pytest.approx(a["Jhat"], rel=1e-9)
 
     def test_path_independence(self, setup_n2):
@@ -129,7 +128,7 @@ class TestPathFunctionals:
         for key in ("J", "I", "Jhat"):
             _, _, gaps[key] = path_independence_gap(
                 lambda path, key=key: path_functional_bundle(
-                    metric, omega, phi, path)[key])
+                    metric, omega, path)[key])
         assert gaps["J"] < 1e-9
         assert gaps["I"] < 1e-8
         assert gaps["Jhat"] < 1e-8
@@ -154,8 +153,8 @@ class TestPathFunctionals:
         phi = cosine_mode(grid, [1] + [0] * (n - 1), 0.3) + cosine_mode(
             grid, [0] + [1] * (n - 1), 0.2, 0.5)
         metric = metric_field(grid, chi0, phi, "spectral")
-        closed = flow_functional_bundle(metric, omega, phi)
-        swept = path_functional_bundle(metric, omega, phi, PathSpec())
+        closed = flow_functional_bundle(metric, omega)
+        swept = path_functional_bundle(metric, omega, PathSpec())
         for key in ("J", "I", "Jhat"):
             assert closed[key] == pytest.approx(swept[key], rel=1e-12)
 
@@ -163,13 +162,13 @@ class TestPathFunctionals:
 class TestEnergyChain:
     def test_terms_nonnegative(self, setup_n2):
         grid, _, chi0, phi = setup_n2
-        terms = aubin_yau_terms(metric_field(grid, chi0, phi), phi)
+        terms = aubin_yau_terms(metric_field(grid, chi0, phi))
         scale = max(abs(t) for t in terms)
         assert all(t >= -1e-12 * scale for t in terms)
 
     def test_sandwich_inequalities(self, setup_n2):
         grid, _, chi0, phi = setup_n2
-        ie, je = eval_IE_JE(metric_field(grid, chi0, phi), phi)
+        ie, je = eval_IE_JE(metric_field(grid, chi0, phi))
         n = grid.n
         slack = 1e-12 * max(1.0, abs(ie))
         assert ie >= -slack
@@ -181,16 +180,15 @@ class TestEnergyChain:
         # I^E of a single spectral mode has the closed form a^2 / 8
         grid = TorusGrid(n=1, points=32)
         phi = cosine_mode(grid, [1], 0.6)
-        ie, je = eval_IE_JE(metric_field(grid, np.eye(1), phi, "spectral"),
-                            phi, "spectral")
+        ie, je = eval_IE_JE(metric_field(grid, np.eye(1), phi, "spectral"))
         assert ie == pytest.approx(0.6**2 / 8.0, rel=1e-12)
         assert je == pytest.approx(ie / 2.0, rel=1e-12)
 
     def test_second_form_agreement_spectral(self, setup_n2):
         grid, _, chi0, phi = setup_n2
         metric = metric_field(grid, chi0, phi, "spectral")
-        ie, _ = eval_IE_JE(metric, phi, "spectral")
-        other = ie_second_form(metric, phi)
+        ie, _ = eval_IE_JE(metric)
+        other = ie_second_form(metric)
         assert other == pytest.approx(ie, rel=1e-12)
 
     def test_second_form_agreement_fd4(self, setup_n2):
@@ -198,8 +196,8 @@ class TestEnergyChain:
         # stencils to commute, so the fd4 routes also agree to rounding
         grid, _, chi0, phi = setup_n2
         metric = metric_field(grid, chi0, phi, "fd4")
-        ie, _ = eval_IE_JE(metric, phi, "fd4")
-        other = ie_second_form(metric, phi)
+        ie, _ = eval_IE_JE(metric)
+        other = ie_second_form(metric)
         assert other == pytest.approx(ie, rel=1e-12)
 
     def test_second_form_agreement_n3(self):
@@ -209,14 +207,13 @@ class TestEnergyChain:
             grid, [0, 1, 1], 0.2, 0.5
         )
         metric = metric_field(grid, chi0, phi, "fd4")
-        ie, _ = eval_IE_JE(metric, phi, "fd4")
-        other = ie_second_form(metric, phi)
+        ie, _ = eval_IE_JE(metric)
+        other = ie_second_form(metric)
         assert other == pytest.approx(ie, rel=1e-12)
 
     def test_zero_field_energies_vanish(self, setup_n2):
         grid, _, chi0, _ = setup_n2
-        ie, je = eval_IE_JE(metric_field(grid, chi0, grid.zeros()),
-                            grid.zeros())
+        ie, je = eval_IE_JE(metric_field(grid, chi0, grid.zeros()))
         assert ie == pytest.approx(0.0, abs=1e-15)
         assert je == pytest.approx(0.0, abs=1e-15)
 
@@ -259,7 +256,7 @@ class TestEntropyAndCurvature:
         chi0 = np.array([[1.5]])
         phi = cosine_mode(grid, [1], 0.4) + cosine_mode(grid, [2], 0.1, 0.3)
         metric = metric_field(grid, chi0, phi)
-        m = eval_mabuchi(metric, phi)
+        m = eval_mabuchi(metric)
         s = eval_entropy(metric)
         assert m == pytest.approx(s, rel=1e-9)
 
@@ -277,7 +274,7 @@ class TestEntropyAndCurvature:
             phi = cosine_mode(grid, [1, 0, 0], 0.3) + cosine_mode(
                 grid, [0, 1, 1], 0.2, 0.5)
         metric = metric_field(grid, chi0, phi, "spectral")
-        m = eval_mabuchi(metric, phi, PathSpec("linear", 32), "spectral")
+        m = eval_mabuchi(metric, PathSpec("linear", 32))
         assert m == pytest.approx(eval_entropy(metric), rel=1e-10)
 
     def test_mabuchi_entropy_gap_shrinks_fd4(self, setup_n2):
@@ -287,7 +284,7 @@ class TestEntropyAndCurvature:
             grid = TorusGrid(n=2, points=points)
             phi = _n2_potential(grid)
             metric = metric_field(grid, chi0, phi, "fd4")
-            m = eval_mabuchi(metric, phi, PathSpec("linear", 32), "fd4")
+            m = eval_mabuchi(metric, PathSpec("linear", 32))
             gaps.append(abs(m - eval_entropy(metric)))
         assert gaps[1] * 4.0 <= gaps[0]
 
@@ -295,7 +292,7 @@ class TestEntropyAndCurvature:
         grid, _, chi0, phi = setup_n2
         metric = metric_field(grid, chi0, phi)
         _, _, gap = path_independence_gap(
-            lambda path: eval_mabuchi(metric, phi, path), steps=32)
+            lambda path: eval_mabuchi(metric, path), steps=32)
         assert gap < 1e-6
 
 

@@ -87,8 +87,6 @@ class TestRelativeSpectrum:
     def test_diagonal_pair(self):
         spec = relative_spectrum(np.eye(3), np.diag([2.0, 3.0, 5.0]))
         assert np.allclose(spec.lambdas, [2.0, 3.0, 5.0])
-        assert np.allclose(spec.mus, [0.5, 1.0 / 3.0, 0.2])
-        assert spec.dim == 3
         assert spec.trace_of_inverse() == pytest.approx(31.0 / 30.0, abs=1e-14)
 
     def test_congruence_invariance(self, rng):

@@ -386,9 +386,11 @@ class TestMetricField:
     def test_background_shape_validation(self):
         grid = TorusGrid(n=2, points=8)
         with pytest.raises(ShapeError):
-            MetricField(grid, np.eye(3), np.zeros(grid.shape + (2, 2)))
+            MetricField(grid, np.eye(3), grid.zeros(),
+                        np.zeros(grid.shape + (2, 2)), "fd4")
         with pytest.raises(ShapeError):
-            MetricField(grid, np.eye(2), np.zeros(grid.shape + (3, 3)))
+            MetricField(grid, np.eye(2), grid.zeros(),
+                        np.zeros(grid.shape + (3, 3)), "fd4")
 
     @pytest.fixture
     def sample_metric(self):
@@ -522,7 +524,8 @@ class TestEntrywiseFactor:
                 stack[(3,) * grid.naxes] = point if complex_entries else point.real
                 lapack = _raises(lambda: np.linalg.cholesky(stack),
                                  np.linalg.LinAlgError)
-                ours = _raises(lambda: MetricField(grid, chi0, stack),
+                ours = _raises(lambda: MetricField(grid, chi0, grid.zeros(),
+                                                   stack, "fd4"),
                                SingularFormError)
                 assert ours == lapack
                 outcomes.append(ours)
@@ -536,7 +539,7 @@ class TestEntrywiseFactor:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(stack)
         with pytest.raises(SingularFormError):
-            MetricField(grid, np.zeros((2, 2)), stack)
+            MetricField(grid, np.zeros((2, 2)), grid.zeros(), stack, "fd4")
 
     @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (1, 1)])
     def test_nan_passes_the_pivot_test(self, entry):
@@ -546,7 +549,7 @@ class TestEntrywiseFactor:
         hess = np.zeros(grid.shape + (2, 2))
         hess[(3, 4) + entry] = np.nan
         np.linalg.cholesky(2.0 * np.eye(2) + hess)
-        metric = MetricField(grid, 2.0 * np.eye(2), hess)
+        metric = MetricField(grid, 2.0 * np.eye(2), grid.zeros(), hess, "fd4")
         trace = metric.trace_with(form_factor(np.eye(2)))
         for field in (metric.det(), trace):
             assert np.isnan(field[3, 4])
