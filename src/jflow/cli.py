@@ -74,6 +74,9 @@ EXIT_TIMEOUT = 5
 EXIT_INVARIANT = 6
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
+# cap on points ** naxes, tested before any field of the grid is allocated
+MAX_GRID_CELLS = 2**22
+
 
 class SchemaError(ValueError):
     """A config field is missing, unknown, or has the wrong shape."""
@@ -314,6 +317,9 @@ def _build_problem(cfg: dict, extra_allowed=()) -> dict:
     mode = _as_choice(cfg.get("mode", "invariant"), GRID_MODES, "mode")
     deriv = _as_choice(cfg.get("deriv", "fd4"), DERIV_MODES, "deriv")
     grid = TorusGrid(n=n, points=points, mode=mode)
+    if points ** grid.naxes > MAX_GRID_CELLS:
+        raise SchemaError("points", f"points ** {grid.naxes} exceeds "
+                          f"{MAX_GRID_CELLS} grid cells")
     phi0_spec = _parse_phi0(cfg.get("phi0"), grid.naxes, "phi0")
     phi0 = _build_phi0(phi0_spec, grid, chi0, deriv)
     resolved = {

@@ -10,8 +10,9 @@ dead modes (axis frequencies in {0, N/2}).  Each Newton step solves
 (-Ltilde) delta = residual by preconditioned conjugate gradients restricted
 to the orthogonal complement of the dead modes, then backtracks on the step
 length until the sup residual strictly decreases and the metric stays
-positive.  The additive gauge is fixed by removing the grid mean after
-every accepted step.
+positive.  The additive gauge is fixed by removing the grid mean from
+every iterate.  Each iterate is a flow.FlowState of one FlowSetup, built by
+flow.flow_state, so the residual is the flow velocity phidot of the state.
 
 The preconditioner is the exact inverse of -Ltilde with h frozen at its
 grid mean: a constant-coefficient operator, diagonal in Fourier space, whose
@@ -30,14 +31,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .hermitian import SettingError, SingularFormError, as_matrix
+from .flow import FlowSetup, FlowState, flow_state
+from .hermitian import SettingError, SingularFormError
 from .torus import (
     MetricField,
     TorusGrid,
-    class_constant_c,
     complex_hessian_of,
-    form_factor,
-    metric_field,
     null_mode_projection,
     symbol_mesh,
 )
@@ -109,14 +108,11 @@ def _mean_symbol_inverse(grid: TorusGrid, h: np.ndarray, deriv: str):
     return apply
 
 
-def residual_field(grid: TorusGrid, omega_factor: np.ndarray,
-                   chi0: np.ndarray, phi: np.ndarray, c: float,
-                   deriv: str = "fd4") -> tuple:
-    """(c - Lambda/n, metric) for phi; omega_factor = form_factor(omega)
-    and chi0 is coerced with as_matrix, as newton_solve does once."""
-    metric = metric_field(grid, chi0, phi, deriv)
-    lam = metric.trace_with(omega_factor)
-    return c - lam / grid.n, metric
+def residual_field(setup: FlowSetup, phi: np.ndarray) -> FlowState:
+    """The FlowState of phi with its grid mean removed, Newton's gauge; its
+    phidot is the residual c - Lambda/n."""
+    phi = np.asarray(phi, dtype=float)
+    return flow_state(setup, phi - phi.mean())
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -184,57 +180,45 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
     admissibility cannot be kept at the damping floor, or max_iters is
     exhausted (typical when the class pair violates the cone condition).
     """
-    om = as_matrix(omega)
-    ch = as_matrix(chi0)
-    c = class_constant_c(om, ch)
-    om_factor = form_factor(om)
-    phi = np.array(phi_init, dtype=float)
-    phi -= phi.mean()
+    setup = FlowSetup(grid=grid, omega=omega, chi0=chi0, deriv=deriv)
     report = NewtonReport(converged=False, iterations=0)
-
-    res, metric = residual_field(grid, om_factor, ch, phi, c, deriv)
-    sup_res = float(np.max(np.abs(res)))
-    report.residuals.append(sup_res)
+    state = residual_field(setup, phi_init)
+    report.residuals.append(state.residual)
 
     for it in range(1, settings.max_iters + 1):
-        if sup_res < settings.tol:
+        if state.residual < settings.tol:
             report.converged = True
             report.message = "residual below tolerance"
             break
-        h = metric.h_matrix(om)
+        h = state.metric.h_matrix(setup.omega)
         precond = _mean_symbol_inverse(grid, h, deriv)
-        delta, cg_iters = _pcg(lambda v: -_ltilde(h, v, grid, deriv), res,
-                               precond, grid, settings.cg_rtol,
+        delta, cg_iters = _pcg(lambda v: -_ltilde(h, v, grid, deriv),
+                               state.phidot, precond, grid, settings.cg_rtol,
                                settings.cg_maxiter)
         report.cg_iterations.append(cg_iters)
 
         s = settings.damping
         accepted = False
         while s >= settings.damping_floor:
-            trial = phi + s * delta
-            trial -= trial.mean()
             try:
-                trial_res, trial_metric = residual_field(
-                    grid, om_factor, ch, trial, c, deriv)
+                trial = residual_field(setup, state.phi + s * delta)
             except SingularFormError:
                 s *= 0.5
                 continue
-            trial_sup = float(np.max(np.abs(trial_res)))
-            if trial_sup < sup_res:
-                phi, res, metric, sup_res = trial, trial_res, trial_metric, trial_sup
-                accepted = True
+            if trial.residual < state.residual:
+                state, accepted = trial, True
                 break
             s *= 0.5
         report.iterations = it
         report.damping_history.append(s if accepted else 0.0)
-        report.residuals.append(sup_res)
+        report.residuals.append(state.residual)
         if not accepted:
             report.message = (
                 "no admissible decreasing step above the damping floor"
             )
-            return phi, report
+            return state.phi, report
     else:
-        report.converged = sup_res < settings.tol
+        report.converged = state.residual < settings.tol
         report.message = ("residual below tolerance" if report.converged
                           else "iteration budget exhausted")
-    return phi, report
+    return state.phi, report

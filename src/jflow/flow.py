@@ -10,12 +10,14 @@ run takes.  Under it an accuracy controller sizes each step from the
 embedded third-order estimate of its local error (see step and run), which
 reads phi alone.
 
-Alongside phi the stepper integrates the dissipation
-q(t) = int_0^t n * (int phidot^2 det chi dV) ds with the same RK4 weights,
-reusing the stage evaluations.  The descent identity d(Jhat)/dt = -dq/dt can
-then be checked between any two samples without quadrature error from the
-time axis dominating; the controller never reads Jhat or q, so that check
-stays independent of it.
+Every RK4 stage is a FlowState built by flow_state, the one route from a
+potential to its metric, Lambda, phidot = c - Lambda/n and the residual;
+critical's Newton iterates take the same route.  Alongside phi the stepper
+integrates the dissipation q(t) = int_0^t n * (int phidot^2 det chi dV) ds
+with the same RK4 weights, reading each stage's phidot and metric.  The
+descent identity d(Jhat)/dt = -dq/dt can then be checked between any two
+samples without quadrature error from the time axis dominating; the
+controller never reads Jhat or q, so that check stays independent of it.
 
 A monitor sample integrates no path: J, I and Jhat come in closed form and
 the Mabuchi column is the entropy (see _sample).
@@ -130,18 +132,19 @@ class FlowSetup:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One point of a trajectory: potential, its fields, diagnostics.
+    """A trajectory point, RK4 stage or Newton iterate, with its fields.
 
-    metric and lam = Lambda_chi omega are built once, by _make_state, and
-    every consumer of the state reads them: the residual, the next step's
-    first RK4 stage, and every monitor and functional of a sample; phi is
-    metric.phi.  diss is the accumulated n * int phidot^2 det chi dV ds from
-    t = 0, and err the local error estimate of the step that produced it.
+    metric, lam = Lambda_chi omega, phidot = c - lam/n and residual =
+    sup|phidot| are built once, by flow_state, and every consumer reads
+    them, from RK4 stages and Newton's right-hand side to every monitor of
+    a sample; phi is metric.phi.  diss is the accumulated n * int phidot^2
+    det chi dV ds from t = 0, err the estimate of the step that made it.
     """
 
     t: float
     metric: MetricField
     lam: np.ndarray
+    phidot: np.ndarray
     residual: float
     diss: float = 0.0
     err: float = 0.0
@@ -191,35 +194,27 @@ class RunResult:
     rejected_steps: int = 0
 
 
-def flow_rhs(setup: FlowSetup, metric: MetricField, lam: np.ndarray) -> tuple:
-    """Pointwise velocity field and its dissipation integral, given the
-    trace field lam = Lambda_chi omega of the metric.
-
-    Returns (phidot, n * int phidot^2 det chi dV).
-    """
-    phidot = setup.c - lam / setup.grid.n
-    dens = integrate_top(phidot * phidot * metric.det(), setup.grid)
-    return phidot, setup.grid.n * dens
-
-
-def residual_of(setup: FlowSetup, lam: np.ndarray) -> float:
-    """sup |c - lam/n| for the trace field lam = Lambda_chi omega."""
-    return float(np.max(np.abs(setup.c - lam / setup.grid.n)))
-
-
-def _make_state(setup: FlowSetup, t: float, phi: np.ndarray,
+def flow_state(setup: FlowSetup, phi: np.ndarray, t: float = 0.0,
                diss: float = 0.0) -> FlowState:
-    """Build the state's metric and trace field once; raises
-    SingularFormError if phi is not admissible."""
+    """The state of phi: its metric, lam, phidot = c - lam/n and sup|phidot|,
+    each built once; raises SingularFormError if phi is not admissible."""
     metric = metric_field(setup.grid, setup.chi0, phi, setup.deriv)
     lam = metric.trace_with(setup.omega_factor)
-    return FlowState(t=t, metric=metric, lam=lam,
-                     residual=residual_of(setup, lam), diss=diss)
+    phidot = setup.c - lam / setup.grid.n
+    return FlowState(t=t, metric=metric, lam=lam, phidot=phidot,
+                     residual=float(np.max(np.abs(phidot))), diss=diss)
 
 
 def initial_state(setup: FlowSetup, phi0: np.ndarray) -> FlowState:
     """Validates admissibility of phi0; raises SingularFormError if lost."""
-    return _make_state(setup, 0.0, np.array(phi0, dtype=float))
+    return flow_state(setup, np.array(phi0, dtype=float))
+
+
+def _dissipation_rate(setup: FlowSetup, state: FlowState) -> float:
+    """n * int phidot^2 det chi dV at the state."""
+    dens = integrate_top(state.phidot * state.phidot * state.metric.det(),
+                         setup.grid)
+    return setup.grid.n * dens
 
 
 def dt_control(setup: FlowSetup, state: FlowState) -> float:
@@ -244,28 +239,25 @@ def dt_control(setup: FlowSetup, state: FlowState) -> float:
 def step(setup: FlowSetup, state: FlowState, dt: float) -> FlowState:
     """One RK4 update of (phi, dissipation accumulator).
 
-    The new state's err is (dt/6) sup|k4 - k5|, with k5 = phidot(phi_new)
-    the next step's first stage: the gap to the third-order companion with
+    Stages are FlowStates of one setup, so k_i is stage i's phidot.  The
+    new state's err is (dt/6) sup|k4 - k5|, with k5 = new.phidot the next
+    step's first stage: the gap to the third-order companion with
     weights (1/6, 1/3, 1/3, 0, 1/6), so the estimate costs no extra stage.
 
     Raises SingularFormError if any stage or the result loses positivity
     (the caller reports it as blow-up) and NumericalFailureError on NaN.
     """
-
-    def stage(phi):
-        metric = metric_field(setup.grid, setup.chi0, phi, setup.deriv)
-        return flow_rhs(setup, metric, metric.trace_with(setup.omega_factor))
-
-    k1, d1 = flow_rhs(setup, state.metric, state.lam)
-    k2, d2 = stage(state.phi + 0.5 * dt * k1)
-    k3, d3 = stage(state.phi + 0.5 * dt * k2)
-    k4, d4 = stage(state.phi + dt * k3)
+    s2 = flow_state(setup, state.phi + 0.5 * dt * state.phidot)
+    s3 = flow_state(setup, state.phi + 0.5 * dt * s2.phidot)
+    s4 = flow_state(setup, state.phi + dt * s3.phidot)
+    k1, k2, k3, k4 = state.phidot, s2.phidot, s3.phidot, s4.phidot
+    d1, d2, d3, d4 = (_dissipation_rate(setup, s) for s in (state, s2, s3, s4))
     phi_new = state.phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     diss_new = state.diss + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     if not np.all(np.isfinite(phi_new)):
         raise NumericalFailureError(f"non-finite potential at t={state.t}")
-    new = _make_state(setup, state.t + dt, phi_new, diss_new)
-    k5 = setup.c - new.lam / setup.grid.n
+    new = flow_state(setup, phi_new, state.t + dt, diss_new)
+    k5 = new.phidot
     return replace(new, err=(dt / 6.0) * float(np.max(np.abs(k4 - k5))))
 
 

@@ -230,20 +230,13 @@ def complex_hessian_of(values: np.ndarray, grid: TorusGrid,
     if np.iscomplexobj(values):
         raise ShapeError("the complex Hessian takes a real field")
     n = grid.n
+    # every second derivative differentiates du[j] along axis k >= j once
     du = gradient(values, grid, deriv)
-    cache: dict = {}
-
-    def second(j: int, k: int) -> np.ndarray:
-        key = (j, k) if j <= k else (k, j)
-        if key not in cache:
-            cache[key] = _derivative(du[key[0]], grid, key[1], deriv)
-        return cache[key]
-
     if grid.mode == "invariant":
         hess = np.empty(grid.shape + (n, n))
         for a in range(n):
             for b in range(a, n):
-                block = 0.25 * second(a, b)
+                block = 0.25 * _derivative(du[a], grid, b, deriv)
                 hess[..., a, b] = block
                 if b > a:
                     hess[..., b, a] = block
@@ -252,14 +245,17 @@ def complex_hessian_of(values: np.ndarray, grid: TorusGrid,
     hess = np.empty(grid.shape + (n, n), dtype=np.complex128)
     for a in range(n):
         for b in range(a, n):
-            real = second(a, b) + second(n + a, n + b)
-            imag = second(a, n + b) - second(n + a, b)
+            real = (_derivative(du[a], grid, b, deriv)
+                    + _derivative(du[n + a], grid, n + b, deriv))
+            if b == a:
+                # the imaginary part of a diagonal entry cancels exactly
+                hess[..., a, a] = 0.25 * real
+                continue
+            imag = (_derivative(du[a], grid, n + b, deriv)
+                    - _derivative(du[b], grid, n + a, deriv))
             block = 0.25 * (real + 1j * imag)
             hess[..., a, b] = block
-            if b > a:
-                hess[..., b, a] = np.conj(block)
-            else:
-                hess[..., a, a] = 0.25 * real
+            hess[..., b, a] = np.conj(block)
     return hess
 
 

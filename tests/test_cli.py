@@ -1,15 +1,22 @@
 """End-to-end CLI runs through main(argv): exit codes and report shapes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hsettings
+from hypothesis import strategies as st
 
 from jflow.cli import (
     EXIT_BLOWUP,
@@ -25,7 +32,7 @@ from jflow.cli import (
 from jflow.critical import NewtonSettings
 from jflow.flow import CSV_COLUMNS, FlowSetup
 from jflow.torus import load_field
-from jflow.cone import SurfaceLattice, builtin_lattice
+from jflow.cone import BUILTIN_LATTICES, SurfaceLattice, builtin_lattice
 
 
 def write_cfg(tmp_path, name, payload):
@@ -87,6 +94,13 @@ UNUSABLE_CONFIGS = [
     pytest.param(raw_cfg("1e400", phi0={"modes": [
         {"k": [1], "amplitude": 0.3, "phase": "@"}]}),
         "phi0.modes[0].phase", id="overflow-phase"),
+    # grids past cli.MAX_GRID_CELLS are refused before any field exists
+    pytest.param(raw_cfg("1" + "0" * 30, points="@"), "points",
+                 id="points-huge"),
+    pytest.param(raw_cfg("100000", n=2, points="@",
+                         omega=[[1.0, 0.0], [0.0, 1.0]],
+                         chi0=[[2.0, 0.0], [0.0, 2.0]], phi0={"zero": True}),
+                 "points", id="points-n2"),
 ]
 
 
@@ -599,3 +613,83 @@ class TestReportEnvelope:
         # quiet without a report path prints the headline alone
         assert main([*argv, "--quiet"]) == code
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+LATTICE_DIR = resources.files("jflow.data.lattices")
+
+
+def _shipped_inputs() -> list:
+    """[(name, payload, argv builder)] for every shipped config, its grid
+    cut to 8 points, and every builtin lattice file with --alpha set to its
+    reference class."""
+    commands = {"conditions_pair": "conditions", "critical_newton": "critical",
+                "flow_reference": "flow", "functionals_demo": "functionals"}
+    inputs = []
+    for stem, command in sorted(commands.items()):
+        payload = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
+        if "points" in payload:
+            payload["points"] = 8
+        inputs.append((stem, payload,
+                       lambda path, c=command: [c, path, "--quiet"]))
+    for name in BUILTIN_LATTICES:
+        payload = json.loads((LATTICE_DIR / f"{name}.json").read_text())
+        alpha = ",".join(payload["reference_kahler"])
+        inputs.append((name, payload,
+                       lambda p, a=alpha: ["cone", p, "--alpha", a,
+                                           "--quiet"]))
+    return inputs
+
+
+SHIPPED = _shipped_inputs()
+
+
+def _slots(node, path=()):
+    """Every (container path, key) in a JSON tree."""
+    keys = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in keys:
+        yield path, key
+        if isinstance(value, (dict, list)) and value:
+            yield from _slots(value, path + (key,))
+
+
+def _mutate(payload, path, key, kind, value):
+    tree = json.loads(json.dumps(payload))
+    parent = tree
+    for step in path:
+        parent = parent[step]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "list":
+        old = parent[key]
+        parent[key] = list(old.values()) if isinstance(old, dict) else [old]
+    else:
+        parent[key] = value
+    return tree
+
+
+class TestMutatedShippedInputs:
+    """A shipped config or lattice file with one field dropped, retyped,
+    made non-finite or turned into a list ends in a documented exit code,
+    never in an exception out of main."""
+
+    @given(data=st.data())
+    @hsettings(max_examples=150)
+    def test_documented_exit_code(self, data):
+        name, payload, argv = data.draw(st.sampled_from(SHIPPED))
+        path, key = data.draw(st.sampled_from(list(_slots(payload))))
+        kind = data.draw(st.sampled_from(["drop", "list", "value"]))
+        value = data.draw(st.sampled_from(
+            ["x", True, None, 1, 2.5, {}, [], float("nan"), float("inf"),
+             -float("inf")]))
+        mutated = _mutate(payload, path, key, kind, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / f"{name}.json"
+            target.write_text(json.dumps(mutated), encoding="utf-8")
+            err = io.StringIO()
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(err)):
+                code = main(argv(str(target)))
+        assert code in {EXIT_OK, EXIT_SCHEMA, EXIT_INADMISSIBLE, EXIT_BLOWUP,
+                        EXIT_TIMEOUT, EXIT_INVARIANT}
+        assert "Traceback" not in err.getvalue()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jflow import (
+    FlowSetup,
     NewtonSettings,
     SingularFormError,
     TorusGrid,
@@ -18,7 +19,7 @@ from jflow.critical import (
 )
 from jflow.hermitian import as_matrix
 from jflow.sampling import make_rng, random_admissible_potential
-from jflow.torus import form_factor, metric_field, null_mode_projection
+from jflow.torus import metric_field, null_mode_projection
 
 CHI0 = 2.0 * np.eye(2)
 
@@ -118,8 +119,8 @@ class TestMeanSymbolPreconditioner:
 class TestResidualField:
     def test_zero_at_equilibrium(self):
         grid = TorusGrid(n=2, points=12)
-        res, _ = residual_field(grid, form_factor(np.eye(2)),
-                                2.0 * np.eye(2), grid.zeros(), 0.5)
+        setup = FlowSetup(grid=grid, omega=np.eye(2), chi0=2.0 * np.eye(2))
+        res = residual_field(setup, grid.zeros()).phidot
         assert np.max(np.abs(res)) < 1e-14
 
     def test_sign_convention(self):
@@ -127,8 +128,9 @@ class TestResidualField:
         # residual c - Lambda/n dips negative
         grid = TorusGrid(n=1, points=16)
         phi = cosine_mode(grid, [1], 0.3)
-        res, metric = residual_field(grid, form_factor(np.eye(1)),
-                                     2.0 * np.eye(1), phi, 0.5)
+        setup = FlowSetup(grid=grid, omega=np.eye(1), chi0=2.0 * np.eye(1))
+        state = residual_field(setup, phi)
+        res, metric = state.phidot, state.metric
         idx = int(np.argmin(metric.chi[..., 0, 0].real))
         assert res.ravel()[idx] < 0.0
 
