@@ -10,15 +10,21 @@ dead modes (axis frequencies in {0, N/2}).  Each Newton step solves
 (-Ltilde) delta = residual by preconditioned conjugate gradients restricted
 to the orthogonal complement of the dead modes, then backtracks on the step
 length until the sup residual strictly decreases and the metric stays
-positive.  The additive gauge is fixed by removing the grid mean from
-every iterate.  Each iterate is a flow.FlowState of one FlowSetup, built by
-flow.flow_state, so the residual is the flow velocity phidot of the state.
+positive.  The inner solve is inexact: step k stops CG at the relative
+residual max(cg_rtol, eta_k), with eta_0 = FORCING_MAX and
+eta_k = min(FORCING_MAX, 0.9 (r_k / r_{k-1})^2) from the outer residuals r
+(Eisenstat and Walker's choice 2), so early steps take a few CG iterations
+and the tail keeps quadratic convergence.  The additive gauge is fixed by
+removing the grid mean from every iterate.  Each iterate is a
+flow.FlowState of one FlowSetup, built by flow.flow_state, so the residual
+is the flow velocity phidot of the state.
 
 The preconditioner is the exact inverse of -Ltilde with h frozen at its
 grid mean: a constant-coefficient operator, diagonal in Fourier space, whose
 symbol is built from the first-derivative symbol of the stencil.  One real
 FFT pair applies it and removes the dead modes, and the CG iteration count
-stays flat under grid refinement.
+stays flat under grid refinement.  The operator's own output is cleared of
+dead modes by torus.null_mode_projection, which needs no FFT.
 
 With variable coefficients the pointwise form of Ltilde is not exactly
 self-adjoint; the solver tolerates that with a stagnation guard in the
@@ -28,6 +34,8 @@ inner iteration and treats the returned vector as a quasi-Newton direction.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -41,9 +49,16 @@ from .torus import (
     symbol_mesh,
 )
 
+# forcing term of the first Newton step and ceiling of every later one
+FORCING_MAX = 0.1
+
 
 @dataclass(frozen=True)
 class NewtonSettings:
+    """Settings of newton_solve.  cg_rtol, in (0, 1), is the floor of the
+    forcing term that stops each inner CG solve; damping_floor, in
+    (0, damping], is the shortest step the line search tries."""
+
     tol: float = 1e-9
     max_iters: int = 50
     damping: float = 1.0
@@ -56,6 +71,10 @@ class NewtonSettings:
             raise SettingError("tol", "must be positive")
         if not (0.0 < self.damping <= 1.0):
             raise SettingError("damping", "must lie in (0, 1]")
+        if not (0.0 < self.cg_rtol < 1.0):
+            raise SettingError("cg_rtol", "must lie in (0, 1)")
+        if not (0.0 < self.damping_floor <= self.damping):
+            raise SettingError("damping_floor", "must lie in (0, damping]")
 
 
 @dataclass
@@ -65,6 +84,7 @@ class NewtonReport:
     residuals: list = field(default_factory=list)
     damping_history: list = field(default_factory=list)
     cg_iterations: list = field(default_factory=list)
+    forcing: list = field(default_factory=list)
     message: str = ""
 
     def as_dict(self) -> dict:
@@ -73,10 +93,18 @@ class NewtonReport:
 
 def _ltilde(h: np.ndarray, v: np.ndarray, grid: TorusGrid,
             deriv: str) -> np.ndarray:
-    # Ltilde v; private, so traced Hessian calls sit under newton_solve
-    out = np.einsum("...ab,...ba->...", h,
-                    complex_hessian_of(v, grid, deriv)) / grid.n
-    return out.real if np.iscomplexobj(out) else out
+    # Ltilde v; private, so traced Hessian calls sit under newton_solve.
+    # h and the Hessian are Hermitian with real diagonals, so the trace of
+    # their product is the diagonal plus twice the real upper triangle.
+    hess = complex_hessian_of(v, grid, deriv)
+    n = grid.n
+    out = reduce(add, (h[..., a, a].real * hess[..., a, a].real
+                       for a in range(n)))
+    if n > 1:
+        upper = reduce(add, ((h[..., a, b] * hess[..., b, a]).real
+                             for a in range(n) for b in range(a + 1, n)))
+        out = out + 2.0 * upper
+    return out / n
 
 
 def linearized_apply(metric: MetricField, g, v: np.ndarray) -> np.ndarray:
@@ -184,6 +212,7 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
     report = NewtonReport(converged=False, iterations=0)
     state = residual_field(setup, phi_init)
     report.residuals.append(state.residual)
+    eta = FORCING_MAX
 
     for it in range(1, settings.max_iters + 1):
         if state.residual < settings.tol:
@@ -192,10 +221,12 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
             break
         h = state.metric.h_matrix(setup.omega)
         precond = _mean_symbol_inverse(grid, h, deriv)
+        rtol = max(settings.cg_rtol, eta)
         delta, cg_iters = _pcg(lambda v: -_ltilde(h, v, grid, deriv),
-                               state.phidot, precond, grid, settings.cg_rtol,
+                               state.phidot, precond, grid, rtol,
                                settings.cg_maxiter)
         report.cg_iterations.append(cg_iters)
+        report.forcing.append(rtol)
 
         s = settings.damping
         accepted = False
@@ -217,6 +248,9 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
                 "no admissible decreasing step above the damping floor"
             )
             return state.phi, report
+        # Eisenstat-Walker choice 2 with gamma = 0.9, alpha = 2
+        eta = min(FORCING_MAX,
+                  0.9 * (report.residuals[-1] / report.residuals[-2]) ** 2)
     else:
         report.converged = state.residual < settings.tol
         report.message = ("residual below tolerance" if report.converged

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -264,16 +265,25 @@ def null_mode_projection(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
     These are the 2^naxes Fourier bins whose frequency along every axis lies
     in {0, N/2} (the mean among them).  Both derivative modes annihilate
-    exactly this set.
+    exactly this set.  The dead bins span exactly the fields that depend
+    only on the parity of each grid index, so on an even grid the
+    projection subtracts from each parity class its own mean; on an odd
+    grid only the mean is dead.  Real and complex fields alike.
     """
-    real = not np.iscomplexobj(values)
-    # rfftn keeps bins 0..N//2 of the last axis, which hold both dead bins
-    vhat = np.fft.rfftn(values) if real else np.fft.fftn(values)
-    dead = [0, grid.points // 2] if grid.points % 2 == 0 else [0]
-    vhat[np.ix_(*([np.array(dead)] * grid.naxes))] = 0.0
-    if real:
-        return np.fft.irfftn(vhat, s=values.shape, axes=range(values.ndim))
-    return np.fft.ifftn(vhat)
+    if grid.points % 2:
+        return values - values.mean()
+    # index i = 2 m + p along each axis; summing out every m leaves the
+    # 2^naxes class sums
+    half, naxes = grid.points // 2, grid.naxes
+    lead = (half, 2) * (naxes - 1)
+    sums = values.reshape(lead + (half, 2))
+    for axis in range(0, 2 * naxes, 2):
+        sums = sums.sum(axis=axis, keepdims=True)
+    # the means repeated along the last axis, so the subtraction runs over
+    # whole contiguous rows
+    means = np.tile(sums.reshape(sums.shape[:-2] + (2,)), half) / half**naxes
+    rows = values.reshape(lead + (grid.points,))
+    return (rows - means).reshape(values.shape)
 
 
 def integrate_top(values: np.ndarray, grid: TorusGrid) -> float:
@@ -417,17 +427,28 @@ class MetricField:
         return sum((x * x.conj()).real
                    for row in _forward(self.low, factor) for x in row)
 
-    def inverse(self) -> np.ndarray:
-        """chi^{-1} = L^{-*} L^{-1} as a stack, from the triangular inverse."""
+    def _inverse_entries(self) -> list:
+        """Entries of chi^{-1} = L^{-*} L^{-1} from the triangular inverse,
+        each one array over the grid; the lower triangle is the conjugate
+        of the upper."""
         n = self.n
         tri = _forward(self.low, np.eye(n))
-        inv = np.empty(self.chi.shape, dtype=self.chi.dtype)
+        ent = [[None] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
                 entry = sum(tri[k][a].conj() * tri[k][b] for k in range(b, n))
-                inv[..., a, b] = entry
+                ent[a][b] = entry
                 if b > a:
-                    inv[..., b, a] = entry.conj()
+                    ent[b][a] = entry.conj()
+        return ent
+
+    def inverse(self) -> np.ndarray:
+        """chi^{-1} as a stack."""
+        n = self.n
+        inv = np.empty(self.chi.shape, dtype=self.chi.dtype)
+        for a, row in enumerate(self._inverse_entries()):
+            for b in range(n):
+                inv[..., a, b] = row[b]
         return inv
 
     def h_matrix(self, g: np.ndarray) -> np.ndarray:
@@ -435,12 +456,27 @@ class MetricField:
 
         g is a constant form the caller coerced once with as_matrix, as
         FlowSetup.omega is; the product is real when chi is real and g has
-        no imaginary part.
+        no imaginary part.  Built entry by entry as (chi^{-1} g) chi^{-1},
+        skipping the zero entries of g; the lower triangle is the conjugate
+        of the upper and the diagonal is real, exactly.
         """
-        inv = self.inverse()
-        if not (np.iscomplexobj(inv) or g.imag.any()):
+        inv = self._inverse_entries()
+        if not (np.iscomplexobj(inv[0][0]) or g.imag.any()):
             g = g.real
-        return inv @ g @ inv
+        n = self.n
+        left = [[reduce(add, (inv[a][c] * g[c, d]
+                              for c in range(n) if g[c, d]))
+                 for d in range(n)] for a in range(n)]
+        h = np.empty(self.chi.shape, dtype=np.result_type(self.chi, g))
+        for a in range(n):
+            for b in range(a, n):
+                entry = reduce(add, (left[a][d] * inv[d][b] for d in range(n)))
+                if b == a:
+                    h[..., a, a] = entry.real
+                else:
+                    h[..., a, b] = entry
+                    h[..., b, a] = entry.conj()
+        return h
 
     def relative_eigenvalues(self, g: np.ndarray) -> np.ndarray:
         """Eigenvalues of chi against g at every grid point, ascending; g is

@@ -290,6 +290,8 @@ class TestCritical:
         ({"bogus": 1}, "newton.bogus"),
         ({"tol": -1}, "newton.tol"),
         ({"damping": 1.5}, "newton.damping"),
+        ({"cg_rtol": 2}, "newton.cg_rtol"),
+        ({"damping_floor": 2}, "newton.damping_floor"),
     ])
     def test_newton_schema_errors(self, tmp_path, capsys, newton, field):
         cfg = write_cfg(tmp_path, "c.json", self.crit_cfg(newton=newton))

@@ -11,7 +11,9 @@ from jflow import (
     cosine_mode,
     newton_solve,
 )
+from jflow import critical
 from jflow.critical import (
+    _ltilde,
     _mean_symbol_inverse,
     _pcg,
     linearized_apply,
@@ -19,7 +21,7 @@ from jflow.critical import (
 )
 from jflow.hermitian import as_matrix
 from jflow.sampling import make_rng, random_admissible_potential
-from jflow.torus import metric_field, null_mode_projection
+from jflow.torus import complex_hessian_of, metric_field, null_mode_projection
 
 CHI0 = 2.0 * np.eye(2)
 
@@ -61,6 +63,31 @@ class TestLinearizedOperator:
             v = rng.standard_normal(grid.shape)
             val = float(np.sum(v * linearized_apply(metric, np.eye(2), v)))
             assert val <= 1e-10 * float(np.sum(v * v))
+
+    @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
+    @pytest.mark.parametrize("mode,n,points", [
+        ("invariant", 1, 16), ("invariant", 2, 12), ("invariant", 3, 8),
+        ("full", 1, 12), ("full", 2, 8),
+    ])
+    def test_matches_einsum_contraction(self, deriv, mode, n, points):
+        # the upper-triangle contraction against the full einsum trace it
+        # replaced
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        rng = np.random.default_rng([n, points, deriv == "fd4"])
+        a = rng.standard_normal((n, n))
+        if mode == "full":
+            a = a + 1j * rng.standard_normal((n, n))
+        chi0 = as_matrix(a @ a.conj().T + n * np.eye(n))
+        phi = random_admissible_potential(rng, grid, chi0, band=2,
+                                          amplitude=0.8, rel_margin=0.2)
+        metric = metric_field(grid, chi0, phi, deriv)
+        h = metric.h_matrix(as_matrix(np.eye(n)))
+        v = rng.standard_normal(grid.shape)
+        want = np.einsum("...ab,...ba->...", h,
+                         complex_hessian_of(v, grid, deriv)).real / n
+        got = _ltilde(h, v, grid, deriv)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestPcg:
@@ -141,6 +168,12 @@ class TestNewtonSolve:
             NewtonSettings(tol=0.0)
         with pytest.raises(ValueError):
             NewtonSettings(damping=0.0)
+        for cg_rtol in (0.0, 1.0, 2.0):
+            with pytest.raises(ValueError):
+                NewtonSettings(cg_rtol=cg_rtol)
+        for floor in (0.0, 0.75):
+            with pytest.raises(ValueError):
+                NewtonSettings(damping=0.5, damping_floor=floor)
 
     def test_converges_from_moderate_seed(self):
         grid = TorusGrid(n=2, points=16)
@@ -202,6 +235,8 @@ class TestNewtonSolve:
         assert data["converged"] is True
         assert len(data["residuals"]) == data["iterations"] + 1
         assert len(data["cg_iterations"]) == data["iterations"]
+        assert len(data["forcing"]) == len(data["cg_iterations"])
+        assert min(data["forcing"]) >= NewtonSettings().cg_rtol
 
     def test_tiny_cg_budget_still_progresses(self):
         # an inexact inner solve leaves a quasi-Newton direction; the
@@ -231,6 +266,36 @@ class TestNewtonSolve:
             assert max(report.cg_iterations) <= 64
             totals.append(sum(report.cg_iterations))
         assert totals[1] <= 1.5 * totals[0]
+
+    @pytest.mark.parametrize("stream", [9, 10, 11])
+    @pytest.mark.parametrize("n,points,chi0", [
+        (2, 32, CHI0), (3, 12, np.diag([2.0, 1.5, 1.0])),
+    ])
+    def test_inexact_matches_exact_solve(self, monkeypatch, n, points, chi0,
+                                         stream):
+        # the forcing term sizes each inner solve to its Newton step; a zero
+        # ceiling leaves every step at cg_rtol, the exact route
+        grid = TorusGrid(n=n, points=points)
+        phi0 = random_admissible_potential(make_rng(0, stream), grid, chi0,
+                                           band=2, amplitude=0.4)
+        settings = NewtonSettings(tol=1e-10)
+        phi, report = newton_solve(grid, np.eye(n), chi0, phi0, settings)
+        # Eisenstat-Walker choice 2 from the outer residuals
+        res, top = report.residuals, critical.FORCING_MAX
+        eta = [top] + [min(top, 0.9 * (b / a) ** 2)
+                       for a, b in zip(res, res[1:])]
+        assert report.forcing == [max(settings.cg_rtol, e)
+                                  for e in eta[:len(report.forcing)]]
+        monkeypatch.setattr(critical, "FORCING_MAX", 0.0)
+        exact, exact_report = newton_solve(grid, np.eye(n), chi0, phi0,
+                                           settings)
+        assert report.converged and exact_report.converged
+        assert exact_report.forcing == [settings.cg_rtol] * len(
+            exact_report.cg_iterations)
+        assert np.max(np.abs(phi - exact)) <= 1e-8
+        assert report.iterations <= exact_report.iterations + 1
+        assert 3 * sum(report.cg_iterations) <= sum(
+            exact_report.cg_iterations)
 
     def test_fine_grid_solve_converges(self):
         # this N = 128 potential once stalled the inner CG into a zero

@@ -304,6 +304,20 @@ class TestComplexHessian:
         assert np.max(np.abs(h_ful[..., 0, 0].imag)) < 1e-13
 
 
+def _fft_mask_projection(values, grid):
+    """Dead-mode removal by zeroing the dead FFT bins, the route the
+    parity-class means replaced."""
+    vhat = np.fft.fftn(values)
+    dead = [0, grid.points // 2] if grid.points % 2 == 0 else [0]
+    vhat[np.ix_(*([np.array(dead)] * grid.naxes))] = 0.0
+    out = np.fft.ifftn(vhat)
+    return out if np.iscomplexobj(values) else out.real
+
+
+LAYOUTS = [(1, "invariant"), (2, "invariant"), (3, "invariant"),
+           (1, "full"), (2, "full")]
+
+
 class TestNullModes:
     def test_constant_removed(self):
         grid = TorusGrid(n=2, points=16)
@@ -357,6 +371,21 @@ class TestNullModes:
         out = null_mode_projection(f + 1j * g, grid)
         want = null_mode_projection(f, grid) + 1j * null_mode_projection(g, grid)
         assert np.max(np.abs(out - want)) < 1e-14
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("points", [8, 9])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matches_fft_mask_route(self, layout, points, complex_field):
+        n, mode = layout
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        rng = np.random.default_rng([n, points, complex_field])
+        v = rng.standard_normal(grid.shape)
+        if complex_field:
+            v = v + 1j * rng.standard_normal(grid.shape)
+        got = null_mode_projection(v, grid)
+        want = _fft_mask_projection(v, grid)
+        assert got.dtype == v.dtype and got.shape == grid.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(v))
 
 
 class TestPotentialIO:
@@ -489,6 +518,29 @@ class TestEntrywiseFactor:
         for value, want in zip(got, (det, trace, inv, h)):
             assert value.shape == want.shape
             assert np.max(np.abs(value - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("complex_omega", [False, True])
+    @pytest.mark.parametrize("points", [8, 9])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_h_matrix_matches_stack_matmul(self, layout, points,
+                                           complex_omega):
+        # the entrywise h against inv @ g @ inv, the batched-matmul route
+        # it replaced
+        n, mode = layout
+        rng = np.random.default_rng([n, points, complex_omega, 1])
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        chi0 = _random_form(rng, n, mode == "full")
+        omega = _random_form(rng, n, complex_omega)
+        phi = random_admissible_potential(rng, grid, chi0, band=2,
+                                          amplitude=0.8, rel_margin=0.2)
+        metric = metric_field(grid, chi0, phi)
+        inv = metric.inverse()
+        g = omega if (np.iscomplexobj(inv) or omega.imag.any()) else omega.real
+        want = inv @ g @ inv
+        got = metric.h_matrix(omega)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got, np.conj(got.swapaxes(-1, -2)))
 
     def test_form_factor_matches_lapack(self, rng):
         for n in (1, 2, 3, 4):
