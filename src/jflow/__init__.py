@@ -2,11 +2,13 @@
 
 Constant positive Hermitian pairs (omega, chi0) on T^{2n} drive the scalar
 evolution d(phi)/dt = c - Lambda_{chi_phi} omega / n.  The package bundles
-the pointwise spectral conditions controlling convergence, wedge-product
-oracles, the energy functionals the flow descends, an RK4 integrator with
-monitors, a Newton solver for the critical equation, exact rational cone
-arithmetic on surface intersection lattices, and deterministic randomized
-property suites.
+the pointwise spectral conditions controlling convergence, the energy
+functionals the flow descends, an RK4 integrator with monitors, a Newton
+solver for the critical equation, exact rational cone arithmetic on surface
+intersection lattices, and deterministic randomized property suites.  The
+brute-force reference routes the tests check these against (the wedge
+oracle, the linearized operator, the mean scalar curvature) live in
+tests/oracles.py, not here.
 
 Set JFLOW_THREADS before launching to cap the BLAS thread pool; the value is
 copied into the usual thread-count variables here, which works as long as
@@ -21,13 +23,12 @@ if "JFLOW_THREADS" in _os.environ:
                  "VECLIB_MAXIMUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["JFLOW_THREADS"])
 
-from .hermitian import (BOUNDARY_TOL, ConditionReport, RelativeSpectrum,
-                        ShapeError, SingularFormError, check_condition,
-                        condition_margin, cone_form_positive,
-                        relative_spectrum, trace_pair, wedge_oracle)
+from .hermitian import (BOUNDARY_TOL, ConditionReport, ShapeError,
+                        SingularFormError, condition_report,
+                        cone_form_positive, relative_spectrum, trace_pair)
 from .torus import (MetricField, PotentialField, TorusGrid, class_constant_c,
-                    complex_hessian_of, cosine_mode, field_mean,
-                    integrate_top, load_field, metric_field, save_field)
+                    complex_hessian_of, cosine_mode, integrate_top,
+                    load_field, metric_field, save_field)
 from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
                           fit_properness, flow_functional_bundle,
                           ie_second_form, path_independence_gap, volume_of)
@@ -41,8 +42,7 @@ from .cone import (BUILTIN_LATTICES, ConeError, Curve, DivisorSearchReport,
                    class_condition, divisor_search, intersect,
                    lattice_from_dict, load_lattice, nakai_test, signature,
                    verify_certificate)
-from .sampling import (make_rng, random_admissible_potential,
-                       random_positive_pair, report_digest,
+from .sampling import (make_rng, random_admissible_potential, report_digest,
                        run_property_suites)
 
 __version__ = "0.1.0"

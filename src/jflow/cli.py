@@ -56,8 +56,9 @@ from .flow import (FlowSetup, NumericalFailureError, monitor_max_principle,
 from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
                           flow_functional_bundle, ie_second_form,
                           path_functional_bundle, path_independence_gap)
-from .hermitian import (SettingError, SingularFormError, as_matrix,
-                        check_condition, relative_spectrum, require_positive)
+from .hermitian import (CONDITIONS, SettingError, SingularFormError,
+                        as_matrix, condition_report, relative_spectrum,
+                        require_positive)
 from .sampling import (DEFAULT_SIZES, FAULTS, make_rng,
                        random_admissible_potential, report_digest,
                        run_property_suites)
@@ -437,10 +438,10 @@ def cmd_conditions(args) -> tuple:
     normalize = _as_bool(cfg.get("normalize", False), "normalize")
     c = class_constant_c(omega, chi)
     scaled = omega / (n * c) if normalize else omega
-    spec = relative_spectrum(scaled, chi)
+    lam = relative_spectrum(scaled, chi)
     conditions = {}
-    for which in ("C1", "C2", "C3"):
-        rep = check_condition(scaled, chi, which)
+    for which in CONDITIONS:
+        rep = condition_report(lam, which)
         conditions[which] = {"passed": rep.passed,
                              "margin": rep.margin,
                              "boundary": rep.boundary}
@@ -451,8 +452,8 @@ def cmd_conditions(args) -> tuple:
         "n": n,
         "c": c,
         "nc": n * c,
-        "lambdas": [float(v) for v in spec.lambdas],
-        "trace_of_inverse": spec.trace_of_inverse(),
+        "lambdas": [float(v) for v in lam],
+        "trace_of_inverse": float(np.sum(1.0 / lam)),
         "conditions": conditions,
         "cone": conditions["C3"] if n >= 2 else None,
     }

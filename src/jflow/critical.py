@@ -42,7 +42,6 @@ import numpy as np
 from .flow import FlowSetup, FlowState, flow_state
 from .hermitian import SettingError, SingularFormError
 from .torus import (
-    MetricField,
     TorusGrid,
     complex_hessian_of,
     null_mode_projection,
@@ -105,12 +104,6 @@ def _ltilde(h: np.ndarray, v: np.ndarray, grid: TorusGrid,
                              for a in range(n) for b in range(a + 1, n)))
         out = out + 2.0 * upper
     return out / n
-
-
-def linearized_apply(metric: MetricField, g, v: np.ndarray) -> np.ndarray:
-    """Ltilde v = (1/n) h^{ab} (complex Hessian of v)_{ab} in the metric's
-    derivative mode; g is coerced as for MetricField.h_matrix."""
-    return _ltilde(metric.h_matrix(g), v, metric.grid, metric.deriv)
 
 
 def _mean_symbol_inverse(grid: TorusGrid, h: np.ndarray, deriv: str):

@@ -205,11 +205,6 @@ def flow_state(setup: FlowSetup, phi: np.ndarray, t: float = 0.0,
                      residual=float(np.max(np.abs(phidot))), diss=diss)
 
 
-def initial_state(setup: FlowSetup, phi0: np.ndarray) -> FlowState:
-    """Validates admissibility of phi0; raises SingularFormError if lost."""
-    return flow_state(setup, np.array(phi0, dtype=float))
-
-
 def _dissipation_rate(setup: FlowSetup, state: FlowState) -> float:
     """n * int phidot^2 det chi dV at the state."""
     dens = integrate_top(state.phidot * state.phidot * state.metric.det(),
@@ -336,7 +331,7 @@ def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
     at either stop is sampled.
     """
     t_start = time.perf_counter()
-    state = initial_state(setup, phi0)
+    state = flow_state(setup, np.array(phi0, dtype=float))
     ceiling = dt_control(setup, state)
     dt = ceiling
     records = []
@@ -451,25 +446,3 @@ def write_series_csv(path, records: Sequence) -> None:
         for rec in records:
             handle.write(",".join("%.17g" % v for v in rec.row()) + "\n")
 
-
-def wedge_trace_consistency(setup: FlowSetup, state: FlowState) -> float:
-    """Max gap between the wedge and trace forms of the velocity.
-
-    The right-hand side c - (omega wedge chi^{n-1})/(chi^n) evaluated with
-    the brute-force wedge coefficients must match c - Lambda/n pointwise;
-    checked on 16 evenly spaced grid points.
-    """
-    from .hermitian import wedge_oracle
-
-    grid = setup.grid
-    chi = state.metric.chi.reshape(-1, grid.n, grid.n)
-    lam_flat = state.lam.reshape(-1)
-    idx = np.linspace(0, chi.shape[0] - 1, min(16, chi.shape[0]))
-    worst = 0.0
-    for i in idx.astype(int):
-        top = wedge_oracle([(setup.omega, 1), (chi[i], grid.n - 1)])
-        bottom = wedge_oracle([(chi[i], grid.n)])
-        wedge_rhs = setup.c - top / bottom
-        trace_rhs = setup.c - lam_flat[i] / grid.n
-        worst = max(worst, abs(wedge_rhs - trace_rhs))
-    return worst

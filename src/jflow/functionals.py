@@ -231,13 +231,6 @@ def eval_entropy(metric: MetricField) -> float:
     return integrate_top(np.log(det / det0) * det, metric.grid)
 
 
-def average_scalar_curvature(metric: MetricField) -> float:
-    """Volume-weighted mean of R over the grid (0 in the continuum)."""
-    r = scalar_curvature(metric)
-    det = metric.det()
-    return integrate_top(r * det, metric.grid) / integrate_top(det, metric.grid)
-
-
 def eval_mabuchi(metric: MetricField, path: PathSpec = PathSpec()) -> float:
     """Mabuchi energy -int_0^1 int phidot_t (R_t - Rbar_t) chi_t^n/n! dt.
 

@@ -1,13 +1,14 @@
 """Pointwise algebra of positive Hermitian forms.
 
-Everything here works on a single pair of n x n Hermitian coefficient
-matrices (g, chi): relative eigenvalues, the trace pairing chi^{ij} g_{ij},
-the three pointwise cone conditions at the normalization nc = 1, and a
-brute-force wedge-coefficient oracle that expands (1,1)-form products by
-explicit permutation sums.  Batched variants used by the grid code live at
-the bottom; they implement the same permutation expansion vectorized over a
-leading sample axis, and the scalar pencil and margin routes are
-batch-of-one calls into them.
+The scalar routes work on a single pair of n x n Hermitian coefficient
+matrices (g, chi): the relative spectrum, the trace pairing
+chi^{ij} g_{ij}, and the verdicts of the three pointwise cone conditions
+at the normalization nc = 1, each read from one spectrum.  The batched
+routes used by the grid code and the property suites live at the bottom:
+pencil eigenvalues, condition margins and wedge coefficients, the latter
+by the permutation expansion of (1,1)-form products vectorized over a
+leading sample axis.  The scalar pencil and margin routes are batch-of-one
+calls into them.  The brute-force scalar wedge oracle is in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -74,22 +75,9 @@ def trace_pair(a, b) -> float:
     return float(val.real)
 
 
-@dataclass(frozen=True)
-class RelativeSpectrum:
-    """Pencil spectrum of a positive pair (g, chi).
-
-    lambdas[i] are the roots of det(chi - lambda g), ascending.
-    """
-
-    lambdas: np.ndarray
-
-    def trace_of_inverse(self) -> float:
-        """chi^{ij} g_{ij} recovered from the spectrum: sum of 1/lambda."""
-        return float(np.sum(1.0 / self.lambdas))
-
-
-def relative_spectrum(g, chi) -> RelativeSpectrum:
-    """Eigenvalues of chi relative to g via Cholesky pencil reduction."""
+def relative_spectrum(g, chi) -> np.ndarray:
+    """Eigenvalues of chi relative to g via Cholesky pencil reduction: the
+    roots of det(chi - lambda g), ascending, as a read-only array."""
     gm = as_matrix(g)
     cm = as_matrix(chi)
     if gm.shape != cm.shape:
@@ -101,7 +89,7 @@ def relative_spectrum(g, chi) -> RelativeSpectrum:
             f"chi is not positive against g (pencil minimum {lam[0]:.3e})"
         )
     lam.setflags(write=False)
-    return RelativeSpectrum(lambdas=lam)
+    return lam
 
 
 @dataclass(frozen=True)
@@ -123,30 +111,25 @@ class ConditionReport:
 CONDITIONS = ("C1", "C2", "C3")
 
 
-def condition_margin(lambdas: np.ndarray, which: str) -> float:
-    """Margin of C1/C2/C3 for relative eigenvalues lambda, at nc = 1.
+def condition_report(lambdas, which: str) -> ConditionReport:
+    """Verdict of C1/C2/C3 for relative eigenvalues lambda, at nc = 1.
 
     C1: 1/lambda_i < 1 for all i.
     C2: 1/lambda_i < 1/(n-1) for all i (vacuous for n = 1).
     C3: sum over i != k of 1/lambda_i < 1 for all k.
     """
-    margins = condition_margins_batch(np.asarray(lambdas, dtype=float))
+    lam = np.asarray(lambdas, dtype=float)
+    margins = condition_margins_batch(lam)
     if which not in margins:
         raise ValueError(
             f"unknown condition {which!r}; expected one of {CONDITIONS}")
-    return float(margins[which])
-
-
-def check_condition(g, chi, which: str) -> ConditionReport:
-    """Evaluate one of the pointwise conditions C1/C2/C3 for the pair (g, chi)."""
-    spec = relative_spectrum(g, chi)
-    margin = condition_margin(spec.lambdas, which)
+    margin = float(margins[which])
     return ConditionReport(
         which=which,
         passed=bool(margin > BOUNDARY_TOL),
         margin=margin,
         boundary=abs(margin) <= BOUNDARY_TOL,
-        lambdas=tuple(float(x) for x in spec.lambdas),
+        lambdas=tuple(float(x) for x in lam),
     )
 
 
@@ -159,11 +142,11 @@ def cone_form_positive(omega, chi_prime) -> ConditionReport:
         prod_{i != k} lambda_i  -  sum_{i != k} prod_{j != i,k} lambda_j  >  0
 
     is equivalent to condition C3 for the pair.  The reported margin is the
-    normalized one, min_k (1 - sum_{i != k} 1/lambda_i), which matches
-    check_condition(omega, chi', "C3") identically: it is that report
-    under the label "cone".
+    normalized one, min_k (1 - sum_{i != k} 1/lambda_i): it is the C3
+    report of the pair's spectrum under the label "cone".
     """
-    return replace(check_condition(omega, chi_prime, "C3"), which="cone")
+    return replace(condition_report(relative_spectrum(omega, chi_prime), "C3"),
+                   which="cone")
 
 
 def _perm_sign(p: tuple) -> int:
@@ -188,22 +171,6 @@ def _perms_with_signs(m: int) -> tuple:
     return tuple((p, _perm_sign(p)) for p in itertools.permutations(range(m)))
 
 
-def _expand_factors(forms: Sequence) -> list:
-    mats = []
-    for form, mult in forms:
-        if mult < 0:
-            raise ShapeError("multiplicities must be nonnegative")
-        m = as_matrix(form)
-        mats.extend([m] * int(mult))
-    if not mats:
-        raise ShapeError("empty wedge product")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise ShapeError("wedge factors must share one dimension")
-    return mats
-
-
 def _kept_indices(n: int, k, m: int) -> list:
     """Indices a wedge monomial keeps (all n, or all but k), checked
     against the total degree m of its factors."""
@@ -215,37 +182,6 @@ def _kept_indices(n: int, k, m: int) -> list:
             f"total degree {m} does not match kept index count {len(idx)}"
         )
     return idx
-
-
-def wedge_oracle(forms: Sequence, k=None) -> float:
-    """Coefficient of a wedge monomial by brute-force permutation summation.
-
-    forms is a sequence of (form, multiplicity) pairs whose total degree m
-    must be n (k is None, full top degree) or n - 1 (k names the omitted
-    coordinate direction).  The returned value is the literal coefficient of
-    beta_1 ^ ... ^ beta_n, respectively of the monomial omitting beta_k, in
-    the expanded product; for a single form of multiplicity n this equals
-    n! times its determinant.
-
-    The sum runs over pairs of bijections from factor slots to the kept
-    index set:
-
-        sum_{sigma, tau} sign(sigma) sign(tau) prod_s A_s[sigma(s), tau(s)]
-    """
-    mats = _expand_factors(forms)
-    m = len(mats)
-    idx = _kept_indices(mats[0].shape[0], k, m)
-    total = 0.0 + 0.0j
-    perms = _perms_with_signs(m)
-    for sigma, ssign in perms:
-        for tau, tsign in perms:
-            prod = 1.0 + 0.0j
-            for s in range(m):
-                prod *= mats[s][idx[sigma[s]], idx[tau[s]]]
-            total += (ssign * tsign) * prod
-    if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
-        raise ShapeError("wedge coefficient of Hermitian factors must be real")
-    return float(total.real)
 
 
 def wedge_coefficient_batch(mats: Sequence[np.ndarray], n: int, k=None):

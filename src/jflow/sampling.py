@@ -79,11 +79,6 @@ def random_positive_pair_batch(rng: np.random.Generator, n: int,
     return g, chi * scale[:, None, None]
 
 
-def random_positive_pair(rng: np.random.Generator, n: int) -> tuple:
-    g, chi = random_positive_pair_batch(rng, n, 1)
-    return g[0], chi[0]
-
-
 def wavevector_representatives(naxes: int, band: int) -> list:
     """One integer wavevector per +-pair with sup-norm at most band."""
     out = []

@@ -34,7 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .hermitian import ShapeError, SingularFormError, as_matrix, trace_pair
+from .hermitian import (ShapeError, SingularFormError, as_matrix,
+                        pencil_eigenvalues_batch, trace_pair)
 
 TWO_PI = 2.0 * np.pi
 
@@ -134,14 +135,14 @@ def _fd4(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
 def derivative_symbol(grid: TorusGrid, deriv: str = "fd4") -> np.ndarray:
     """Fourier symbol s(k) of the first derivative along one axis.
 
-    first_derivative multiplies FFT bin k (numpy bin order) by i s(k); the
-    spectral derivative applies it directly, and products of it give the
-    symbols of composed-stencil operators.  Period 2pi makes the wavenumbers
-    integers: s(k) = (8 sin k dx - sin 2k dx) / (6 dx) for fd4 and s(k) = k
-    for spectral.  The Nyquist bin is exactly 0 in both: the spectral
-    derivative zeroes it to keep derivatives of real fields real, and the
-    fd4 stencil annihilates it exactly where the formula leaves a rounding
-    residue.
+    Each derivative pass of gradient multiplies FFT bin k (numpy bin order)
+    by i s(k); the spectral derivative applies it directly, and products of
+    it give the symbols of composed-stencil operators.  Period 2pi makes the
+    wavenumbers integers: s(k) = (8 sin k dx - sin 2k dx) / (6 dx) for fd4
+    and s(k) = k for spectral.  The Nyquist bin is exactly 0 in both: the
+    spectral derivative zeroes it to keep derivatives of real fields real,
+    and the fd4 stencil annihilates it exactly where the formula leaves a
+    rounding residue.
     """
     points = grid.points
     # integer wavenumbers in numpy's FFT bin order, built without np.fft:
@@ -190,31 +191,20 @@ def _spectral_derivative(values: np.ndarray, axis: int,
     return out
 
 
-def _check_field(values: np.ndarray, grid: TorusGrid, deriv: str) -> None:
-    if values.shape != grid.shape:
-        raise ShapeError(f"field shape {values.shape} != grid shape {grid.shape}")
-    if deriv not in DERIV_MODES:
-        raise ShapeError(f"derivative mode must be one of {DERIV_MODES}")
-
-
 def _derivative(values: np.ndarray, grid: TorusGrid, axis: int,
                 deriv: str) -> np.ndarray:
-    # input checked by the public caller, once per field
+    # input checked by gradient, once per field
     if deriv == "fd4":
         return _fd4(values, axis, grid.dx)
     return _spectral_derivative(values, axis, grid)
 
 
-def first_derivative(values: np.ndarray, grid: TorusGrid, axis: int,
-                     deriv: str = "fd4") -> np.ndarray:
-    _check_field(values, grid, deriv)
-    if not 0 <= axis < grid.naxes:
-        raise ShapeError(f"axis {axis} out of range for {grid.naxes} axes")
-    return _derivative(values, grid, axis, deriv)
-
-
 def gradient(values: np.ndarray, grid: TorusGrid, deriv: str = "fd4") -> list:
-    _check_field(values, grid, deriv)
+    """First derivatives along every grid axis, in derivative mode deriv."""
+    if values.shape != grid.shape:
+        raise ShapeError(f"field shape {values.shape} != grid shape {grid.shape}")
+    if deriv not in DERIV_MODES:
+        raise ShapeError(f"derivative mode must be one of {DERIV_MODES}")
     return [_derivative(values, grid, j, deriv) for j in range(grid.naxes)]
 
 
@@ -294,10 +284,6 @@ def integrate_top(values: np.ndarray, grid: TorusGrid) -> float:
     if np.iscomplexobj(values):
         return complex(total)
     return float(total)
-
-
-def field_mean(values: np.ndarray, grid: TorusGrid) -> float:
-    return integrate_top(values, grid) / grid.volume
 
 
 @dataclass(frozen=True)
@@ -481,8 +467,6 @@ class MetricField:
     def relative_eigenvalues(self, g: np.ndarray) -> np.ndarray:
         """Eigenvalues of chi against g at every grid point, ascending; g is
         coerced once by the caller, as for h_matrix."""
-        from .hermitian import pencil_eigenvalues_batch
-
         flat = self.chi.reshape(-1, self.n, self.n)
         lam = pencil_eigenvalues_batch(g, flat)
         return lam.reshape(self.grid.shape + (self.n,))

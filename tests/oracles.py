@@ -1,0 +1,99 @@
+"""Reference routes the tests check the package against.
+
+Each one recomputes a quantity the package computes faster, or one no
+package path needs: the brute-force wedge coefficient, the wedge form of
+the flow velocity, the linearized operator of the critical equation at a
+metric, and the volume-weighted mean scalar curvature.  They read the
+package's private helpers where sharing a check keeps it in one place.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from jflow.critical import _ltilde
+from jflow.flow import FlowSetup, FlowState
+from jflow.hermitian import (ShapeError, _kept_indices, _perms_with_signs,
+                             as_matrix)
+from jflow.torus import MetricField, integrate_top, scalar_curvature
+
+
+def _expand_factors(forms: Sequence) -> list:
+    mats = []
+    for form, mult in forms:
+        if mult < 0:
+            raise ShapeError("multiplicities must be nonnegative")
+        m = as_matrix(form)
+        mats.extend([m] * int(mult))
+    if not mats:
+        raise ShapeError("empty wedge product")
+    n = mats[0].shape[0]
+    for m in mats:
+        if m.shape != (n, n):
+            raise ShapeError("wedge factors must share one dimension")
+    return mats
+
+
+def wedge_oracle(forms: Sequence, k=None) -> float:
+    """Coefficient of a wedge monomial by brute-force permutation summation.
+
+    forms is a sequence of (form, multiplicity) pairs whose total degree m
+    must be n (k is None, full top degree) or n - 1 (k names the omitted
+    coordinate direction).  The returned value is the literal coefficient of
+    beta_1 ^ ... ^ beta_n, respectively of the monomial omitting beta_k, in
+    the expanded product; for a single form of multiplicity n this equals
+    n! times its determinant.
+
+    The sum runs over pairs of bijections from factor slots to the kept
+    index set:
+
+        sum_{sigma, tau} sign(sigma) sign(tau) prod_s A_s[sigma(s), tau(s)]
+    """
+    mats = _expand_factors(forms)
+    m = len(mats)
+    idx = _kept_indices(mats[0].shape[0], k, m)
+    total = 0.0 + 0.0j
+    perms = _perms_with_signs(m)
+    for sigma, ssign in perms:
+        for tau, tsign in perms:
+            prod = 1.0 + 0.0j
+            for s in range(m):
+                prod *= mats[s][idx[sigma[s]], idx[tau[s]]]
+            total += (ssign * tsign) * prod
+    if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
+        raise ShapeError("wedge coefficient of Hermitian factors must be real")
+    return float(total.real)
+
+
+def wedge_trace_consistency(setup: FlowSetup, state: FlowState) -> float:
+    """Max gap between the wedge and trace forms of the velocity.
+
+    The right-hand side c - (omega wedge chi^{n-1})/(chi^n) evaluated with
+    the brute-force wedge coefficients must match c - Lambda/n pointwise;
+    checked on 16 evenly spaced grid points.
+    """
+    grid = setup.grid
+    chi = state.metric.chi.reshape(-1, grid.n, grid.n)
+    lam_flat = state.lam.reshape(-1)
+    idx = np.linspace(0, chi.shape[0] - 1, min(16, chi.shape[0]))
+    worst = 0.0
+    for i in idx.astype(int):
+        top = wedge_oracle([(setup.omega, 1), (chi[i], grid.n - 1)])
+        bottom = wedge_oracle([(chi[i], grid.n)])
+        wedge_rhs = setup.c - top / bottom
+        trace_rhs = setup.c - lam_flat[i] / grid.n
+        worst = max(worst, abs(wedge_rhs - trace_rhs))
+    return worst
+
+
+def linearized_apply(metric: MetricField, g, v: np.ndarray) -> np.ndarray:
+    """Ltilde v = (1/n) h^{ab} (complex Hessian of v)_{ab} in the metric's
+    derivative mode; g is coerced as for MetricField.h_matrix."""
+    return _ltilde(metric.h_matrix(g), v, metric.grid, metric.deriv)
+
+
+def average_scalar_curvature(metric: MetricField) -> float:
+    """Volume-weighted mean of R over the grid (0 in the continuum)."""
+    r = scalar_curvature(metric)
+    det = metric.det()
+    return integrate_top(r * det, metric.grid) / integrate_top(det, metric.grid)

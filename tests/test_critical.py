@@ -16,12 +16,12 @@ from jflow.critical import (
     _ltilde,
     _mean_symbol_inverse,
     _pcg,
-    linearized_apply,
     residual_field,
 )
 from jflow.hermitian import as_matrix
 from jflow.sampling import make_rng, random_admissible_potential
 from jflow.torus import complex_hessian_of, metric_field, null_mode_projection
+from oracles import linearized_apply
 
 CHI0 = 2.0 * np.eye(2)
 

@@ -24,9 +24,9 @@ from jflow.flow import (
     _dissipation_rate,
     _jhat_monotone,
     _sample,
-    initial_state,
-    wedge_trace_consistency,
+    flow_state,
 )
+from oracles import wedge_trace_consistency
 
 
 def parabolic_dt(setup, state):
@@ -77,7 +77,7 @@ class TestStepping:
         # s_max^2, with s_max the largest fd4 symbol on the grid.
         grid = TorusGrid(n=2, points=16)
         setup = FlowSetup(grid=grid, omega=np.eye(2), chi0=np.eye(2))
-        state = initial_state(setup, grid.zeros())
+        state = flow_state(setup, grid.zeros())
         k = np.arange(grid.points)
         s_max = np.max((8.0 * np.sin(k * grid.dx)
                         - np.sin(2.0 * k * grid.dx)) / (6.0 * grid.dx))
@@ -97,8 +97,8 @@ class TestStepping:
         ceilings = []
         for grid in grids:
             setup = FlowSetup(grid=grid, omega=np.eye(2), chi0=np.eye(2))
-            ceilings.append(dt_control(setup, initial_state(setup,
-                                                            grid.zeros())))
+            ceilings.append(dt_control(setup, flow_state(setup,
+                                                         grid.zeros())))
         assert ceilings[1] == pytest.approx(ceilings[0] / 2.0, rel=1e-13)
 
     def test_step_error_estimate_is_fourth_order(self):
@@ -107,14 +107,14 @@ class TestStepping:
         setup = small_setup()
         phi0 = (cosine_mode(setup.grid, [1], 0.2)
                 + cosine_mode(setup.grid, [2], 0.1))
-        state = initial_state(setup, phi0)
+        state = flow_state(setup, phi0)
         dt = dt_control(setup, state) / 4.0
         ratio = step(setup, state, dt).err / step(setup, state, dt / 2.0).err
         assert 12.8 < ratio < 20.0
 
     def test_equilibrium_is_stationary(self):
         setup = small_setup()
-        state = initial_state(setup, setup.grid.zeros())
+        state = flow_state(setup, setup.grid.zeros())
         assert state.residual == pytest.approx(0.0, abs=1e-14)
         after = step(setup, state, 0.1)
         assert np.max(np.abs(after.phi)) < 1e-14
@@ -126,7 +126,7 @@ class TestStepping:
         setup = small_setup()
         phi = cosine_mode(setup.grid, [1], 0.2)
         phi[5] = np.nan
-        state = initial_state(setup, phi)
+        state = flow_state(setup, phi)
         assert np.isnan(state.lam).any()
         with pytest.raises(NumericalFailureError):
             step(setup, state, 1e-3)
@@ -138,7 +138,7 @@ class TestStepping:
         setup = small_setup()
         grid = setup.grid
         eps = 1e-5
-        state = initial_state(setup, cosine_mode(grid, [1], eps))
+        state = flow_state(setup, cosine_mode(grid, [1], eps))
         s = (8.0 * np.sin(grid.dx) - np.sin(2.0 * grid.dx)) / (6.0 * grid.dx)
         rate = s * s / 16.0
         horizon = 3.0
@@ -162,7 +162,7 @@ class TestStepping:
             return flow_functional_bundle(state.metric, setup.omega)["Jhat"]
 
         setup = small_setup()
-        state = initial_state(setup, cosine_mode(setup.grid, [1], 0.2))
+        state = flow_state(setup, cosine_mode(setup.grid, [1], 0.2))
         j0 = jhat(state)
         dt = parabolic_dt(setup, state)
         for _ in range(50):
@@ -172,13 +172,13 @@ class TestStepping:
 
     def test_positivity_loss_raises(self):
         setup = small_setup()
-        state = initial_state(setup, cosine_mode(setup.grid, [1], 0.5))
+        state = flow_state(setup, cosine_mode(setup.grid, [1], 0.5))
         with pytest.raises(SingularFormError):
             step(setup, state, 1e6)
 
     def test_rhs_dissipation_nonnegative(self):
         setup = small_setup()
-        state = initial_state(setup, cosine_mode(setup.grid, [1], 0.3))
+        state = flow_state(setup, cosine_mode(setup.grid, [1], 0.3))
         phidot, diss = state.phidot, _dissipation_rate(setup, state)
         assert diss >= 0.0
         want = (setup.c
@@ -191,7 +191,7 @@ class TestStepping:
         # on a cell-centred grid is cos(dx/2) rather than 1.
         grid = TorusGrid(n=1, points=64)
         setup = FlowSetup(grid=grid, omega=np.eye(1), chi0=2.0 * np.eye(1))
-        state = initial_state(setup, cosine_mode(grid, [1], 1.0))
+        state = flow_state(setup, cosine_mode(grid, [1], 1.0))
         s = (8.0 * np.sin(grid.dx) - np.sin(2.0 * grid.dx)) / (6.0 * grid.dx)
         want = (1.0 + s * s / 4.0) * np.cos(grid.dx / 2.0)
         assert blowup_monitor(setup, state) == pytest.approx(want, rel=1e-12)
@@ -323,7 +323,7 @@ class TestControlledRun:
         phi0 = (cosine_mode(grid, [1, 0], 0.3)
                 + cosine_mode(grid, [1, 1], 0.15, 0.4)
                 + cosine_mode(grid, [0, 2], 0.05))
-        state = initial_state(setup, phi0)
+        state = flow_state(setup, phi0)
 
         def jhat(st):
             return flow_functional_bundle(st.metric, setup.omega)["Jhat"]
@@ -425,12 +425,12 @@ class TestSeriesOutput:
         setup = FlowSetup(grid=grid, omega=np.diag([1.0, 0.8]),
                           chi0=np.diag([2.0, 2.5]))
         phi0 = cosine_mode(grid, [1, 0], 0.3) + cosine_mode(grid, [1, 1], 0.1)
-        state = initial_state(setup, phi0)
+        state = flow_state(setup, phi0)
         assert wedge_trace_consistency(setup, state) < 1e-12
 
     def test_residual_of_matches_state(self):
         setup = small_setup()
-        state = initial_state(setup, cosine_mode(setup.grid, [1], 0.2))
+        state = flow_state(setup, cosine_mode(setup.grid, [1], 0.2))
         lam = state.metric.trace_with(setup.omega_factor)
         want = float(np.max(np.abs(setup.c - lam / setup.grid.n)))
         assert want == state.residual
@@ -463,7 +463,7 @@ class TestFieldBuilds:
         setup = FlowSetup(grid=grid, omega=np.diag([1.0, 0.8]),
                           chi0=np.diag([2.0, 2.5]))
         phi0 = cosine_mode(grid, [1, 0], 0.3) + cosine_mode(grid, [1, 1], 0.1)
-        return setup, initial_state(setup, phi0)
+        return setup, flow_state(setup, phi0)
 
     def test_sample_reads_state_fields(self, monkeypatch):
         from jflow import MetricField

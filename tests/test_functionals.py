@@ -21,12 +21,12 @@ from jflow import (
 )
 from jflow.functionals import (
     aubin_yau_terms,
-    average_scalar_curvature,
     dbar_energy_matrix,
     dz_gradient,
     mixed_density,
     path_functional_bundle,
 )
+from oracles import average_scalar_curvature
 
 TWO_PI = 2.0 * np.pi
 
