@@ -53,7 +53,7 @@ from .cone import (BUILTIN_LATTICES, ConeError, LatticeError, builtin_lattice,
 from .critical import NewtonSettings, newton_solve
 from .flow import (FlowSetup, NumericalFailureError, monitor_max_principle,
                    run, write_series_csv)
-from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
+from .functionals import (eval_IE_JE, eval_entropy, eval_mabuchi,
                           flow_functional_bundle, ie_second_form,
                           path_functional_bundle, path_independence_gap)
 from .hermitian import (CONDITIONS, SettingError, SingularFormError,
@@ -192,17 +192,21 @@ def _parse_form(cfg: dict, key: str, n: int) -> np.ndarray:
 
 
 _PHI0_MODE_KEYS = ("k", "amplitude", "phase")
-_PHI0_RANDOM_DEFAULTS = {"seed": 0, "band": 2, "amplitude": 0.5,
-                         "rel_margin": 0.25}
+_PHI0_RANDOM_DEFAULTS = {"seed": 0, "band": 2, "amplitude": 0.5}
 
 
-def _parse_phi0(value, naxes: int, path: str) -> dict:
-    """Normalize the initial-potential spec to exactly one variant."""
+def _parse_phi0(value, grid: TorusGrid, path: str) -> dict:
+    """Normalize the initial-potential spec to exactly one variant.
+
+    Wavevector components and the random band are at most points // 2:
+    past it the grid holds no new mode.
+    """
     if value is None:
         return {"zero": True}
     if not isinstance(value, dict):
         raise SchemaError(path, "expected an object")
     variants = ("zero", "modes", "file", "random")
+    half = grid.points // 2
     _reject_unknown(value, variants, path)
     if len(value) != 1:
         raise SchemaError(path, f"exactly one of {variants} must be given")
@@ -222,13 +226,11 @@ def _parse_phi0(value, naxes: int, path: str) -> dict:
         merged = dict(_PHI0_RANDOM_DEFAULTS, **spec)
         merged["seed"] = _as_int(merged["seed"], _join(path, "random.seed"))
         merged["band"] = _as_int(merged["band"], _join(path, "random.band"), 1)
+        if merged["band"] > half:
+            raise SchemaError(_join(path, "random.band"),
+                              f"must be at most points // 2 = {half}")
         merged["amplitude"] = _as_float(
             merged["amplitude"], _join(path, "random.amplitude"), positive=True)
-        merged["rel_margin"] = _as_float(
-            merged["rel_margin"], _join(path, "random.rel_margin"))
-        if not 0.0 < merged["rel_margin"] < 1.0:
-            raise SchemaError(_join(path, "random.rel_margin"),
-                              "must lie strictly between 0 and 1")
         return {"random": merged}
     modes = value["modes"]
     if not isinstance(modes, list) or not modes:
@@ -242,11 +244,14 @@ def _parse_phi0(value, naxes: int, path: str) -> dict:
         if "k" not in mode or "amplitude" not in mode:
             raise SchemaError(mpath, "needs k and amplitude")
         k = mode["k"]
-        if (not isinstance(k, list) or len(k) != naxes
+        if (not isinstance(k, list) or len(k) != grid.naxes
                 or not all(isinstance(x, int) and not isinstance(x, bool)
                            for x in k)):
             raise SchemaError(_join(mpath, "k"),
-                              f"expected {naxes} integer components")
+                              f"expected {grid.naxes} integer components")
+        if any(abs(x) > half for x in k):
+            raise SchemaError(_join(mpath, "k"), f"components must be at "
+                              f"most points // 2 = {half} in magnitude")
         parsed.append({
             "k": list(k),
             "amplitude": _as_float(mode["amplitude"], _join(mpath, "amplitude")),
@@ -281,7 +286,7 @@ def _build_phi0(spec: dict, grid: TorusGrid, chi0: np.ndarray,
     rng = make_rng(params["seed"], stream=7)
     return random_admissible_potential(
         rng, grid, chi0, band=params["band"], amplitude=params["amplitude"],
-        rel_margin=params["rel_margin"], deriv=deriv)
+        deriv=deriv)
 
 
 def _reject_constant(name: str):
@@ -321,7 +326,7 @@ def _build_problem(cfg: dict, extra_allowed=()) -> dict:
     if points ** grid.naxes > MAX_GRID_CELLS:
         raise SchemaError("points", f"points ** {grid.naxes} exceeds "
                           f"{MAX_GRID_CELLS} grid cells")
-    phi0_spec = _parse_phi0(cfg.get("phi0"), grid.naxes, "phi0")
+    phi0_spec = _parse_phi0(cfg.get("phi0"), grid, "phi0")
     phi0 = _build_phi0(phi0_spec, grid, chi0, deriv)
     resolved = {
         "n": n, "points": points, "mode": mode, "deriv": deriv,
@@ -462,17 +467,9 @@ def cmd_conditions(args) -> tuple:
         for k, v in conditions.items())
 
 
-_FUNCTIONAL_DEFAULTS = {"path_steps": 32, "mabuchi_steps": 16,
-                        "compare_paths": True}
-
-
 def cmd_functionals(args) -> tuple:
     cfg = _load_config(args.config)
-    problem = _build_problem(cfg, extra_allowed=_FUNCTIONAL_DEFAULTS)
-    merged = dict(_FUNCTIONAL_DEFAULTS, **cfg)
-    steps = _as_int(merged["path_steps"], "path_steps", 16)
-    mab_steps = _as_int(merged["mabuchi_steps"], "mabuchi_steps", 16)
-    compare = _as_bool(merged["compare_paths"], "compare_paths")
+    problem = _build_problem(cfg)
     grid, omega, chi0 = problem["grid"], problem["omega"], problem["chi0"]
 
     metric = metric_field(grid, as_matrix(chi0), problem["phi0"],
@@ -481,29 +478,24 @@ def cmd_functionals(args) -> tuple:
     ie, je = eval_IE_JE(metric)
     ie2 = ie_second_form(metric)
     entropy = eval_entropy(metric)
-    mabuchi = eval_mabuchi(metric, PathSpec("linear", mab_steps))
-    gaps = None
-    if compare:
-        j_lin, j_quad, j_rel = path_independence_gap(
-            lambda path: path_functional_bundle(metric, omega, path)["Jhat"],
-            steps=steps)
-        m_lin, m_quad, m_rel = path_independence_gap(
-            lambda path: eval_mabuchi(metric, path), steps=mab_steps)
-        gaps = {
-            "Jhat": {"linear": j_lin, "quadratic": j_quad, "rel": j_rel},
-            "mabuchi": {"linear": m_lin, "quadratic": m_quad, "rel": m_rel},
-        }
+    # the Mabuchi value is the linear leg of its path comparison
+    j_lin, j_quad, j_rel = path_independence_gap(
+        lambda path: path_functional_bundle(metric, omega, path)["Jhat"])
+    m_lin, m_quad, m_rel = path_independence_gap(
+        lambda path: eval_mabuchi(metric, path))
     payload = {
-        "config": dict(problem["resolved"], path_steps=steps,
-                       mabuchi_steps=mab_steps, compare_paths=compare),
+        "config": problem["resolved"],
         "c": class_constant_c(omega, chi0),
         "values": {
             "J": bundle["J"], "I": bundle["I"], "Jhat": bundle["Jhat"],
             "IE": ie, "JE": je, "IE_second_form": ie2,
-            "entropy": entropy, "mabuchi": mabuchi,
+            "entropy": entropy, "mabuchi": m_lin,
         },
         "ie_route_gap": abs(ie - ie2) / max(1.0, abs(ie)),
-        "path_gaps": gaps,
+        "path_gaps": {
+            "Jhat": {"linear": j_lin, "quadratic": j_quad, "rel": j_rel},
+            "mabuchi": {"linear": m_lin, "quadratic": m_quad, "rel": m_rel},
+        },
     }
     return EXIT_OK, payload, (f"functionals: Jhat={bundle['Jhat']:.6e} "
                               f"IE={ie:.6e} JE={je:.6e}")

@@ -8,16 +8,16 @@ second-order operator
 which is negative semidefinite with a null space consisting of the stencil
 dead modes (axis frequencies in {0, N/2}).  Each Newton step solves
 (-Ltilde) delta = residual by preconditioned conjugate gradients restricted
-to the orthogonal complement of the dead modes, then backtracks on the step
-length until the sup residual strictly decreases and the metric stays
-positive.  The inner solve is inexact: step k stops CG at the relative
-residual max(cg_rtol, eta_k), with eta_0 = FORCING_MAX and
-eta_k = min(FORCING_MAX, 0.9 (r_k / r_{k-1})^2) from the outer residuals r
-(Eisenstat and Walker's choice 2), so early steps take a few CG iterations
-and the tail keeps quadratic convergence.  The additive gauge is fixed by
-removing the grid mean from every iterate.  Each iterate is a
-flow.FlowState of one FlowSetup, built by flow.flow_state, so the residual
-is the flow velocity phidot of the state.
+to the orthogonal complement of the dead modes, then halves the step
+length from 1, down to DAMPING_FLOOR, until the sup residual strictly
+decreases and the metric stays positive.  The inner solve is inexact: step
+k stops CG at the relative residual max(CG_RTOL, eta_k), with
+eta_0 = FORCING_MAX and eta_k = min(FORCING_MAX, 0.9 (r_k / r_{k-1})^2)
+from the outer residuals r (Eisenstat and Walker's choice 2), so early
+steps take a few CG iterations and the tail keeps quadratic convergence.
+The additive gauge is fixed by removing the grid mean from every iterate.
+Each iterate is a flow.FlowState of one FlowSetup, built by
+flow.flow_state, so the residual is the flow velocity phidot of the state.
 
 The preconditioner is the exact inverse of -Ltilde with h frozen at its
 grid mean: a constant-coefficient operator, diagonal in Fourier space, whose
@@ -51,29 +51,25 @@ from .torus import (
 # forcing term of the first Newton step and ceiling of every later one
 FORCING_MAX = 0.1
 
+# floor of the forcing term, and the iteration cap of each inner CG solve
+CG_RTOL = 1e-10
+CG_MAXITER = 5000
+
+# the line search halves s from 1; it gives up below this step length
+DAMPING_FLOOR = 2.0**-20
+
 
 @dataclass(frozen=True)
 class NewtonSettings:
-    """Settings of newton_solve.  cg_rtol, in (0, 1), is the floor of the
-    forcing term that stops each inner CG solve; damping_floor, in
-    (0, damping], is the shortest step the line search tries."""
+    """Stopping rule of newton_solve: sup residual below tol, or max_iters
+    Newton steps.  The inner solve and line search use module constants."""
 
     tol: float = 1e-9
     max_iters: int = 50
-    damping: float = 1.0
-    cg_rtol: float = 1e-10
-    cg_maxiter: int = 5000
-    damping_floor: float = 2.0**-20
 
     def __post_init__(self):
         if self.tol <= 0.0:
             raise SettingError("tol", "must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise SettingError("damping", "must lie in (0, 1]")
-        if not (0.0 < self.cg_rtol < 1.0):
-            raise SettingError("cg_rtol", "must lie in (0, 1)")
-        if not (0.0 < self.damping_floor <= self.damping):
-            raise SettingError("damping_floor", "must lie in (0, damping]")
 
 
 @dataclass
@@ -214,16 +210,15 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
             break
         h = state.metric.h_matrix(setup.omega)
         precond = _mean_symbol_inverse(grid, h, deriv)
-        rtol = max(settings.cg_rtol, eta)
+        rtol = max(CG_RTOL, eta)
         delta, cg_iters = _pcg(lambda v: -_ltilde(h, v, grid, deriv),
-                               state.phidot, precond, grid, rtol,
-                               settings.cg_maxiter)
+                               state.phidot, precond, grid, rtol, CG_MAXITER)
         report.cg_iterations.append(cg_iters)
         report.forcing.append(rtol)
 
-        s = settings.damping
+        s = 1.0
         accepted = False
-        while s >= settings.damping_floor:
+        while s >= DAMPING_FLOOR:
             try:
                 trial = residual_field(setup, state.phi + s * delta)
             except SingularFormError:

@@ -3,7 +3,7 @@
 The evolution is d(phi)/dt = c - (1/n) Lambda_{chi_phi} omega with constant
 background forms omega and chi0.  Stepping is classical four-stage
 Runge-Kutta under two limits.  The stability ceiling dt_control is
-safety * 2.785 / rho, where rho bounds the frozen-coefficient symbol of the
+SAFETY * 2.785 / rho, where rho bounds the frozen-coefficient symbol of the
 linearization and 2.785 is where the RK4 stability region crosses the
 negative real axis; refreshed at every sample, it is the largest step the
 run takes.  Under it an accuracy controller sizes each step from the
@@ -65,6 +65,9 @@ CSV_COLUMNS = (
 # Wanner, Solving ODEs II, IV.2), rounded down
 RK4_REAL_STABILITY = 2.785
 
+# fraction of the RK4 stability ceiling that caps every step
+SAFETY = 0.9
+
 # a step is accepted when its local error estimate is at most this
 # fraction of dt * sup|phidot|
 STEP_ERROR_TOL = 1e-4
@@ -73,6 +76,9 @@ STEP_ERROR_TOL = 1e-4
 # as zero
 VIOLATION_FLOOR = 1e-13
 
+# a sampled blow-up monitor above this ends the run with verdict "blowup"
+BLOWUP_CEILING = 1e6
+
 
 class NumericalFailureError(RuntimeError):
     """A step produced non-finite values."""
@@ -80,7 +86,7 @@ class NumericalFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowSetup:
-    """Problem data and policy knobs for one flow run.
+    """Problem data, stopping rule and sampling cadence of one flow run.
 
     normalize=True rescales omega so that n * c = 1 (the standard gauge for
     the convergence conditions); the factor applied is kept for the audit
@@ -89,8 +95,8 @@ class FlowSetup:
     defaults: convergence at sup residual 1e-8, sampling every 10 accepted
     steps.  t_max and max_steps are hard stops: run ends no later than
     t = t_max (its last step is shortened to land there) and after at most
-    max_steps accepted steps, whichever comes first.  safety is the
-    fraction of the RK4 stability ceiling (dt_control) capping every step.
+    max_steps accepted steps, whichever comes first.  Step and blow-up
+    policy are module constants: SAFETY, STEP_ERROR_TOL, BLOWUP_CEILING.
     """
 
     grid: TorusGrid
@@ -100,9 +106,7 @@ class FlowSetup:
     normalize: bool = False
     tol_converge: float = 1e-8
     t_max: float = 1e3
-    safety: float = 0.9
     sample_interval: int = 10
-    blowup_ceiling: float = 1e6
     max_steps: int = 10_000_000
     c: float = field(init=False)
     omega_scale: float = field(init=False)
@@ -124,8 +128,6 @@ class FlowSetup:
         object.__setattr__(self, "omega_factor", form_factor(om))
         if not self.t_max > 0.0:
             raise SettingError("t_max", "must be positive")
-        if not (0.0 < self.safety <= 1.0):
-            raise SettingError("safety", "must lie in (0, 1]")
         if self.sample_interval < 1:
             raise SettingError("sample_interval", "must be at least 1")
 
@@ -220,7 +222,7 @@ def dt_control(setup: FlowSetup, state: FlowState) -> float:
     -(1/(4n)) Re sum_ab h_ab w_a conj(w_b) (w_a from torus.symbol_mesh).
     Its modulus is at most rho = (m/4) s_max^2 max_x lambda_max(h), with
     s_max = max |derivative_symbol| and m = 1 on invariant and 2 on full
-    grids.  Returns setup.safety * 2.785 / rho.
+    grids.  Returns SAFETY * 2.785 / rho.
     """
     h = state.metric.h_matrix(setup.omega)
     top = float(np.linalg.eigvalsh(h)[..., -1].max())
@@ -228,7 +230,7 @@ def dt_control(setup: FlowSetup, state: FlowState) -> float:
     wsq = sum(float(np.max((w * np.conj(w)).real))
               for w in symbol_mesh(setup.grid, setup.deriv))
     rho = top * wsq / (4.0 * setup.grid.n)
-    return setup.safety * RK4_REAL_STABILITY / rho
+    return SAFETY * RK4_REAL_STABILITY / rho
 
 
 def step(setup: FlowSetup, state: FlowState, dt: float) -> FlowState:
@@ -377,7 +379,7 @@ def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
             ceiling = dt_control(setup, state)
             dt = min(dt, ceiling)
             take_sample(dt)
-            if records[-1].blowup > setup.blowup_ceiling:
+            if records[-1].blowup > BLOWUP_CEILING:
                 verdict = "blowup"
             elif state.residual < setup.tol_converge and _jhat_monotone(window):
                 verdict = "converged"

@@ -313,6 +313,8 @@ def load_field(path) -> tuple:
     with np.load(path, allow_pickle=False) as archive:
         values = np.asarray(archive["values"])
         header = json.loads(str(archive["header"]))
+    if values.dtype.kind not in "fiu" or not np.isfinite(values).all():
+        raise ValueError("stored values must be finite real numbers")
     grid = TorusGrid(n=int(header["n"]), points=int(header["points"]),
                      mode=str(header["mode"]))
     extra = {k: v for k, v in header.items() if k not in ("n", "points", "mode")}

@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import settings as hsettings
 from hypothesis import strategies as st
 
+from jflow import flow
 from jflow.cli import (
     EXIT_BLOWUP,
     EXIT_BROKEN_PIPE,
@@ -101,6 +102,41 @@ UNUSABLE_CONFIGS = [
                          omega=[[1.0, 0.0], [0.0, 1.0]],
                          chi0=[[2.0, 0.0], [0.0, 2.0]], phi0={"zero": True}),
                  "points", id="points-n2"),
+    # past points // 2 = 8 the grid holds no new mode
+    pytest.param(raw_cfg("1" + "0" * 400, phi0={"modes": [
+        {"k": ["@"], "amplitude": 0.3}]}), "phi0.modes[0].k", id="k-huge"),
+    pytest.param(raw_cfg("-9", phi0={"modes": [
+        {"k": ["@"], "amplitude": 0.3}]}), "phi0.modes[0].k",
+        id="k-past-half"),
+    pytest.param(raw_cfg("9", phi0={"random": {"band": "@"}}),
+                 "phi0.random.band", id="band-past-half"),
+    pytest.param(raw_cfg("200", phi0={"random": {"band": "@"}}),
+                 "phi0.random.band", id="band-huge"),
+]
+
+
+def functionals_cfg(**overrides):
+    cfg = {
+        "n": 1, "points": 16, "omega": [[1.0]], "chi0": [[2.0]],
+        "phi0": {"modes": [{"k": [1], "amplitude": 0.3}]},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+# (command, config, field) for method internals, which are module constants
+# and not config keys: each is an unknown field
+REMOVED_KEYS = [
+    pytest.param("flow", flow_cfg(blowup_ceiling=1e-3), "blowup_ceiling",
+                 id="blowup_ceiling"),
+    pytest.param("flow", flow_cfg(phi0={"random": {"rel_margin": 0.2}}),
+                 "phi0.random.rel_margin", id="rel_margin"),
+    pytest.param("functionals", functionals_cfg(path_steps=64),
+                 "path_steps", id="path_steps"),
+    pytest.param("functionals", functionals_cfg(mabuchi_steps=32),
+                 "mabuchi_steps", id="mabuchi_steps"),
+    pytest.param("functionals", functionals_cfg(compare_paths=False),
+                 "compare_paths", id="compare_paths"),
 ]
 
 
@@ -123,9 +159,10 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "f.json", flow_cfg(t_max=0.5))
         assert main(["flow", cfg, "--quiet"]) == EXIT_TIMEOUT
 
-    def test_flow_blowup_ceiling(self, tmp_path):
+    def test_flow_blowup_ceiling(self, tmp_path, monkeypatch):
         # a ceiling below the monitor's flat value trips at the first sample
-        cfg = write_cfg(tmp_path, "f.json", flow_cfg(blowup_ceiling=1e-3))
+        monkeypatch.setattr(flow, "BLOWUP_CEILING", 1e-3)
+        cfg = write_cfg(tmp_path, "f.json", flow_cfg())
         out = tmp_path / "summary.json"
         assert main(["flow", cfg, "--summary", str(out),
                      "--quiet"]) == EXIT_BLOWUP
@@ -174,10 +211,23 @@ class TestExitCodes:
         assert f"form {key!r} is not positive" in capsys.readouterr().err
 
     def test_out_of_range_setting_is_a_schema_error(self, tmp_path, capsys):
-        # positive, so past the parser, but outside FlowSetup's range
+        # safety is flow.SAFETY, not a config key, so the field is unknown
         cfg = write_cfg(tmp_path, "f.json", flow_cfg(safety=1.5))
         assert main(["flow", cfg]) == EXIT_SCHEMA
         assert "config error: field 'safety'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload, field", REMOVED_KEYS)
+    def test_removed_key_is_a_schema_error(self, tmp_path, capsys, command,
+                                           payload, field):
+        cfg = write_cfg(tmp_path, "c.json", payload)
+        assert main([command, cfg]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(
+            f"config error: field {field!r}: unknown field")
+
+    def test_band_at_half_the_points_accepted(self, tmp_path):
+        cfg = write_cfg(tmp_path, "f.json", flow_cfg(
+            t_max=0.01, phi0={"random": {"band": 8, "amplitude": 0.2}}))
+        assert main(["flow", cfg, "--quiet"]) == EXIT_TIMEOUT
 
     def test_property_failure_via_fault(self, tmp_path):
         out = tmp_path / "prop.json"
@@ -227,14 +277,12 @@ class TestFlowOutputs:
         # defaults are filled in so the report stands on its own
         assert resolved["deriv"] == "fd4"
         assert resolved["normalize"] is False
-        assert resolved["safety"] == 0.9
         # a config that sets no policy key echoes every FlowSetup default
         defaults = {f.name: f.default for f in fields(FlowSetup) if f.init
                     and f.name not in ("grid", "omega", "chi0", "deriv")}
         assert defaults == {
             "normalize": False, "tol_converge": 1e-8, "t_max": 1e3,
-            "safety": 0.9, "sample_interval": 10, "blowup_ceiling": 1e6,
-            "max_steps": 10_000_000,
+            "sample_interval": 10, "max_steps": 10_000_000,
         }
         assert {key: resolved[key] for key in defaults} == defaults
 
@@ -323,7 +371,8 @@ class TestCritical:
         assert "phi0.file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", [
-        "missing", "not-npz", "no-values", "shape-mismatch",
+        "missing", "not-npz", "no-values", "shape-mismatch", "strings",
+        "nan", "inf", "complex",
     ])
     def test_unreadable_phi0_file(self, tmp_path, capsys, kind):
         field_path = tmp_path / "phi.npz"
@@ -334,6 +383,15 @@ class TestCritical:
             np.savez(field_path, header=header)
         elif kind == "shape-mismatch":
             np.savez(field_path, values=np.zeros(5), header=header)
+        elif kind == "strings":
+            np.savez(field_path, values=np.full(32, "0.1"), header=header)
+        elif kind in ("nan", "inf"):
+            values = np.zeros(32)
+            values[3] = float(kind)
+            np.savez(field_path, values=values, header=header)
+        elif kind == "complex":
+            np.savez(field_path, values=np.zeros(32, dtype=complex),
+                     header=header)
         cfg = write_cfg(tmp_path, "c.json", self.crit_cfg(
             phi0={"file": str(field_path)}))
         assert main(["critical", cfg]) == EXIT_SCHEMA
@@ -410,6 +468,11 @@ class TestFunctionalsCommand:
         assert payload["ie_route_gap"] < 1e-10
         assert payload["path_gaps"]["Jhat"]["rel"] < 1e-5
         assert payload["path_gaps"]["mabuchi"]["rel"] < 1e-4
+        # one linear Mabuchi sweep serves the value and the comparison
+        assert values["mabuchi"] == payload["path_gaps"]["mabuchi"]["linear"]
+        # the config echoes the problem alone
+        assert set(payload["config"]) == {"n", "points", "mode", "deriv",
+                                          "omega", "chi0", "phi0"}
 
 
 class TestConeCommand:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jflow import flow
 from jflow import (
     CSV_COLUMNS,
     FlowSetup,
@@ -59,11 +60,7 @@ class TestFlowSetup:
         assert setup.omega_scale == pytest.approx(0.5)
         assert np.allclose(setup.omega, np.diag([1.5, 0.5]))
 
-    def test_safety_validation(self):
-        with pytest.raises(ValueError):
-            small_setup(safety=0.0)
-        with pytest.raises(ValueError):
-            small_setup(safety=1.5)
+    def test_setting_validation(self):
         with pytest.raises(ValueError):
             small_setup(sample_interval=0)
         with pytest.raises(ValueError):
@@ -71,9 +68,9 @@ class TestFlowSetup:
 
 
 class TestStepping:
-    def test_dt_control_flat_example(self):
+    def test_dt_control_flat_example(self, monkeypatch):
         # chi = omega = I in two variables gives h = I, so on an invariant
-        # grid rho = s_max^2 / 4 and the ceiling is safety * 2.785 * 4 /
+        # grid rho = s_max^2 / 4 and the ceiling is SAFETY * 2.785 * 4 /
         # s_max^2, with s_max the largest fd4 symbol on the grid.
         grid = TorusGrid(n=2, points=16)
         setup = FlowSetup(grid=grid, omega=np.eye(2), chi0=np.eye(2))
@@ -84,9 +81,9 @@ class TestStepping:
         assert dt_control(setup, state) == pytest.approx(
             0.9 * 2.785 * 4.0 / s_max**2, rel=1e-13
         )
-        half = FlowSetup(grid=grid, omega=np.eye(2), chi0=np.eye(2),
-                         safety=0.5)
-        assert dt_control(half, state) == pytest.approx(
+        # SAFETY is read at call time
+        monkeypatch.setattr(flow, "SAFETY", 0.5)
+        assert dt_control(setup, state) == pytest.approx(
             0.5 * 2.785 * 4.0 / s_max**2, rel=1e-13
         )
 
@@ -213,8 +210,9 @@ class TestRunVerdicts:
         assert result.verdict == "timeout"
         assert result.final.t == 0.5
 
-    def test_blowup_verdict_via_ceiling(self):
-        setup = small_setup(blowup_ceiling=1e-3, t_max=10.0)
+    def test_blowup_verdict_via_ceiling(self, monkeypatch):
+        monkeypatch.setattr(flow, "BLOWUP_CEILING", 1e-3)
+        setup = small_setup(t_max=10.0)
         result = run(setup, cosine_mode(setup.grid, [1], 0.2))
         assert result.verdict == "blowup"
 
