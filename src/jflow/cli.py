@@ -78,6 +78,8 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 # cap on points ** naxes, tested before any field of the grid is allocated
 MAX_GRID_CELLS = 2**22
 
+MAX_SUITE_SIZE = 100_000  # cap on each proptest suite, 10x the largest default
+
 
 class SchemaError(ValueError):
     """A config field is missing, unknown, or has the wrong shape."""
@@ -123,13 +125,8 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-# policy fields of FlowSetup and NewtonSettings by annotation; flow.py and
-# critical.py postpone annotations, so f.type is the string named here
-_SETTING_PARSERS = {
-    "bool": _as_bool,
-    "int": lambda value, path: _as_int(value, path, 1),
-    "float": lambda value, path: _as_float(value, path, positive=True),
-}
+# checks by f.type, a postponed annotation; the classes check the ranges
+_SETTING_PARSERS = {"bool": _as_bool, "int": _as_int, "float": _as_float}
 
 
 def _setting_fields(cls) -> dict:
@@ -588,6 +585,13 @@ def cmd_proptest(args) -> tuple:
             f"(digest {digest[:16]})")
 
 
+def _suite_size(text: str) -> int:
+    """argparse type of the --*-samples flags, whose errors name the flag."""
+    if not 1 <= int(text) <= MAX_SUITE_SIZE:
+        raise argparse.ArgumentTypeError(f"{text} not in 1..{MAX_SUITE_SIZE}")
+    return int(text)
+
+
 def _add_command(sub, name: str, func, help: str, config: bool = True):
     """Subparser with --quiet and the report flag: a config command takes
     its config path and --summary, the others --out; both set args.report."""
@@ -634,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "randomized property suites", config=False)
     prop_p.add_argument("--seed", type=int, default=0)
     for suite in DEFAULT_SIZES:
-        prop_p.add_argument(f"--{suite}-samples", type=int, default=None)
+        prop_p.add_argument(f"--{suite}-samples", type=_suite_size)
     prop_p.add_argument("--inject-fault", choices=FAULTS, default=None,
                         help="test-only: sabotage a checker to prove the "
                              "suite catches it")

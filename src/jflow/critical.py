@@ -68,8 +68,10 @@ class NewtonSettings:
     max_iters: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise SettingError("tol", "must be positive")
+        if self.max_iters < 1:
+            raise SettingError("max_iters", "must be at least 1")
 
 
 @dataclass

@@ -126,10 +126,12 @@ class FlowSetup:
         object.__setattr__(self, "c", c0)
         object.__setattr__(self, "omega_scale", scale)
         object.__setattr__(self, "omega_factor", form_factor(om))
-        if not self.t_max > 0.0:
-            raise SettingError("t_max", "must be positive")
-        if self.sample_interval < 1:
-            raise SettingError("sample_interval", "must be at least 1")
+        for name in ("tol_converge", "t_max"):
+            if not getattr(self, name) > 0.0:
+                raise SettingError(name, "must be positive")
+        for name in ("sample_interval", "max_steps"):
+            if getattr(self, name) < 1:
+                raise SettingError(name, "must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from .torus import TorusGrid, complex_hessian_of, metric_field
 FAULTS = ("c2-sign",)
 
 _MASK64 = (1 << 64) - 1
+
+_BLOCK_CELLS = 1 << 14  # grid values per block of random_admissible_potential
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -80,15 +83,19 @@ def random_positive_pair_batch(rng: np.random.Generator, n: int,
 
 
 def wavevector_representatives(naxes: int, band: int) -> list:
-    """One integer wavevector per +-pair with sup-norm at most band."""
-    out = []
-    for k in itertools.product(range(-band, band + 1), repeat=naxes):
-        if all(c == 0 for c in k):
-            continue
-        lead = next(c for c in k if c != 0)
-        if lead > 0:
-            out.append(k)
-    return out
+    """One integer wavevector per +-pair with sup-norm at most band: the
+    one whose first nonzero component is positive."""
+    return [k for k in itertools.product(range(-band, band + 1), repeat=naxes)
+            if k > (0,) * naxes]
+
+
+@cache
+def _mode_table(naxes: int, band: int) -> tuple:
+    """Read-only wavevectors and 1 + |k|^2, built once per (naxes, band)."""
+    kvecs = np.array(wavevector_representatives(naxes, band), dtype=np.int64)
+    denom = 1.0 + (kvecs * kvecs).sum(axis=1)
+    kvecs.flags.writeable = denom.flags.writeable = False
+    return kvecs, denom
 
 
 def random_admissible_potential(rng: np.random.Generator, grid: TorusGrid,
@@ -103,22 +110,24 @@ def random_admissible_potential(rng: np.random.Generator, grid: TorusGrid,
     lambda_min(chi0 + s H) >= lambda_min(chi0) + s min lambda_min(H).
     The zero mode is never drawn, so the mean is zero by construction.
     """
-    coords = grid.meshgrid()
+    kvecs, denom = _mode_table(grid.naxes, band)
+    draws = np.array([(rng.standard_normal(), rng.uniform(0.0, 2.0 * np.pi))
+                      for _ in denom]).reshape(-1, 2)
+    coef = amplitude / denom * draws[:, 0]
+    # k.x of a block of modes at once; the modes are added in draw order
     phi = grid.zeros()
-    for k in wavevector_representatives(grid.naxes, band):
-        weight = amplitude / (1.0 + float(sum(c * c for c in k)))
-        coef = weight * rng.standard_normal()
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        arg = sum(c * x for c, x in zip(k, coords))
-        phi = phi + coef * np.cos(arg + phase)
+    block = max(1, _BLOCK_CELLS // phi.size)
+    for lo in range(0, len(denom), block):
+        rows = (slice(lo, lo + block),) + (None,) * grid.naxes
+        arg = sum(kvecs[rows + (j,)] * x
+                  for j, x in enumerate(grid.meshgrid()))
+        phi = sum(coef[rows] * np.cos(arg + draws[rows + (1,)]), phi)
 
     hess = complex_hessian_of(phi, grid, deriv)
     hmin = float(np.linalg.eigvalsh(hess).min())
     lam0 = float(np.linalg.eigvalsh(np.asarray(chi0, dtype=complex)).min())
     if hmin < 0.0:
-        allowed = (1.0 - rel_margin) * lam0
-        scale = min(1.0, allowed / (-hmin))
-        phi = scale * phi
+        phi = min(1.0, (1.0 - rel_margin) * lam0 / (-hmin)) * phi
     return phi
 
 

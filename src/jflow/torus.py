@@ -78,6 +78,13 @@ class TorusGrid:
         # read by every derivative pass, so built once per grid
         return (self.points,) * self.naxes
 
+    @cached_property
+    def spectral_multipliers(self) -> tuple:
+        """Read-only i s(k) shaped for each axis; built once per grid."""
+        mult = 1j * derivative_symbol(self, "spectral")
+        mult.flags.writeable = False
+        return tuple(mult.reshape(x.shape) for x in self.meshgrid())
+
     @property
     def cell_volume(self) -> float:
         suppressed = TWO_PI ** self.n if self.mode == "invariant" else 1.0
@@ -182,13 +189,9 @@ def symbol_mesh(grid: TorusGrid, deriv: str = "fd4") -> list:
 
 def _spectral_derivative(values: np.ndarray, axis: int,
                          grid: TorusGrid) -> np.ndarray:
-    shape = [1] * values.ndim
-    shape[axis] = grid.points
-    mult = (1j * derivative_symbol(grid, "spectral")).reshape(shape)
-    out = np.fft.ifft(np.fft.fft(values, axis=axis) * mult, axis=axis)
-    if not np.iscomplexobj(values):
-        return out.real.copy()
-    return out
+    out = np.fft.ifft(np.fft.fft(values, axis=axis)
+                      * grid.spectral_multipliers[axis], axis=axis)
+    return out if np.iscomplexobj(values) else out.real.copy()
 
 
 def _derivative(values: np.ndarray, grid: TorusGrid, axis: int,

@@ -3,10 +3,14 @@
 Each one recomputes a quantity the package computes faster, or one no
 package path needs: the brute-force wedge coefficient, the wedge form of
 the flow velocity, the linearized operator of the critical equation at a
-metric, and the volume-weighted mean scalar curvature.  They read the
-package's private helpers where sharing a check keeps it in one place.
+metric, the volume-weighted mean scalar curvature, the random admissible
+potential summed one mode per pass over wavevectors found by a scan, and
+the spectral derivative with its multiplier rebuilt on every call.  They
+read the package's private helpers where sharing a check keeps it in one
+place.
 """
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -15,7 +19,8 @@ from jflow.critical import _ltilde
 from jflow.flow import FlowSetup, FlowState
 from jflow.hermitian import (ShapeError, _kept_indices, _perms_with_signs,
                              as_matrix)
-from jflow.torus import MetricField, integrate_top, scalar_curvature
+from jflow.torus import (MetricField, TorusGrid, complex_hessian_of,
+                         derivative_symbol, integrate_top, scalar_curvature)
 
 
 def _expand_factors(forms: Sequence) -> list:
@@ -97,3 +102,53 @@ def average_scalar_curvature(metric: MetricField) -> float:
     r = scalar_curvature(metric)
     det = metric.det()
     return integrate_top(r * det, metric.grid) / integrate_top(det, metric.grid)
+
+
+def representatives_loop(naxes: int, band: int) -> list:
+    """sampling.wavevector_representatives by scanning for each wavevector's
+    leading nonzero component."""
+    out = []
+    for k in itertools.product(range(-band, band + 1), repeat=naxes):
+        if all(c == 0 for c in k):
+            continue
+        lead = next(c for c in k if c != 0)
+        if lead > 0:
+            out.append(k)
+    return out
+
+
+def admissible_potential_loop(rng: np.random.Generator, grid: TorusGrid,
+                              chi0, band: int = 2, amplitude: float = 0.6,
+                              rel_margin: float = 0.25,
+                              deriv: str = "fd4") -> np.ndarray:
+    """sampling.random_admissible_potential with one pass over the grid per
+    mode: the wavevectors and every k.x rebuilt on each call."""
+    coords = grid.meshgrid()
+    phi = grid.zeros()
+    for k in representatives_loop(grid.naxes, band):
+        weight = amplitude / (1.0 + float(sum(c * c for c in k)))
+        coef = weight * rng.standard_normal()
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        arg = sum(c * x for c, x in zip(k, coords))
+        phi = phi + coef * np.cos(arg + phase)
+
+    hess = complex_hessian_of(phi, grid, deriv)
+    hmin = float(np.linalg.eigvalsh(hess).min())
+    lam0 = float(np.linalg.eigvalsh(np.asarray(chi0, dtype=complex)).min())
+    if hmin < 0.0:
+        allowed = (1.0 - rel_margin) * lam0
+        scale = min(1.0, allowed / (-hmin))
+        phi = scale * phi
+    return phi
+
+
+def spectral_derivative_per_call(values: np.ndarray, axis: int,
+                                 grid: TorusGrid) -> np.ndarray:
+    """torus._spectral_derivative with i s(k) rebuilt on every call."""
+    shape = [1] * values.ndim
+    shape[axis] = grid.points
+    mult = (1j * derivative_symbol(grid, "spectral")).reshape(shape)
+    out = np.fft.ifft(np.fft.fft(values, axis=axis) * mult, axis=axis)
+    if not np.iscomplexobj(values):
+        return out.real.copy()
+    return out

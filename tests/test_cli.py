@@ -28,6 +28,8 @@ from jflow.cli import (
     EXIT_PROPERTY_FAILURE,
     EXIT_SCHEMA,
     EXIT_TIMEOUT,
+    MAX_SUITE_SIZE,
+    build_parser,
     main,
 )
 from jflow.critical import NewtonSettings
@@ -211,10 +213,14 @@ class TestExitCodes:
         assert f"form {key!r} is not positive" in capsys.readouterr().err
 
     def test_out_of_range_setting_is_a_schema_error(self, tmp_path, capsys):
-        # safety is flow.SAFETY, not a config key, so the field is unknown
-        cfg = write_cfg(tmp_path, "f.json", flow_cfg(safety=1.5))
-        assert main(["flow", cfg]) == EXIT_SCHEMA
-        assert "config error: field 'safety'" in capsys.readouterr().err
+        # the parsers check types; FlowSetup owns the ranges, and its
+        # SettingError reaches the user as a schema error at the field
+        for key, value in (("t_max", 0), ("tol_converge", -1e-8),
+                           ("sample_interval", 0), ("max_steps", -2)):
+            cfg = write_cfg(tmp_path, "f.json", flow_cfg(**{key: value}))
+            assert main(["flow", cfg]) == EXIT_SCHEMA
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: field {key!r}: "), err
 
     @pytest.mark.parametrize("command, payload, field", REMOVED_KEYS)
     def test_removed_key_is_a_schema_error(self, tmp_path, capsys, command,
@@ -340,6 +346,7 @@ class TestCritical:
         ({"damping": 1.5}, "newton.damping"),
         ({"cg_rtol": 2}, "newton.cg_rtol"),
         ({"damping_floor": 2}, "newton.damping_floor"),
+        ({"max_iters": 0}, "newton.max_iters"),
     ])
     def test_newton_schema_errors(self, tmp_path, capsys, newton, field):
         cfg = write_cfg(tmp_path, "c.json", self.crit_cfg(newton=newton))
@@ -631,6 +638,27 @@ class TestProptestCommand:
             assert code == EXIT_OK
             digests.append(json.loads(out.read_text())["digest"])
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--functionals-samples", "0"), ("--conditions-samples", "-3"),
+        ("--cone-samples", "0"), ("--cone-samples", "100001"),
+        ("--functionals-samples", "2.5")])
+    def test_suite_size_out_of_range(self, capsys, flag, value):
+        # each size flag is an integer from 1 to MAX_SUITE_SIZE; argparse
+        # exits 2 before any suite runs
+        assert MAX_SUITE_SIZE == 100_000
+        with pytest.raises(SystemExit) as exc:
+            main(["proptest", flag, value, "--quiet"])
+        assert exc.value.code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: " in err and "Traceback" not in err
+
+    def test_suite_size_bounds_accepted(self):
+        # parsed only: a suite of MAX_SUITE_SIZE samples is not run here
+        for value in ("1", str(MAX_SUITE_SIZE)):
+            args = build_parser().parse_args(
+                ["proptest", "--functionals-samples", value])
+            assert args.functionals_samples == int(value)
 
     def test_headline_mentions_digest(self, capsys):
         # quiet without --out prints the one-line verdict on stdout

@@ -14,8 +14,10 @@ from jflow import (
     report_digest,
     run_property_suites,
 )
+from jflow import sampling
 from jflow.sampling import (
     FAULTS,
+    _mode_table,
     canonical_json,
     random_positive_pair_batch,
     random_rational_class,
@@ -25,6 +27,7 @@ from jflow.sampling import (
     wavevector_representatives,
 )
 from jflow.torus import metric_field
+from oracles import admissible_potential_loop, representatives_loop
 
 
 class TestGenerators:
@@ -131,6 +134,78 @@ class TestGenerators:
                             old_rng, lattice, accept)
                     assert new_rng.integers(1 << 60) == old_rng.integers(
                         1 << 60)
+
+
+# (n, mode, points, bands): every layout of n = 1, 2, 3 at bands 1-3, but the
+# six-axis grid only at band 1 (364 modes over 262,144 cells, 2 s a route;
+# band 2 would draw 7,812 modes)
+MODE_TABLE_GRIDS = [
+    (1, "invariant", 16, (1, 2, 3)),
+    (1, "full", 16, (1, 2, 3)),
+    (2, "invariant", 16, (1, 2, 3)),
+    (2, "full", 8, (1, 2, 3)),
+    (3, "invariant", 8, (1, 2, 3)),
+]
+
+
+class TestModeTable:
+    """The cached wavevector table and the stacked trig sum against the
+    per-mode loop they replaced: bit-identical potentials and draws."""
+
+    @staticmethod
+    def assert_same_draws(grid, chi0, band, deriv, seed=0, calls=2):
+        new_rng, old_rng = make_rng(seed, band), make_rng(seed, band)
+        for _ in range(calls):
+            new = random_admissible_potential(new_rng, grid, chi0, band=band,
+                                              deriv=deriv)
+            old = admissible_potential_loop(old_rng, grid, chi0, band=band,
+                                            deriv=deriv)
+            assert new.tobytes() == old.tobytes()
+        np.testing.assert_equal(new_rng.bit_generator.state,
+                                old_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
+    @pytest.mark.parametrize("n, mode, points, bands", MODE_TABLE_GRIDS)
+    def test_bitwise_equal_to_per_mode_loop(self, n, mode, points, bands,
+                                            deriv):
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        chi0 = np.diag(np.linspace(1.5, 1.0, n))
+        for band in bands:
+            self.assert_same_draws(grid, chi0, band, deriv)
+
+    def test_six_axis_grid_bitwise_equal(self):
+        # the derivative mode changes only the margin's Hessian, which the
+        # cases above cover; here each mode is a block of its own
+        grid = TorusGrid(n=3, points=8, mode="full")
+        self.assert_same_draws(grid, np.diag([2.0, 1.5, 1.0]), 1, "fd4",
+                               calls=1)
+
+    def test_blocks_of_modes_keep_the_order(self, monkeypatch):
+        # twelve modes in blocks of five, five and two
+        grid = TorusGrid(n=2, points=16)
+        monkeypatch.setattr(sampling, "_BLOCK_CELLS", 5 * 16 * 16 + 3)
+        for deriv in ("fd4", "spectral"):
+            self.assert_same_draws(grid, np.eye(2), 2, deriv, seed=3)
+
+    def test_table_matches_representatives(self):
+        for naxes in (1, 2, 3, 4):
+            for band in (1, 2, 3):
+                reps = wavevector_representatives(naxes, band)
+                assert reps == representatives_loop(naxes, band)
+                kvecs, denom = _mode_table(naxes, band)
+                assert [tuple(k) for k in kvecs.tolist()] == reps
+                assert denom.tolist() == [1.0 + sum(c * c for c in k)
+                                          for k in reps]
+        assert _mode_table(3, 2)[0] is _mode_table(3, 2)[0]
+
+    def test_cached_table_is_read_only(self):
+        kvecs, denom = _mode_table(2, 2)
+        with pytest.raises(ValueError):
+            kvecs[0, 0] = 7
+        with pytest.raises(ValueError):
+            denom[0] = 1.0
+        with pytest.raises(ValueError):
+            denom.sort()
 
 
 class TestSuites:

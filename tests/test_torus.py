@@ -19,6 +19,7 @@ from jflow import (
 )
 from jflow.hermitian import as_matrix
 from jflow.sampling import random_admissible_potential
+from jflow import torus
 from jflow.torus import (
     derivative_symbol,
     form_factor,
@@ -28,6 +29,7 @@ from jflow.torus import (
     scalar_curvature,
     symbol_mesh,
 )
+from oracles import spectral_derivative_per_call
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,6 +130,35 @@ class TestDerivatives:
         f = np.cos(4 * x).reshape(grid.shape)
         got = gradient(f, grid, "spectral")[0]
         assert np.max(np.abs(got + 4 * np.sin(4 * x).reshape(grid.shape))) < 1e-12
+
+    @pytest.mark.parametrize("n, mode, points", [
+        (1, "invariant", 16), (2, "invariant", 9), (2, "full", 12),
+        (3, "invariant", 8)])
+    def test_cached_multiplier_matches_per_call(self, monkeypatch, n, mode,
+                                                points):
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        phi = random_admissible_potential(np.random.default_rng(points), grid,
+                                          np.eye(n), band=3, deriv="spectral")
+
+        def derivatives():
+            return (gradient(phi, grid, "spectral")
+                    + [complex_hessian_of(phi, grid, "spectral")])
+
+        cached = derivatives()
+        monkeypatch.setattr(torus, "_spectral_derivative",
+                            spectral_derivative_per_call)
+        for new, old in zip(cached, derivatives()):
+            assert new.tobytes() == old.tobytes()
+
+    def test_cached_multiplier_is_read_only(self):
+        grid = TorusGrid(n=2, points=16, mode="full")
+        mults = grid.spectral_multipliers
+        assert grid.spectral_multipliers is mults
+        assert [m.shape for m in mults] == [
+            grid.axis_coordinate(j).shape for j in range(4)]
+        for mult in mults:
+            with pytest.raises(ValueError):
+                mult[...] = 0.0
 
     @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
     @pytest.mark.parametrize("points", [16, 9])
