@@ -75,8 +75,12 @@ EXIT_TIMEOUT = 5
 EXIT_INVARIANT = 6
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
-# cap on points ** naxes, tested before any field of the grid is allocated
+# caps tested before any field is allocated: a flow sample expands (n!)^2
+# wedge products per cell, and a phi0.random draw one cosine per mode and cell
 MAX_GRID_CELLS = 2**22
+MAX_N = 4
+MAX_HESSIAN_ENTRIES = 2**24
+MAX_MODE_CELLS = 2**24
 
 MAX_SUITE_SIZE = 100_000  # cap on each proptest suite, 10x the largest default
 
@@ -99,11 +103,14 @@ def _reject_unknown(obj: dict, allowed, path: str) -> None:
             raise SchemaError(_join(path, key), "unknown field")
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _as_int(value, path: str, minimum: int | None = None,
+            maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
         raise SchemaError(path, f"must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise SchemaError(path, f"must be at most {maximum}")
     return value
 
 
@@ -142,7 +149,7 @@ def _build_settings(cls, cfg: dict, path: str, **problem) -> tuple:
     try:
         return cls(**problem, **resolved), resolved
     except SettingError as err:
-        raise SchemaError(_join(path, err.field), str(err)) from None
+        raise SchemaError(_join(path, err.field), err.reason) from None
 
 
 def _as_choice(value, choices, path: str) -> str:
@@ -226,6 +233,10 @@ def _parse_phi0(value, grid: TorusGrid, path: str) -> dict:
         if merged["band"] > half:
             raise SchemaError(_join(path, "random.band"),
                               f"must be at most points // 2 = {half}")
+        modes = ((2 * merged["band"] + 1) ** grid.naxes - 1) // 2
+        if modes * grid.points ** grid.naxes > MAX_MODE_CELLS:
+            raise SchemaError(_join(path, "random.band"), f"{modes} modes "
+                              f"over the grid exceed {MAX_MODE_CELLS} cosines")
         merged["amplitude"] = _as_float(
             merged["amplitude"], _join(path, "random.amplitude"), positive=True)
         return {"random": merged}
@@ -313,16 +324,18 @@ def _build_problem(cfg: dict, extra_allowed=()) -> dict:
     for key in ("n", "points"):
         if key not in cfg:
             raise SchemaError(key, "required field is missing")
-    n = _as_int(cfg["n"], "n", 1)
+    n = _as_int(cfg["n"], "n", 1, MAX_N)
     points = _as_int(cfg["points"], "points", 8)
     omega = _parse_form(cfg, "omega", n)
     chi0 = _parse_form(cfg, "chi0", n)
     mode = _as_choice(cfg.get("mode", "invariant"), GRID_MODES, "mode")
     deriv = _as_choice(cfg.get("deriv", "fd4"), DERIV_MODES, "deriv")
     grid = TorusGrid(n=n, points=points, mode=mode)
-    if points ** grid.naxes > MAX_GRID_CELLS:
-        raise SchemaError("points", f"points ** {grid.naxes} exceeds "
-                          f"{MAX_GRID_CELLS} grid cells")
+    cells = points ** grid.naxes
+    if cells > MAX_GRID_CELLS or cells * n * n > MAX_HESSIAN_ENTRIES:
+        raise SchemaError("points", f"points ** {grid.naxes} = {cells} "
+                          f"cells; the caps are {MAX_GRID_CELLS} cells and "
+                          f"{MAX_HESSIAN_ENTRIES} Hessian entries (cells n^2)")
     phi0_spec = _parse_phi0(cfg.get("phi0"), grid, "phi0")
     phi0 = _build_phi0(phi0_spec, grid, chi0, deriv)
     resolved = {

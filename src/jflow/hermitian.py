@@ -36,11 +36,11 @@ class SingularFormError(ValueError):
 
 
 class SettingError(ValueError):
-    """A settings field lies outside its range; field is its name."""
+    """A settings field lies outside its range, as reason says."""
 
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field} {message}")
+    def __init__(self, field: str, reason: str):
+        self.field, self.reason = field, reason
+        super().__init__(f"{field} {reason}")
 
 
 def as_matrix(form) -> np.ndarray:
@@ -206,13 +206,9 @@ def wedge_coefficient_batch(mats: Sequence[np.ndarray], n: int, k=None):
     return total.real if np.iscomplexobj(total) else total
 
 
-def pencil_eigenvalues_batch(g: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Eigenvalues of chi relative to g for stacked Hermitian pairs.
-
-    g may be a single (n, n) matrix shared across the batch or a stack
-    matching chi's leading shape.  Raises SingularFormError if any g in the
-    batch fails to factor.
-    """
+def _pencil_reduction(g: np.ndarray, chi: np.ndarray) -> tuple:
+    """(L, M): g = L L^* and the Hermitian part M of L^-1 chi L^-*, whose
+    eigenvalues are chi's against g; SingularFormError if a g has no L."""
     g = np.asarray(g, dtype=np.complex128)
     chi = np.asarray(chi, dtype=np.complex128)
     try:
@@ -221,7 +217,17 @@ def pencil_eigenvalues_batch(g: np.ndarray, chi: np.ndarray) -> np.ndarray:
         raise SingularFormError("g is not positive definite") from exc
     x = np.linalg.solve(low, chi)
     m = np.linalg.solve(low, x.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
-    return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    return low, 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def pencil_eigenvalues_batch(g: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Eigenvalues of chi relative to g for stacked Hermitian pairs.
+
+    g may be a single (n, n) matrix shared across the batch or a stack
+    matching chi's leading shape.  Raises SingularFormError if any g in the
+    batch fails to factor.
+    """
+    return np.linalg.eigvalsh(_pencil_reduction(g, chi)[1])
 
 
 def condition_margins_batch(lambdas: np.ndarray) -> dict:

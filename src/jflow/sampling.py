@@ -41,9 +41,9 @@ from .cone import (SurfaceLattice, _pairings, builtin_lattice,
                    class_condition, divisor_search, verify_certificate)
 from .functionals import (eval_entropy, eval_IE_JE, flow_functional_bundle,
                           ie_second_form)
-from .hermitian import (as_matrix, condition_margins_batch, cone_form_positive,
-                        pencil_eigenvalues_batch, wedge_coefficient_batch)
-from .torus import TorusGrid, complex_hessian_of, metric_field
+from .hermitian import (_pencil_reduction, as_matrix, condition_margins_batch,
+                        cone_form_positive, wedge_coefficient_batch)
+from .torus import MetricField, TorusGrid, complex_hessian_of, metric_field
 
 FAULTS = ("c2-sign",)
 
@@ -100,8 +100,8 @@ def _mode_table(naxes: int, band: int) -> tuple:
 
 def random_admissible_potential(rng: np.random.Generator, grid: TorusGrid,
                                 chi0, band: int = 2, amplitude: float = 0.6,
-                                rel_margin: float = 0.25,
-                                deriv: str = "fd4") -> np.ndarray:
+                                rel_margin: float = 0.25, deriv: str = "fd4",
+                                count: int | None = None) -> np.ndarray:
     """Random band-limited trig polynomial with a guaranteed metric margin.
 
     Coefficients decay like 1/(1+|k|^2); the draw is then rescaled so that
@@ -109,26 +109,33 @@ def random_admissible_potential(rng: np.random.Generator, grid: TorusGrid,
     smallest eigenvalue of chi0 on every grid point, using the Weyl bound
     lambda_min(chi0 + s H) >= lambda_min(chi0) + s min lambda_min(H).
     The zero mode is never drawn, so the mean is zero by construction.
+    With count, a stack of count potentials, equal to as many calls in a
+    row and leaving the generator in the same state; without it, one.
     """
     kvecs, denom = _mode_table(grid.naxes, band)
+    fields = 1 if count is None else count
     draws = np.array([(rng.standard_normal(), rng.uniform(0.0, 2.0 * np.pi))
-                      for _ in denom]).reshape(-1, 2)
-    coef = amplitude / denom * draws[:, 0]
+                      for _ in range(fields * len(denom))])
+    coef, phase = draws.reshape(fields, -1, 2).T  # (mode, field) tables
+    coef = amplitude / denom[:, None] * coef
     # k.x of a block of modes at once; the modes are added in draw order
-    phi = grid.zeros()
+    phi = np.zeros((fields,) + grid.shape)
     block = max(1, _BLOCK_CELLS // phi.size)
+    tail = (None,) * grid.naxes
     for lo in range(0, len(denom), block):
-        rows = (slice(lo, lo + block),) + (None,) * grid.naxes
-        arg = sum(kvecs[rows + (j,)] * x
+        modes = slice(lo, lo + block)
+        arg = sum(kvecs[(modes, None) + tail + (j,)] * x
                   for j, x in enumerate(grid.meshgrid()))
-        phi = sum(coef[rows] * np.cos(arg + draws[rows + (1,)]), phi)
+        rows = (modes, slice(None)) + tail
+        phi = sum(coef[rows] * np.cos(arg + phase[rows]), phi)
 
     hess = complex_hessian_of(phi, grid, deriv)
-    hmin = float(np.linalg.eigvalsh(hess).min())
+    hmin = np.linalg.eigvalsh(hess).reshape(fields, -1).min(axis=1)
     lam0 = float(np.linalg.eigvalsh(np.asarray(chi0, dtype=complex)).min())
-    if hmin < 0.0:
-        phi = min(1.0, (1.0 - rel_margin) * lam0 / (-hmin)) * phi
-    return phi
+    for field, h in zip(phi, hmin.tolist()):
+        if h < 0.0:
+            field *= min(1.0, (1.0 - rel_margin) * lam0 / (-h))
+    return phi if count is not None else phi[0]
 
 
 def _is_kahler(pairings) -> bool:
@@ -192,7 +199,9 @@ def suite_conditions(seed: int, samples: int = 10_000,
     for n in dims:
         rng = make_rng(seed, stream=100 + n)
         g, chi = random_positive_pair_batch(rng, n, samples)
-        lam = pencil_eigenvalues_batch(g, chi)
+        # the cone oracle below reuses the reduction of the pencil
+        low, reduced = _pencil_reduction(g, chi)
+        lam = np.linalg.eigvalsh(reduced)
         margins = condition_margins_batch(lam)
         c1m, c3m = margins["C1"], margins["C3"]
         c2m = margins["C2"]
@@ -228,11 +237,7 @@ def suite_conditions(seed: int, samples: int = 10_000,
         cone_min_abs_margin = None
         scalar_disagreements = None
         if n in cone_dims:
-            low = np.linalg.cholesky(g)
-            x = np.linalg.solve(low, chi)
-            m = np.linalg.solve(
-                low, x.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
-            _, u = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+            _, u = np.linalg.eigh(reduced)
             t = np.linalg.solve(low.conj().swapaxes(-1, -2), u)
             th = t.conj().swapaxes(-1, -2)
             omega_t = th @ g @ t
@@ -309,50 +314,48 @@ def suite_functionals(seed: int, count: int = 1000) -> dict:
     gaps = {"sandwich_low": 0.0, "sandwich_high": 0.0, "ie_routes": 0.0,
             "entropy_min": np.inf, "ie_min": np.inf, "jhat_shift": 0.0}
     failures = []
-    for i in range(count):
-        phi = random_admissible_potential(
+    block = _BLOCK_CELLS // points**grid.naxes
+    for first in range(0, count, block):
+        phis = random_admissible_potential(
             rng, grid, chi0, band=band, amplitude=0.6, rel_margin=0.25,
-            deriv="spectral")
-        metric = metric_field(grid, chi0, phi, "spectral")
-        ie, je = eval_IE_JE(metric)
-        slack = 1e-12 * max(1.0, abs(ie))
-        low = je - ie / 3.0
-        high = 2.0 * ie / 3.0 - je
-        gaps["sandwich_low"] = min(gaps["sandwich_low"], low)
-        gaps["sandwich_high"] = min(gaps["sandwich_high"], high)
-        gaps["ie_min"] = min(gaps["ie_min"], ie)
-        if ie < -slack:
-            failures.append({"sample": i, "property": "ie-nonnegative",
-                             "value": float(ie)})
-        if low < -slack:
-            failures.append({"sample": i, "property": "sandwich-low",
-                             "value": float(low)})
-        if high < -slack:
-            failures.append({"sample": i, "property": "sandwich-high",
-                             "value": float(high)})
-        ie2 = ie_second_form(metric)
-        route_gap = abs(ie - ie2) / max(1.0, abs(ie))
-        gaps["ie_routes"] = max(gaps["ie_routes"], route_gap)
-        if route_gap > 1e-8:
-            failures.append({"sample": i, "property": "ie-two-routes",
-                             "value": float(route_gap)})
-        ent = eval_entropy(metric)
-        gaps["entropy_min"] = min(gaps["entropy_min"], ent)
-        if ent < -1e-6:
-            failures.append({"sample": i, "property": "entropy-nonnegative",
-                             "value": float(ent)})
-        if i % 10 == 0:
-            base = flow_functional_bundle(metric, omega)
-            # the shifted potential is differentiated afresh, so the check
-            # also covers the stencil's blindness to constants
-            shifted = flow_functional_bundle(
-                metric_field(grid, chi0, phi + 0.7, "spectral"), omega)
-            shift_gap = abs(base["Jhat"] - shifted["Jhat"]) \
-                / max(1.0, abs(base["Jhat"]))
-            gaps["jhat_shift"] = max(gaps["jhat_shift"], shift_gap)
-            if shift_gap > 1e-9:
-                failures.append({"sample": i, "property": "jhat-translation",
-                                 "value": float(shift_gap)})
+            deriv="spectral", count=min(block, count - first))
+        metric = metric_field(grid, chi0, phis, "spectral")
+        ies, jes = eval_IE_JE(metric)
+        ie2s = ie_second_form(metric)
+        ents = eval_entropy(metric)
+        # translation on every tenth sample; differentiating the shifted
+        # potentials afresh covers the stencil's blindness to constants
+        tenth = slice(-first % 10, None, 10)
+        base = flow_functional_bundle(
+            MetricField(grid, chi0, phis[tenth], metric.hessian[tenth],
+                        "spectral"), omega)["Jhat"]
+        shifted = flow_functional_bundle(
+            metric_field(grid, chi0, phis[tenth] + 0.7, "spectral"),
+            omega)["Jhat"]
+        shifts = iter(zip(base.tolist(), shifted.tolist()))
+        for i, ie, je, ie2, ent in zip(range(first, count), ies.tolist(),
+                                       jes.tolist(), ie2s.tolist(),
+                                       ents.tolist()):
+            slack = 1e-12 * max(1.0, abs(ie))
+            low, high = je - ie / 3.0, 2.0 * ie / 3.0 - je
+            route_gap = abs(ie - ie2) / max(1.0, abs(ie))
+            checks = [("ie-nonnegative", ie, ie < -slack),
+                      ("sandwich-low", low, low < -slack),
+                      ("sandwich-high", high, high < -slack),
+                      ("ie-two-routes", route_gap, route_gap > 1e-8),
+                      ("entropy-nonnegative", ent, ent < -1e-6)]
+            for key, value in (("sandwich_low", low), ("sandwich_high", high),
+                               ("ie_min", ie), ("entropy_min", ent)):
+                gaps[key] = min(gaps[key], value)
+            gaps["ie_routes"] = max(gaps["ie_routes"], route_gap)
+            if i % 10 == 0:
+                jhat, jhat_shifted = next(shifts)
+                shift_gap = abs(jhat - jhat_shifted) / max(1.0, abs(jhat))
+                gaps["jhat_shift"] = max(gaps["jhat_shift"], shift_gap)
+                checks.append(("jhat-translation", shift_gap,
+                               shift_gap > 1e-9))
+            failures += [{"sample": i, "property": prop, "value": value}
+                         for prop, value, failed in checks if failed]
     return {
         "name": "functionals",
         "samples": count,

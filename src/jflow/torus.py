@@ -18,6 +18,11 @@ matters.  A spectral derivative mode with the Nyquist bin zeroed shares the
 same null space.  The fd4 stencil reads its neighbours as slices of one
 wrap-padded copy of the field.
 
+The derivatives, integrate_top and MetricField take a stack of fields as
+well as one field: the grid axes are the trailing ones, any leading axes
+index the fields, and each field of a stack gets the same bits it would get
+on its own.
+
 A MetricField factors chi = L L^* one entry of L at a time, each entry one
 array operation over the whole grid, for any n; det, the trace against a
 constant form, the inverse and h = chi^{-1} g chi^{-1} are read from that
@@ -130,7 +135,7 @@ def cosine_mode(grid: TorusGrid, kvec: Sequence[int], amplitude: float = 1.0,
 
 def _fd4(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
     # the four neighbours are slices of one copy wrapped by two cells
-    lead = (slice(None),) * axis
+    lead = (slice(None),) * (axis % values.ndim)
     points = values.shape[axis]
     padded = np.concatenate((values[lead + (slice(-2, None),)], values,
                              values[lead + (slice(None, 2),)]), axis=axis)
@@ -196,7 +201,9 @@ def _spectral_derivative(values: np.ndarray, axis: int,
 
 def _derivative(values: np.ndarray, grid: TorusGrid, axis: int,
                 deriv: str) -> np.ndarray:
-    # input checked by gradient, once per field
+    # input checked by gradient, once per call; the grid axis is counted
+    # from the end, past any stack axes
+    axis -= grid.naxes
     if deriv == "fd4":
         return _fd4(values, axis, grid.dx)
     return _spectral_derivative(values, axis, grid)
@@ -204,7 +211,7 @@ def _derivative(values: np.ndarray, grid: TorusGrid, axis: int,
 
 def gradient(values: np.ndarray, grid: TorusGrid, deriv: str = "fd4") -> list:
     """First derivatives along every grid axis, in derivative mode deriv."""
-    if values.shape != grid.shape:
+    if values.shape[-grid.naxes:] != grid.shape:
         raise ShapeError(f"field shape {values.shape} != grid shape {grid.shape}")
     if deriv not in DERIV_MODES:
         raise ShapeError(f"derivative mode must be one of {DERIV_MODES}")
@@ -227,7 +234,7 @@ def complex_hessian_of(values: np.ndarray, grid: TorusGrid,
     # every second derivative differentiates du[j] along axis k >= j once
     du = gradient(values, grid, deriv)
     if grid.mode == "invariant":
-        hess = np.empty(grid.shape + (n, n))
+        hess = np.empty(values.shape + (n, n))
         for a in range(n):
             for b in range(a, n):
                 block = 0.25 * _derivative(du[a], grid, b, deriv)
@@ -236,7 +243,7 @@ def complex_hessian_of(values: np.ndarray, grid: TorusGrid,
                     hess[..., b, a] = block
         return hess
 
-    hess = np.empty(grid.shape + (n, n), dtype=np.complex128)
+    hess = np.empty(values.shape + (n, n), dtype=np.complex128)
     for a in range(n):
         for b in range(a, n):
             real = (_derivative(du[a], grid, b, deriv)
@@ -279,14 +286,15 @@ def null_mode_projection(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return (rows - means).reshape(values.shape)
 
 
-def integrate_top(values: np.ndarray, grid: TorusGrid) -> float:
-    """Integral over the full 2n-torus of a sampled scalar density."""
-    if values.shape != grid.shape:
+def integrate_top(values: np.ndarray, grid: TorusGrid):
+    """Integral over the full 2n-torus of a sampled scalar density: a number
+    for one field, an array of them for a stack."""
+    if values.shape[-grid.naxes:] != grid.shape:
         raise ShapeError(f"field shape {values.shape} != grid shape {grid.shape}")
-    total = values.sum() * grid.cell_volume
-    if np.iscomplexobj(values):
-        return complex(total)
-    return float(total)
+    total = values.sum(axis=tuple(range(-grid.naxes, 0))) * grid.cell_volume
+    if total.ndim:
+        return total
+    return complex(total) if np.iscomplexobj(values) else float(total)
 
 
 @dataclass(frozen=True)
@@ -391,7 +399,7 @@ class MetricField:
             raise ShapeError(
                 f"background form is {chi0.shape}, expected {(n, n)}"
             )
-        if hessian.shape != grid.shape + (n, n):
+        if hessian.shape[-grid.naxes - 2:] != grid.shape + (n, n):
             raise ShapeError("hessian stack does not match the grid")
         self.hessian = hessian
         if not (np.iscomplexobj(hessian) or chi0.imag.any()):
@@ -474,7 +482,7 @@ class MetricField:
         coerced once by the caller, as for h_matrix."""
         flat = self.chi.reshape(-1, self.n, self.n)
         lam = pencil_eigenvalues_batch(g, flat)
-        return lam.reshape(self.grid.shape + (self.n,))
+        return lam.reshape(self.chi.shape[:-1])
 
 
 def form_factor(g) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import settings as hsettings
 from hypothesis import strategies as st
 
-from jflow import flow
+from jflow import cli, flow
 from jflow.cli import (
     EXIT_BLOWUP,
     EXIT_BROKEN_PIPE,
@@ -114,6 +114,39 @@ UNUSABLE_CONFIGS = [
                  "phi0.random.band", id="band-past-half"),
     pytest.param(raw_cfg("200", phi0={"random": {"band": "@"}}),
                  "phi0.random.band", id="band-huge"),
+]
+
+
+def capped_cfg(n: int, points: int, mode: str = "invariant",
+               band: int | None = None) -> dict:
+    """The problem fields alone, on an n x n pair, with a random phi0 if
+    band is set: a config of flow, functionals and critical alike."""
+    phi0 = {"random": {"band": band}} if band else {"zero": True}
+    eye = np.eye(min(n, 8))  # the forms of a refused n are never read
+    return {"n": n, "points": points, "mode": mode, "phi0": phi0,
+            "omega": eye.tolist(), "chi0": (2 * eye).tolist()}
+
+
+def _no_field(*args):
+    raise AssertionError("a field was built past a work cap")
+
+
+# (problem past a work cap, the field its config error names); each is
+# refused before any field exists
+WORK_CAPS = [
+    pytest.param({"n": 5, "points": 8}, "n", id="n5"),
+    pytest.param({"n": 7, "points": 8}, "n", id="n7"),
+    pytest.param({"n": 10**30, "points": 8}, "n", id="n-huge"),
+    # 128^3 cells of 3 x 3 Hessians: 18.9 million entries
+    pytest.param({"n": 3, "points": 128}, "points", id="n3-hessians"),
+    pytest.param({"n": 4, "points": 33}, "points", id="n4-hessians"),
+    # 364 modes over 8^6 cells; band 22 draws 2.1 million modes on 45^4
+    pytest.param({"n": 3, "points": 8, "mode": "full", "band": 1},
+                 "phi0.random.band", id="six-axes-band-1"),
+    pytest.param({"n": 2, "points": 45, "mode": "full", "band": 22},
+                 "phi0.random.band", id="n2-full-band-22"),
+    pytest.param({"n": 2, "points": 1024, "band": 3}, "phi0.random.band",
+                 id="band-3-of-24"),
 ]
 
 
@@ -214,13 +247,38 @@ class TestExitCodes:
 
     def test_out_of_range_setting_is_a_schema_error(self, tmp_path, capsys):
         # the parsers check types; FlowSetup owns the ranges, and its
-        # SettingError reaches the user as a schema error at the field
-        for key, value in (("t_max", 0), ("tol_converge", -1e-8),
-                           ("sample_interval", 0), ("max_steps", -2)):
+        # SettingError reaches the user as a schema error at the field,
+        # which the message names once
+        for key, value, reason in (
+                ("t_max", 0, "must be positive"),
+                ("tol_converge", -1e-8, "must be positive"),
+                ("sample_interval", 0, "must be at least 1"),
+                ("max_steps", -2, "must be at least 1")):
             cfg = write_cfg(tmp_path, "f.json", flow_cfg(**{key: value}))
             assert main(["flow", cfg]) == EXIT_SCHEMA
             err = capsys.readouterr().err
-            assert err.startswith(f"config error: field {key!r}: "), err
+            assert err == f"config error: field {key!r}: {reason}\n", err
+
+    @pytest.mark.parametrize("problem, field", WORK_CAPS)
+    def test_work_cap_refused_before_any_field(self, tmp_path, capsys,
+                                               monkeypatch, problem, field):
+        monkeypatch.setattr(cli, "_build_phi0", _no_field)
+        for command in ("flow", "functionals", "critical"):
+            cfg = write_cfg(tmp_path, "f.json", capped_cfg(**problem))
+            assert main([command, cfg]) == EXIT_SCHEMA
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: field {field!r}: "), err
+
+    @pytest.mark.parametrize("problem", [
+        pytest.param({"n": 2, "points": 2048}, id="n2-cells-cap"),
+        pytest.param({"n": 4, "points": 32}, id="n4-hessian-cap"),
+        pytest.param({"n": 2, "points": 1024, "band": 2}, id="band-2-of-12"),
+    ])
+    def test_largest_problems_under_the_caps(self, monkeypatch, problem):
+        # exactly at a cap is accepted; nothing is built
+        monkeypatch.setattr(cli, "_build_phi0", lambda *args: None)
+        built = cli._build_problem(capped_cfg(**problem))
+        assert built["grid"].points == problem["points"]
 
     @pytest.mark.parametrize("command, payload, field", REMOVED_KEYS)
     def test_removed_key_is_a_schema_error(self, tmp_path, capsys, command,
