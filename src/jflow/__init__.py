@@ -26,7 +26,7 @@ if "JFLOW_THREADS" in _os.environ:
 from .hermitian import (BOUNDARY_TOL, ConditionReport, ShapeError,
                         SingularFormError, condition_report,
                         cone_form_positive, relative_spectrum, trace_pair)
-from .torus import (MetricField, PotentialField, TorusGrid, class_constant_c,
+from .torus import (MetricField, TorusGrid, class_constant_c,
                     complex_hessian_of, cosine_mode, integrate_top,
                     load_field, metric_field, save_field)
 from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
@@ -40,7 +40,7 @@ from .critical import NewtonReport, NewtonSettings, newton_solve
 from .cone import (BUILTIN_LATTICES, ConeError, Curve, DivisorSearchReport,
                    LatticeError, NakaiReport, SurfaceLattice, builtin_lattice,
                    class_condition, divisor_search, intersect,
-                   lattice_from_dict, load_lattice, nakai_test, signature,
+                   lattice_from_dict, load_lattice, nakai_test,
                    verify_certificate)
 from .sampling import (make_rng, random_admissible_potential, report_digest,
                        run_property_suites)

@@ -62,9 +62,8 @@ from .hermitian import (CONDITIONS, SettingError, SingularFormError,
 from .sampling import (DEFAULT_SIZES, FAULTS, make_rng,
                        random_admissible_potential, report_digest,
                        run_property_suites)
-from .torus import (DERIV_MODES, GRID_MODES, PotentialField, TorusGrid,
-                    class_constant_c, cosine_mode, load_field, metric_field,
-                    save_field)
+from .torus import (DERIV_MODES, GRID_MODES, TorusGrid, class_constant_c,
+                    cosine_mode, load_field, metric_field, save_field)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -199,14 +198,16 @@ _PHI0_MODE_KEYS = ("k", "amplitude", "phase")
 _PHI0_RANDOM_DEFAULTS = {"seed": 0, "band": 2, "amplitude": 0.5}
 
 
-def _parse_phi0(value, grid: TorusGrid, path: str) -> dict:
-    """Normalize the initial-potential spec to exactly one variant.
+def _parse_phi0(value, grid: TorusGrid, chi0: np.ndarray, deriv: str,
+                path: str) -> tuple:
+    """Normalize the initial-potential spec to exactly one variant and build
+    its field; returns (spec, phi0).
 
     Wavevector components and the random band are at most points // 2:
     past it the grid holds no new mode.
     """
     if value is None:
-        return {"zero": True}
+        return {"zero": True}, grid.zeros()
     if not isinstance(value, dict):
         raise SchemaError(path, "expected an object")
     variants = ("zero", "modes", "file", "random")
@@ -217,11 +218,21 @@ def _parse_phi0(value, grid: TorusGrid, path: str) -> dict:
     if "zero" in value:
         if value["zero"] is not True:
             raise SchemaError(_join(path, "zero"), "the only allowed value is true")
-        return {"zero": True}
+        return {"zero": True}, grid.zeros()
     if "file" in value:
         if not isinstance(value["file"], str):
             raise SchemaError(_join(path, "file"), "expected a path string")
-        return {"file": value["file"]}
+        try:
+            stored, values, _ = load_field(value["file"])
+        except (OSError, ValueError, KeyError, BadZipFile) as err:
+            raise SchemaError("phi0.file", f"cannot load a stored potential: "
+                                           f"{err}") from None
+        if stored != grid:
+            raise SchemaError(
+                "phi0.file",
+                f"stored grid {stored.describe()} does not match the "
+                f"configured grid {grid.describe()}")
+        return {"file": value["file"]}, np.asarray(values, dtype=float)
     if "random" in value:
         spec = value["random"]
         if not isinstance(spec, dict):
@@ -239,11 +250,15 @@ def _parse_phi0(value, grid: TorusGrid, path: str) -> dict:
                               f"over the grid exceed {MAX_MODE_CELLS} cosines")
         merged["amplitude"] = _as_float(
             merged["amplitude"], _join(path, "random.amplitude"), positive=True)
-        return {"random": merged}
+        phi = random_admissible_potential(
+            make_rng(merged["seed"], stream=7), grid, chi0,
+            band=merged["band"], amplitude=merged["amplitude"], deriv=deriv)
+        return {"random": merged}, phi
     modes = value["modes"]
     if not isinstance(modes, list) or not modes:
         raise SchemaError(_join(path, "modes"), "expected a non-empty list")
     parsed = []
+    phi = grid.zeros()
     for i, mode in enumerate(modes):
         mpath = f"{path}.modes[{i}]"
         if not isinstance(mode, dict):
@@ -260,41 +275,11 @@ def _parse_phi0(value, grid: TorusGrid, path: str) -> dict:
         if any(abs(x) > half for x in k):
             raise SchemaError(_join(mpath, "k"), f"components must be at "
                               f"most points // 2 = {half} in magnitude")
-        parsed.append({
-            "k": list(k),
-            "amplitude": _as_float(mode["amplitude"], _join(mpath, "amplitude")),
-            "phase": _as_float(mode.get("phase", 0.0), _join(mpath, "phase")),
-        })
-    return {"modes": parsed}
-
-
-def _build_phi0(spec: dict, grid: TorusGrid, chi0: np.ndarray,
-                deriv: str) -> np.ndarray:
-    if "zero" in spec:
-        return grid.zeros()
-    if "modes" in spec:
-        phi = grid.zeros()
-        for mode in spec["modes"]:
-            phi = phi + cosine_mode(grid, mode["k"], mode["amplitude"],
-                                    mode["phase"])
-        return phi
-    if "file" in spec:
-        try:
-            field, _ = load_field(spec["file"])
-        except (OSError, ValueError, KeyError, BadZipFile) as err:
-            raise SchemaError("phi0.file", f"cannot load a stored potential: "
-                                           f"{err}") from None
-        if field.grid != grid:
-            raise SchemaError(
-                "phi0.file",
-                f"stored grid {field.grid.describe()} does not match the "
-                f"configured grid {grid.describe()}")
-        return np.asarray(field.values, dtype=float)
-    params = spec["random"]
-    rng = make_rng(params["seed"], stream=7)
-    return random_admissible_potential(
-        rng, grid, chi0, band=params["band"], amplitude=params["amplitude"],
-        deriv=deriv)
+        amplitude = _as_float(mode["amplitude"], _join(mpath, "amplitude"))
+        phase = _as_float(mode.get("phase", 0.0), _join(mpath, "phase"))
+        parsed.append({"k": list(k), "amplitude": amplitude, "phase": phase})
+        phi = phi + cosine_mode(grid, k, amplitude, phase)
+    return {"modes": parsed}, phi
 
 
 def _reject_constant(name: str):
@@ -336,8 +321,7 @@ def _build_problem(cfg: dict, extra_allowed=()) -> dict:
         raise SchemaError("points", f"points ** {grid.naxes} = {cells} "
                           f"cells; the caps are {MAX_GRID_CELLS} cells and "
                           f"{MAX_HESSIAN_ENTRIES} Hessian entries (cells n^2)")
-    phi0_spec = _parse_phi0(cfg.get("phi0"), grid, "phi0")
-    phi0 = _build_phi0(phi0_spec, grid, chi0, deriv)
+    phi0_spec, phi0 = _parse_phi0(cfg.get("phi0"), grid, chi0, deriv, "phi0")
     resolved = {
         "n": n, "points": points, "mode": mode, "deriv": deriv,
         "omega": _matrix_to_json(omega), "chi0": _matrix_to_json(chi0),
@@ -421,7 +405,7 @@ def cmd_critical(args) -> tuple:
                                problem["chi0"], problem["phi0"],
                                settings, problem["deriv"])
     if args.save_field:
-        save_field(args.save_field, PotentialField(problem["grid"], phi),
+        save_field(args.save_field, problem["grid"], phi,
                    meta={"source": "critical"})
     final_res = report.residuals[-1] if report.residuals else float("nan")
     payload = {

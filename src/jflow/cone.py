@@ -17,8 +17,13 @@ positive combination of negative self-intersection curves plus a remainder,
 by repeatedly solving the Gram system on the curves the class currently
 fails against, then inflating the coefficients by the first dyadic margin
 2^-k (k ascending from 0) whose remainder passes the strict cone test.  A
-support is admitted only if its Gram matrix is negative definite, which is
-read from the exact inertia (signature): all of its eigenvalues negative.
+support is admitted only if its Gram matrix is negative definite, and one
+exact elimination decides that and solves the system: Gauss-Jordan without
+row exchanges stops at the first pivot >= 0, which by Sylvester's criterion
+happens exactly when the matrix is not negative definite.  The same pivot
+test checks, by the Hodge index, that a lattice's form has signature
+(1, rank-1): it must be negative definite on the orthogonal complement of
+the reference class.
 """
 
 from __future__ import annotations
@@ -185,12 +190,23 @@ class SurfaceLattice:
         self._validate()
 
     def _validate(self):
-        pos, neg, zero = signature(self.q)
-        if zero != 0 or pos != 1:
-            raise LatticeError(
-                f"intersection form must have signature (1, rank-1); "
-                f"got ({pos}, {neg}) with {zero} null directions"
-            )
+        # Hodge index: for h.h > 0, V = <h> + h^perp splits Q into orthogonal
+        # blocks, so Q has signature (1, rank-1) iff it is negative definite
+        # on h^perp, spanned by e_i - ((Qh)_i / (Qh)_p) e_p for i != p.  A
+        # reference class with h.h <= 0 fails its own cone test below.
+        # qh: integer numerators of Q.h over a positive denominator
+        h, qh = self.reference_kahler, self._covectors[0]
+        if sum(map(mul, h, qh)) > 0:
+            p = next(i for i, x in enumerate(qh) if x)
+            basis = [[(j == i) - (j == p) * Fraction(qh[i], qh[p])
+                      for j in range(self.rank)]
+                     for i in range(self.rank) if i != p]
+            gram = [[intersect(self, x, y) for y in basis] for x in basis]
+            if _solve_exact(gram, [0] * len(gram)) is None:
+                raise LatticeError(
+                    "intersection form must have signature (1, rank-1); it "
+                    "is not negative definite on the reference class's "
+                    "orthogonal complement")
         for c in self.curves:
             actual = intersect(self, c.cls, c.cls)
             if actual != c.self_intersection:
@@ -225,53 +241,6 @@ class SurfaceLattice:
             ],
             "reference_kahler": [str(x) for x in self.reference_kahler],
         }
-
-
-def signature(q_rows) -> tuple:
-    """(positive, negative, zero) inertia of a symmetric rational matrix.
-
-    Exact congruence diagonalization: simultaneous row and column
-    elimination preserves inertia, and a zero pivot with a nonzero
-    off-diagonal partner is repaired by adding that row and column, since
-    (e_i + e_j)' Q (e_i + e_j) = 2 Q_ij when both diagonal entries vanish.
-    """
-    rank = len(q_rows)
-    m = [[_frac(x) for x in row] for row in q_rows]
-    pos = neg = zero = 0
-    for i in range(rank):
-        if m[i][i] == 0:
-            swap = next((j for j in range(i + 1, rank) if m[j][j] != 0), None)
-            if swap is not None:
-                m[i], m[swap] = m[swap], m[i]
-                for row in m:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                partner = next(
-                    (j for j in range(i + 1, rank) if m[i][j] != 0), None)
-                if partner is None:
-                    zero += 1
-                    continue
-                for k in range(rank):
-                    m[i][k] = m[i][k] + m[partner][k]
-                for k in range(rank):
-                    m[k][i] = m[k][i] + m[k][partner]
-        pivot = m[i][i]
-        if pivot == 0:
-            zero += 1
-            continue
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, rank):
-            factor = m[j][i] / pivot
-            if factor == 0:
-                continue
-            for k in range(rank):
-                m[j][k] = m[j][k] - factor * m[i][k]
-            for k in range(rank):
-                m[k][j] = m[k][j] - factor * m[k][i]
-    return pos, neg, zero
 
 
 def intersect(lattice: SurfaceLattice, x, y) -> Fraction:
@@ -328,13 +297,20 @@ def class_condition(lattice: SurfaceLattice, omega, chi0) -> dict:
     }
 
 
-def _solve_exact(gram, rhs) -> list:
-    """Gauss-Jordan elimination over the rationals for a definite gram,
-    whose pivots are nonzero without row exchanges."""
+def _solve_exact(gram, rhs) -> list | None:
+    """Solve gram x = rhs by Gauss-Jordan elimination over the rationals,
+    without row exchanges, or return None if gram is not negative definite.
+
+    The k-th pivot is the ratio of the k-th to the (k-1)-th leading
+    principal minor, so by Sylvester's criterion all pivots are negative
+    exactly when gram is negative definite; the first pivot >= 0 stops.
+    """
     size = len(rhs)
     a = [list(gram[i]) + [rhs[i]] for i in range(size)]
     for col in range(size):
         pivot = a[col][col]
+        if pivot >= 0:
+            return None
         for r in range(size):
             if r == col or a[r][col] == 0:
                 continue
@@ -395,13 +371,13 @@ def divisor_search(lattice: SurfaceLattice, alpha) -> DivisorSearchReport:
         while True:
             gram = [[intersect(lattice, ci.cls, cj.cls) for cj in support]
                     for ci in support]
-            if signature(gram)[1] != len(gram):
+            rhs = [intersect(lattice, av, c.cls) for c in support]
+            solution = _solve_exact(gram, rhs)
+            if solution is None:
                 return _empty_report(
                     av, rounds, "Gram matrix of the candidate support is not "
                                 "negative definite; curve list is "
                                 "inconsistent or incomplete")
-            rhs = [intersect(lattice, av, c.cls) for c in support]
-            solution = _solve_exact(gram, rhs)
             # zero coefficients stay: a curve the class touches with equality
             # belongs in the support so the margin phase can open it up
             dropped = [c for c, a in zip(support, solution) if a < 0]

@@ -297,30 +297,18 @@ def integrate_top(values: np.ndarray, grid: TorusGrid):
     return complex(total) if np.iscomplexobj(values) else float(total)
 
 
-@dataclass(frozen=True)
-class PotentialField:
-    """A real potential sampled on a torus grid."""
-
-    grid: TorusGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.grid.shape:
-            raise ShapeError(
-                f"values shape {self.values.shape} != grid {self.grid.shape}"
-            )
-
-
-def save_field(path, field: PotentialField, meta: dict | None = None) -> None:
+def save_field(path, grid: TorusGrid, values: np.ndarray,
+               meta: dict | None = None) -> None:
     """Write a potential with its grid metadata to a .npz archive."""
-    header = dict(field.grid.describe())
+    header = dict(grid.describe())
     if meta:
         header.update(meta)
-    np.savez(path, values=field.values, header=json.dumps(header, sort_keys=True))
+    np.savez(path, values=values, header=json.dumps(header, sort_keys=True))
 
 
 def load_field(path) -> tuple:
-    """Read a potential saved by save_field; returns (field, header dict)."""
+    """Read a potential saved by save_field; returns (grid, values, header
+    dict).  The values must be finite reals shaped like the header's grid."""
     with np.load(path, allow_pickle=False) as archive:
         values = np.asarray(archive["values"])
         header = json.loads(str(archive["header"]))
@@ -328,8 +316,9 @@ def load_field(path) -> tuple:
         raise ValueError("stored values must be finite real numbers")
     grid = TorusGrid(n=int(header["n"]), points=int(header["points"]),
                      mode=str(header["mode"]))
-    extra = {k: v for k, v in header.items() if k not in ("n", "points", "mode")}
-    return PotentialField(grid, values), extra
+    if values.shape != grid.shape:
+        raise ShapeError(f"values shape {values.shape} != grid {grid.shape}")
+    return grid, values, header
 
 
 def _lower_factor(chi: np.ndarray) -> list:

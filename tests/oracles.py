@@ -4,13 +4,14 @@ Each one recomputes a quantity the package computes faster, or one no
 package path needs: the brute-force wedge coefficient, the wedge form of
 the flow velocity, the linearized operator of the critical equation at a
 metric, the volume-weighted mean scalar curvature, the random admissible
-potential summed one mode per pass over wavevectors found by a scan, and
-the spectral derivative with its multiplier rebuilt on every call.  They
-read the package's private helpers where sharing a check keeps it in one
-place.
+potential summed one mode per pass over wavevectors found by a scan, the
+spectral derivative with its multiplier rebuilt on every call, and the
+exact inertia of a symmetric rational matrix.  They read the package's
+private helpers where sharing a check keeps it in one place.
 """
 
 import itertools
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -152,3 +153,50 @@ def spectral_derivative_per_call(values: np.ndarray, axis: int,
     if not np.iscomplexobj(values):
         return out.real.copy()
     return out
+
+
+def signature(q_rows) -> tuple:
+    """(positive, negative, zero) inertia of a symmetric rational matrix.
+
+    Exact congruence diagonalization: simultaneous row and column
+    elimination preserves inertia, and a zero pivot with a nonzero
+    off-diagonal partner is repaired by adding that row and column, since
+    (e_i + e_j)' Q (e_i + e_j) = 2 Q_ij when both diagonal entries vanish.
+    """
+    rank = len(q_rows)
+    m = [[Fraction(x) for x in row] for row in q_rows]
+    pos = neg = zero = 0
+    for i in range(rank):
+        if m[i][i] == 0:
+            swap = next((j for j in range(i + 1, rank) if m[j][j] != 0), None)
+            if swap is not None:
+                m[i], m[swap] = m[swap], m[i]
+                for row in m:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                partner = next(
+                    (j for j in range(i + 1, rank) if m[i][j] != 0), None)
+                if partner is None:
+                    zero += 1
+                    continue
+                for k in range(rank):
+                    m[i][k] = m[i][k] + m[partner][k]
+                for k in range(rank):
+                    m[k][i] = m[k][i] + m[k][partner]
+        pivot = m[i][i]
+        if pivot == 0:
+            zero += 1
+            continue
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, rank):
+            factor = m[j][i] / pivot
+            if factor == 0:
+                continue
+            for k in range(rank):
+                m[j][k] = m[j][k] - factor * m[i][k]
+            for k in range(rank):
+                m[k][j] = m[k][j] - factor * m[k][i]
+    return pos, neg, zero

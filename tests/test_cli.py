@@ -34,7 +34,7 @@ from jflow.cli import (
 )
 from jflow.critical import NewtonSettings
 from jflow.flow import CSV_COLUMNS, FlowSetup
-from jflow.torus import load_field
+from jflow.torus import TorusGrid, load_field
 from jflow.cone import BUILTIN_LATTICES, SurfaceLattice, builtin_lattice
 
 
@@ -127,8 +127,14 @@ def capped_cfg(n: int, points: int, mode: str = "invariant",
             "omega": eye.tolist(), "chi0": (2 * eye).tolist()}
 
 
-def _no_field(*args):
+def _no_field(*args, **kwargs):
     raise AssertionError("a field was built past a work cap")
+
+
+def _stub_phi0_builders(monkeypatch, stub):
+    """Replace what builds the zero and random phi0 of capped_cfg."""
+    monkeypatch.setattr(TorusGrid, "zeros", stub)
+    monkeypatch.setattr(cli, "random_admissible_potential", stub)
 
 
 # (problem past a work cap, the field its config error names); each is
@@ -262,7 +268,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("problem, field", WORK_CAPS)
     def test_work_cap_refused_before_any_field(self, tmp_path, capsys,
                                                monkeypatch, problem, field):
-        monkeypatch.setattr(cli, "_build_phi0", _no_field)
+        _stub_phi0_builders(monkeypatch, _no_field)
         for command in ("flow", "functionals", "critical"):
             cfg = write_cfg(tmp_path, "f.json", capped_cfg(**problem))
             assert main([command, cfg]) == EXIT_SCHEMA
@@ -276,7 +282,7 @@ class TestExitCodes:
     ])
     def test_largest_problems_under_the_caps(self, monkeypatch, problem):
         # exactly at a cap is accepted; nothing is built
-        monkeypatch.setattr(cli, "_build_phi0", lambda *args: None)
+        _stub_phi0_builders(monkeypatch, lambda *args, **kwargs: None)
         built = cli._build_problem(capped_cfg(**problem))
         assert built["grid"].points == problem["points"]
 
@@ -383,10 +389,10 @@ class TestCritical:
         payload = json.loads(out.read_text())
         assert payload["newton"]["converged"]
         assert payload["final_residual"] < 1e-10
-        field, meta = load_field(str(field_path))
-        assert field.grid.n == 1 and field.grid.points == 32
-        assert abs(float(np.mean(field.values))) < 1e-12
-        assert meta["source"] == "critical"
+        grid, values, header = load_field(str(field_path))
+        assert grid.n == 1 and grid.points == 32
+        assert abs(float(np.mean(values))) < 1e-12
+        assert header["source"] == "critical"
 
     def test_newton_block_echoes_defaults(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", self.crit_cfg(

@@ -19,10 +19,12 @@ from jflow import (
     lattice_from_dict,
     load_lattice,
     nakai_test,
-    signature,
     verify_certificate,
 )
-from jflow.cone import DivisorCandidate, DivisorSearchReport, NakaiReport
+from jflow.cone import (DivisorCandidate, DivisorSearchReport, NakaiReport,
+                        _solve_exact)
+from jflow.sampling import make_rng, random_rational_class
+from oracles import signature
 
 
 @pytest.fixture
@@ -59,7 +61,7 @@ class TestSignature:
 
 def _laplace_det(m):
     """Determinant by cofactor expansion along the first row; an oracle
-    that shares no elimination step with signature."""
+    that shares no elimination step with _solve_exact or signature."""
     if len(m) == 1:
         return m[0][0]
     return sum((-1) ** j * m[0][j]
@@ -95,7 +97,8 @@ def _random_symmetric(rng, size):
 class TestNegativeDefiniteness:
     def test_inertia_agrees_with_sylvester(self):
         # negative definite iff (-1)^k times every leading k x k minor is
-        # positive (Sylvester); the cone module reads it from the inertia
+        # positive (Sylvester); the cone module reads it from the pivots of
+        # its Gram solve, the oracle from the inertia
         rng = random.Random(20)
         verdicts = {"definite": 0, "singular": 0, "other": 0}
         for trial in range(300):
@@ -104,6 +107,7 @@ class TestNegativeDefiniteness:
             sylvester = all(
                 (-1) ** k * _laplace_det([row[:k] for row in m[:k]]) > 0
                 for k in range(1, size + 1))
+            assert (_solve_exact(m, [0] * size) is not None) == sylvester, m
             assert (signature(m)[1] == size) == sylvester, m
             if sylvester:
                 verdicts["definite"] += 1
@@ -114,14 +118,59 @@ class TestNegativeDefiniteness:
         assert min(verdicts.values()) >= 30, verdicts
 
 
+def _random_form(rng, rank):
+    """Symmetric rationals, half unstructured and half B' diag(s) B with B
+    unit upper triangular, whose inertia is that of the signs s (often
+    (1, rank-1, 0), so higher ranks get accepted lattices too)."""
+    if rng.randrange(2):
+        q = [[None] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                q[i][j] = q[j][i] = Fraction(rng.randint(-3, 3),
+                                             rng.randint(1, 2))
+        return q
+    b = [[1 if i == j else rng.randint(-2, 2) if i < j else 0
+          for j in range(rank)] for i in range(rank)]
+    s = [rng.choice((1, 1, -1, 0))] + [rng.choice((-1, -1, -1, 1, 0))
+                                       for _ in range(rank - 1)]
+    den = rng.randint(1, 3)
+    return [[Fraction(sum(b[k][i] * s[k] * b[k][j] for k in range(rank)), den)
+             for j in range(rank)] for i in range(rank)]
+
+
 class TestLatticeValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(LatticeError):
             SurfaceLattice(2, [[1, 2], [0, -1]], [], [1, 0])
 
     def test_wrong_signature_rejected(self):
-        with pytest.raises(LatticeError):
+        with pytest.raises(LatticeError, match=r"^intersection form must "
+                           r"have signature \(1, rank-1\)"):
             SurfaceLattice(2, [[1, 0], [0, 1]], [], [1, 0])
+
+    def test_hodge_index_matches_inertia(self):
+        # accepted iff the oracle inertia is (1, rank-1, 0) and h.h > 0: the
+        # cone test of a curve-free lattice adds only h.h > 0
+        rng = random.Random(21)
+        accepted = [0] * 4
+        form_rejected = 0  # h.h > 0 but the inertia is wrong
+        for trial in range(2000):
+            rank = 1 + trial % 4
+            q = _random_form(rng, rank)
+            h = [rng.randint(-2, 2) for _ in range(rank)]
+            square = sum(h[i] * q[i][j] * h[j]
+                         for i in range(rank) for j in range(rank))
+            right_form = signature(q) == (1, rank - 1, 0)
+            try:
+                SurfaceLattice(rank, q, [], h)
+            except LatticeError:
+                assert not (right_form and square > 0), (q, h)
+                form_rejected += square > 0
+                continue
+            assert right_form and square > 0, (q, h)
+            accepted[rank - 1] += 1
+        assert min(accepted) >= 20 and form_rejected >= 100, (
+            accepted, form_rejected)
 
     def test_wrong_self_intersection_rejected(self):
         with pytest.raises(LatticeError):
@@ -349,6 +398,25 @@ class TestClassCondition:
             class_condition(blowup, [3, 1], [5, -1])
         with pytest.raises(ConeError):
             class_condition(blowup, [2, -1], [1, -2])
+
+    def test_rank3_pairs_certified(self, two_blowup):
+        # the proptest cone suite runs class_condition on blowup_p2_1 only
+        rng = make_rng(0, stream=900)
+        pairs = certified = 0
+        for _ in range(200):
+            omega = random_rational_class(rng, two_blowup)
+            chi0 = random_rational_class(rng, two_blowup)
+            if omega is None or chi0 is None:
+                continue
+            cond = class_condition(two_blowup, omega, chi0)
+            assert cond["identity_square"] and cond["identity_mixed"]
+            pairs += 1
+            if cond["needs_divisor"]:
+                rep = divisor_search(two_blowup, cond["target"])
+                assert rep.status == "certificate", rep
+                assert verify_certificate(two_blowup, cond["target"], rep)
+                certified += 1
+        assert pairs >= 150 and certified >= 40, (pairs, certified)
 
     def test_product_lattice_never_needs_divisor(self, product):
         out = class_condition(product, [2, 3], [1, 1])

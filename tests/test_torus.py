@@ -5,7 +5,6 @@ import pytest
 
 from jflow import (
     MetricField,
-    PotentialField,
     ShapeError,
     SingularFormError,
     TorusGrid,
@@ -412,20 +411,21 @@ class TestNullModes:
 
 
 class TestPotentialIO:
-    def test_shape_validation(self):
-        grid = TorusGrid(n=2, points=8)
+    def test_shape_validation(self, tmp_path):
+        target = tmp_path / "field.npz"
+        save_field(target, TorusGrid(n=2, points=8), np.zeros((8,)))
         with pytest.raises(ShapeError):
-            PotentialField(grid, np.zeros((8,)))
+            load_field(target)
 
     def test_roundtrip(self, tmp_path):
         grid = TorusGrid(n=2, points=8, mode="invariant")
-        field = PotentialField(grid, cosine_mode(grid, [1, 1], 0.3))
+        values = cosine_mode(grid, [1, 1], 0.3)
         target = tmp_path / "field.npz"
-        save_field(target, field, meta={"note": "fixture"})
-        back, extra = load_field(target)
-        assert back.grid == grid
-        assert np.array_equal(back.values, field.values)
-        assert extra["note"] == "fixture"
+        save_field(target, grid, values, meta={"note": "fixture"})
+        back, stored, header = load_field(target)
+        assert back == grid
+        assert np.array_equal(stored, values)
+        assert header["note"] == "fixture"
 
 
 class TestMetricField:
