@@ -7,8 +7,8 @@ functionals the flow descends, an RK4 integrator with monitors, a Newton
 solver for the critical equation, exact rational cone arithmetic on surface
 intersection lattices, and deterministic randomized property suites.  The
 brute-force reference routes the tests check these against (the wedge
-oracle, the linearized operator, the mean scalar curvature) live in
-tests/oracles.py, not here.
+oracle, the mixed-density energies, the linearized operator, the mean
+scalar curvature) live in tests/oracles.py, not here.
 
 Set JFLOW_THREADS before launching to cap the BLAS thread pool; the value is
 copied into the usual thread-count variables here, which works as long as

@@ -53,7 +53,7 @@ from .cone import (BUILTIN_LATTICES, ConeError, LatticeError, builtin_lattice,
 from .critical import NewtonSettings, newton_solve
 from .flow import (FlowSetup, NumericalFailureError, monitor_max_principle,
                    run, write_series_csv)
-from .functionals import (eval_IE_JE, eval_entropy, eval_mabuchi,
+from .functionals import (eval_entropy, eval_mabuchi,
                           flow_functional_bundle, ie_second_form,
                           path_functional_bundle, path_independence_gap)
 from .hermitian import (CONDITIONS, SettingError, SingularFormError,
@@ -74,8 +74,8 @@ EXIT_TIMEOUT = 5
 EXIT_INVARIANT = 6
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
-# caps tested before any field is allocated: a flow sample expands (n!)^2
-# wedge products per cell, and a phi0.random draw one cosine per mode and cell
+# caps tested before any field is allocated: n up to 4, the largest tested,
+# and one cosine per mode and cell for phi0.random and phi0.modes
 MAX_GRID_CELLS = 2**22
 MAX_N = 4
 MAX_HESSIAN_ENTRIES = 2**24
@@ -257,6 +257,9 @@ def _parse_phi0(value, grid: TorusGrid, chi0: np.ndarray, deriv: str,
     modes = value["modes"]
     if not isinstance(modes, list) or not modes:
         raise SchemaError(_join(path, "modes"), "expected a non-empty list")
+    if len(modes) * grid.points ** grid.naxes > MAX_MODE_CELLS:
+        raise SchemaError(_join(path, "modes"), f"{len(modes)} modes over "
+                          f"the grid exceed {MAX_MODE_CELLS} cosines")
     parsed = []
     phi = grid.zeros()
     for i, mode in enumerate(modes):
@@ -469,7 +472,7 @@ def cmd_functionals(args) -> tuple:
     metric = metric_field(grid, as_matrix(chi0), problem["phi0"],
                           problem["deriv"])
     bundle = flow_functional_bundle(metric, omega)
-    ie, je = eval_IE_JE(metric)
+    ie, je = bundle["IE"], bundle["JE"]
     ie2 = ie_second_form(metric)
     entropy = eval_entropy(metric)
     # the Mabuchi value is the linear leg of its path comparison

@@ -19,8 +19,8 @@ descent identity d(Jhat)/dt = -dq/dt can then be checked between any two
 samples without quadrature error from the time axis dominating; the
 controller never reads Jhat or q, so that check stays independent of it.
 
-A monitor sample integrates no path: J, I and Jhat come in closed form and
-the Mabuchi column is the entropy (see _sample).
+A monitor sample reads J, I, Jhat, I^E and J^E from one exact quadrature,
+and the Mabuchi column is the entropy (see _sample).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .torus import (
     metric_field,
     symbol_mesh,
 )
-from .functionals import eval_IE_JE, eval_entropy, flow_functional_bundle
+from .functionals import eval_entropy, flow_functional_bundle
 
 SINGULARITY_NOTE = (
     "Flat-torus limitation: on a flat torus every translation-invariant "
@@ -276,12 +276,11 @@ def blowup_monitor(setup: FlowSetup, state: FlowState) -> float:
 def _sample(setup: FlowSetup, state: FlowState, dt: float) -> tuple:
     """MonitorRecord plus the minimum relative eigenvalue of chi vs omega.
 
-    Every functional and monitor reads the state's fields; none rebuilds
-    the metric of phi.
+    Every functional and monitor reads the state's fields: none rebuilds
+    the metric of phi, and the bundle builds only its interior node metrics.
     """
     metric, phi = state.metric, state.phi
     bundle = flow_functional_bundle(metric, setup.omega)
-    ie, je = eval_IE_JE(metric)
     # Chen-Tian with Ric(chi0) = Rbar = 0 (flat torus): Mabuchi = entropy
     entropy = eval_entropy(metric)
     rec = MonitorRecord(
@@ -292,8 +291,8 @@ def _sample(setup: FlowSetup, state: FlowState, dt: float) -> tuple:
         J=bundle["J"],
         I=bundle["I"],
         Jhat=bundle["Jhat"],
-        IE=ie,
-        JE=je,
+        IE=bundle["IE"],
+        JE=bundle["JE"],
         entropy=entropy,
         mabuchi=entropy,
         blowup=blowup_monitor(setup, state),

@@ -1,34 +1,34 @@
-"""Energy functionals of the potential: path integrals and closed forms.
+"""Energy functionals of the potential: exact node sums and path sweeps.
 
 Conventions.  Every top-degree integral is represented as a density against
 Lebesgue measure dV on the torus (total mass (2pi)^{2n}): chi^n/n! becomes
-det(chi), omega wedge chi^{n-1}/(n-1)! becomes (trace of omega against
-chi^{-1}) times det(chi), and a general n-fold wedge product of (1,1)-forms
-becomes its permutation-sum coefficient W divided by n!.  A single global
-factor 2^n relating dz dzbar to dx dy is dropped everywhere; it cancels in
-every ratio, identity, and inequality below.
+det(chi), and omega wedge chi^{n-1}/(n-1)! becomes (trace of omega against
+chi^{-1}) times det(chi).  A single global factor 2^n relating dz dzbar to
+dx dy is dropped everywhere; it cancels in every ratio, identity, and
+inequality below.
 
 Every functional takes the MetricField of its potential alone, which the
 caller builds once with torus.metric_field: phi, its derivative mode and
 chi all come from the metric, and none is rebuilt from phi.
 
-J, I and Jhat come in closed form; the path sweeps stay as their oracles.
-A sweep integrates over the segment phi_t = f(t) phi with
-chi_t = chi0 + f(t) * i ddbar(phi).  Since f maps [0,1] into [0,1], every
-chi_t is a convex combination of chi0 and chi_phi, so interior admissibility
-follows from endpoint admissibility.  Quadrature is the trapezoid rule on
-2M+1 nested nodes with one Richardson extrapolation step.
+Along chi_t = chi0 + t i ddbar(phi) the integrands of J, I, I^E and J^E are
+polynomials of degree <= n in t, which the right-Radau rule on (n+3)//2
+nodes of [0, 1] integrates exactly; its last node is the metric itself.
+The path sweeps (the path-independence oracle and the Mabuchi energy) run
+over phi_t = f(t) phi, f mapping [0,1] into [0,1], so every chi_t is a
+convex combination of chi0 and chi_phi and stays admissible; they use the
+trapezoid rule on 2M+1 nested nodes with one Richardson step.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .hermitian import ShapeError, as_matrix, wedge_coefficient_batch
+from .hermitian import ShapeError, as_matrix
 from .torus import (
     MetricField,
     TorusGrid,
@@ -79,15 +79,6 @@ def _richardson(values: np.ndarray) -> float:
     return float(fine + (fine - coarse) / 3.0)
 
 
-def mixed_density(mats: list, grid: TorusGrid) -> np.ndarray:
-    """Pointwise W(A_1,...,A_n)/n! for stacks of (1,1)-form coefficients.
-
-    For a single repeated positive form this is its determinant field, so
-    the output integrates like chi^n/n!.
-    """
-    return wedge_coefficient_batch(mats, grid.n) / math.factorial(grid.n)
-
-
 def volume_of(chi0, grid: TorusGrid) -> float:
     """V = integral of chi0^n/n! for a constant background form."""
     m = as_matrix(chi0)
@@ -104,11 +95,29 @@ def dz_gradient(phi: np.ndarray, grid: TorusGrid, deriv: str = "fd4") -> list:
     return [0.5 * (du[a] - 1j * du[n + a]) for a in range(n)]
 
 
-def dbar_energy_matrix(phi: np.ndarray, grid: TorusGrid,
-                       deriv: str = "fd4") -> np.ndarray:
-    """Coefficient stack P_ab = f_a conj(f_b) of sqrt(-1) dphi wedge dbarphi."""
-    f = np.stack(dz_gradient(phi, grid, deriv), axis=-1)
-    return f[..., :, None] * np.conj(f[..., None, :])
+@lru_cache(maxsize=None)
+def _radau_rule(n: int) -> tuple:
+    """(t, weight) of the right-Radau rule on [0, 1], exact to degree n:
+    the Gauss nodes of the weight 1 - t (eigenvalues of its Jacobi matrix)
+    and t = 1, weighted to match the moments 1/(j+1) of t^j."""
+    m = (n + 3) // 2
+    k = np.arange(m - 1)
+    jac = np.diag(0.5 - 0.5 / ((2 * k + 1) * (2 * k + 3)))
+    off = 0.5 * np.sqrt(k[1:] * (k[1:] + 1.0)) / (2 * k[1:] + 1)
+    jac = jac + np.diag(off, 1) + np.diag(off, -1)
+    nodes = np.append(np.linalg.eigvalsh(jac), 1.0)
+    weights = np.linalg.solve(nodes ** np.arange(m)[:, None],
+                              1.0 / np.arange(1, m + 1))
+    return tuple(zip(nodes.tolist(), weights.tolist()))
+
+
+def _node(metric: MetricField, w: float) -> MetricField:
+    """The metric chi0 + w i ddbar(phi) of w phi, read from metric's
+    Hessian; metric itself at w = 1."""
+    if w == 1.0:
+        return metric
+    return MetricField(metric.grid, metric.chi0, w * metric.phi,
+                       w * metric.hessian, metric.deriv)
 
 
 def _path_samples(metric: MetricField, path: PathSpec,
@@ -119,97 +128,81 @@ def _path_samples(metric: MetricField, path: PathSpec,
     endpoints)."""
     rows = []
     for t in np.linspace(0.0, 1.0, 2 * path.steps + 1):
-        w = path.weight(float(t))
-        node = MetricField(metric.grid, metric.chi0, w * metric.phi,
-                           w * metric.hessian, metric.deriv)
+        node = _node(metric, path.weight(float(t)))
         rows.append(path.rate(float(t)) * np.atleast_1d(kernel(node)))
     return np.array(rows).T.copy()
 
 
+def _j_and_i(node: MetricField, phi: np.ndarray, factor: np.ndarray) -> tuple:
+    """The J and I integrands int phi Lambda det and int phi det at a node,
+    Lambda the trace of omega = F F^* for factor F."""
+    det = node.det()
+    return (integrate_top(phi * node.trace_with(factor) * det, node.grid),
+            integrate_top(phi * det, node.grid))
+
+
+def _radau_sums(metric: MetricField, factor=None) -> list:
+    """Right-Radau sums of e_t = int |dphi|^2_{chi_t} det chi_t, of
+    (1 - t) e_t and, given omega's factor, of the J and I integrands; node
+    by node, so each field of a stack gets the bits it would get alone."""
+    grid, phi = metric.grid, metric.phi
+    column = np.stack(dz_gradient(phi, grid, metric.deriv))[:, None]
+    sums = None
+    for t, w in _radau_rule(metric.n):
+        node = _node(metric, t)
+        e = integrate_top(node.trace_with(column) * node.det(), grid)
+        terms = (e, (1.0 - t) * e) + (
+            () if factor is None else _j_and_i(node, phi, factor))
+        terms = [w * v for v in terms]
+        sums = terms if sums is None else [a + b for a, b in zip(sums, terms)]
+    return sums
+
+
 def flow_functional_bundle(metric: MetricField, omega) -> dict:
-    """J, I, and Jhat = J - nc I in closed form.
+    """J, I, Jhat = J - nc I and eval_IE_JE's I^E, J^E from one pass over
+    the right-Radau nodes.
 
-    Along the linear path chi_t = (1-t) chi0 + t chi_phi the integrands of
-    J = int_0^1 int phidot_t (omega wedge chi_t^{n-1}/(n-1)!) dt and
-    I = int_0^1 int phidot_t chi_t^n/n! dt are polynomials in t, so
-    I = (1/(n+1)) sum_{i=0..n} int phi MD(chi0^i, chi_phi^{n-i}) and
-    J = sum_{i=0..n-1} int phi MD(omega, chi0^i, chi_phi^{n-1-i}).  Jhat is
-    the functional the flow descends; shifting phi by a constant changes
-    nothing, because nc is exactly the class ratio.
+    J = int_0^1 int phi Lambda_{chi_t} omega chi_t^n/n! dt and
+    I = int_0^1 int phi chi_t^n/n! dt; Jhat is the functional the flow
+    descends, and a constant shift of phi leaves it unchanged because nc is
+    exactly the class ratio.
     """
-    grid, chi0, chi, phi = metric.grid, metric.chi0, metric.chi, metric.phi
-    n, om = grid.n, as_matrix(omega)
-    c = class_constant_c(omega, chi0)
-
-    def moment(mats):
-        return integrate_top(phi * mixed_density(mats, grid), grid)
-
-    ival = sum(moment([chi0] * i + [chi] * (n - i))
-               for i in range(n + 1)) / (n + 1)
-    jval = sum(moment([om] + [chi0] * i + [chi] * (n - 1 - i))
-               for i in range(n))
-    return {"J": jval, "I": ival, "Jhat": jval - n * c * ival}
+    ie, je, jval, ival = _radau_sums(metric, form_factor(omega))
+    vol = volume_of(metric.chi0, metric.grid)
+    nc = metric.n * class_constant_c(omega, metric.chi0)
+    return {"J": jval, "I": ival, "Jhat": jval - nc * ival,
+            "IE": ie / vol, "JE": je / vol}
 
 
 def path_functional_bundle(metric: MetricField, omega, path: PathSpec) -> dict:
     """J, I, and Jhat from one shared quadrature sweep over the path nodes:
     the oracle for flow_functional_bundle and for path independence."""
-    grid, phi = metric.grid, metric.phi
     factor = form_factor(omega)
     c = class_constant_c(omega, metric.chi0)
-
-    def kernel(node):
-        det = node.det()
-        return (integrate_top(phi * node.trace_with(factor) * det, grid),
-                integrate_top(phi * det, grid))
-
-    jval, ival = (_richardson(v) for v in _path_samples(metric, path, kernel))
-    return {"J": jval, "I": ival, "Jhat": jval - grid.n * c * ival}
-
-
-def aubin_yau_terms(metric: MetricField) -> list:
-    """T_i = int W(P, chi0^i, chi_phi^{n-1-i}) dV for i = 0..n-1.
-
-    Each integrand is a mixed discriminant with one rank-one positive
-    semidefinite slot and positive definite remaining slots, hence
-    pointwise nonnegative; every T_i is therefore nonnegative, which is
-    what makes the energy inequality chain exact at grid level.
-    """
-    grid = metric.grid
-    n = grid.n
-    p = dbar_energy_matrix(metric.phi, grid, metric.deriv)
-    chi = metric.chi
-    chi0_m = metric.chi0
-    if not np.iscomplexobj(chi):
-        chi0_m = chi0_m.real
-    terms = []
-    for i in range(n):
-        mats = [p] + [chi0_m] * i + [chi] * (n - 1 - i)
-        dens = wedge_coefficient_batch(mats, n)
-        terms.append(integrate_top(np.asarray(dens), grid))
-    return terms
+    jval, ival = (_richardson(v) for v in _path_samples(
+        metric, path, lambda node: _j_and_i(node, metric.phi, factor)))
+    return {"J": jval, "I": ival, "Jhat": jval - metric.n * c * ival}
 
 
 def eval_IE_JE(metric: MetricField) -> tuple:
-    """Aubin-Yau energies (I^E, J^E) in closed form (no path).
+    """Aubin-Yau energies (I^E, J^E) = (1/V) int_0^1 (1, 1 - t)
+    int |dphi|^2_{chi_t} chi_t^n/n! dt along chi_t = chi0 + t i ddbar(phi).
 
-    I^E = (1/(n! V)) sum_i T_i and J^E reweights term i by (i+1)/(n+1),
-    so (1/(n+1)) I^E <= J^E <= (n/(n+1)) I^E holds term by term.  The
-    gradient slot P differentiates phi in the metric's derivative mode.
+    The integrand f^* adj(chi_t) f, f = dphi/dz in the metric's derivative
+    mode, has degree n - 1 in t, so the right-Radau rule is exact.  Its
+    Bernstein coefficients are nonnegative mixed discriminants, which gives
+    (1/(n+1)) I^E <= J^E <= (n/(n+1)) I^E.
     """
-    n = metric.n
-    terms = aubin_yau_terms(metric)
-    norm = math.factorial(n) * volume_of(metric.chi0, metric.grid)
-    ie = sum(terms) / norm
-    je = sum((i + 1) * t for i, t in enumerate(terms)) / ((n + 1) * norm)
-    return ie, je
+    ie, je = _radau_sums(metric)
+    vol = volume_of(metric.chi0, metric.grid)
+    return ie / vol, je / vol
 
 
 def ie_second_form(metric: MetricField) -> float:
     """I^E recomputed as (1/(n! V)) int phi (chi0^n - chi_phi^n).
 
-    Equality with the sum-of-terms route is the discrete integration by
-    parts identity; with spectral derivatives and band-limited data both
+    Equality with the node route of eval_IE_JE is the discrete integration
+    by parts identity; with spectral derivatives and band-limited data both
     routes are exact and agree to rounding.
     """
     grid = metric.grid

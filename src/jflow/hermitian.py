@@ -6,9 +6,9 @@ chi^{ij} g_{ij}, and the verdicts of the three pointwise cone conditions
 at the normalization nc = 1, each read from one spectrum.  The batched
 routes used by the grid code and the property suites live at the bottom:
 pencil eigenvalues, condition margins and wedge coefficients, the latter
-by the permutation expansion of (1,1)-form products vectorized over a
-leading sample axis.  The scalar pencil and margin routes are batch-of-one
-calls into them.  The brute-force scalar wedge oracle is in tests/oracles.py.
+by the (n!)^2-term permutation expansion that only the conditions suite's
+cone cross-check reads.  The scalar pencil and margin routes are
+batch-of-one calls into them.  The scalar wedge oracle is in tests/oracles.py.
 """
 
 from __future__ import annotations

@@ -347,16 +347,16 @@ def _lower_factor(chi: np.ndarray) -> list:
 
 
 def _forward(low: list, rhs: np.ndarray) -> list:
-    """Rows of L^{-1} R for a constant lower-triangular n x n R, by forward
-    substitution; the result is lower triangular, stored as low is."""
+    """Rows of L^{-1} R by forward substitution, for R constant lower
+    triangular or an n x 1 column of fields; stored as low is."""
     n = len(low)
-    out = [[None] * (i + 1) for i in range(n)]
-    for k in range(n):
+    out = [[] for _ in range(n)]
+    for k in range(rhs.shape[1]):
         for i in range(k, n):
             entry = rhs[i, k]
             for m in range(k, i):
                 entry = entry - low[i][m] * out[m][k]
-            out[i][k] = entry / low[i][i]
+            out[i].append(entry / low[i][i])
     return out
 
 
@@ -410,8 +410,8 @@ class MetricField:
         return self._det
 
     def trace_with(self, factor: np.ndarray) -> np.ndarray:
-        """Pointwise chi^{ij} g_{ij} = |L^{-1} F|^2 for a constant positive
-        form g = F F^*, given its lower factor F = form_factor(g)."""
+        """Pointwise chi^{ij} g_{ij} = |L^{-1} F|^2 for g = F F^*, F the lower
+        factor form_factor(g) of a constant form or a column f of fields."""
         return sum((x * x.conj()).real
                    for row in _forward(self.low, factor) for x in row)
 

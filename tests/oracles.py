@@ -3,7 +3,8 @@
 Each one recomputes a quantity the package computes faster, or one no
 package path needs: the brute-force wedge coefficient, the wedge form of
 the flow velocity, the linearized operator of the critical equation at a
-metric, the volume-weighted mean scalar curvature, the random admissible
+metric, the energies by the (n!)^2 mixed-density expansion, the
+volume-weighted mean scalar curvature, the random admissible
 potential summed one mode per pass over wavevectors found by a scan, the
 spectral derivative with its multiplier rebuilt on every call, and the
 exact inertia of a symmetric rational matrix.  They read the package's
@@ -11,6 +12,7 @@ private helpers where sharing a check keeps it in one place.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,10 +20,12 @@ import numpy as np
 
 from jflow.critical import _ltilde
 from jflow.flow import FlowSetup, FlowState
+from jflow.functionals import dz_gradient, volume_of
 from jflow.hermitian import (ShapeError, _kept_indices, _perms_with_signs,
-                             as_matrix)
-from jflow.torus import (MetricField, TorusGrid, complex_hessian_of,
-                         derivative_symbol, integrate_top, scalar_curvature)
+                             as_matrix, wedge_coefficient_batch)
+from jflow.torus import (MetricField, TorusGrid, class_constant_c,
+                         complex_hessian_of, derivative_symbol, integrate_top,
+                         scalar_curvature)
 
 
 def _expand_factors(forms: Sequence) -> list:
@@ -96,6 +100,70 @@ def linearized_apply(metric: MetricField, g, v: np.ndarray) -> np.ndarray:
     """Ltilde v = (1/n) h^{ab} (complex Hessian of v)_{ab} in the metric's
     derivative mode; g is coerced as for MetricField.h_matrix."""
     return _ltilde(metric.h_matrix(g), v, metric.grid, metric.deriv)
+
+
+def mixed_density(mats: list, grid: TorusGrid) -> np.ndarray:
+    """Pointwise W(A_1,...,A_n)/n! for stacks of (1,1)-form coefficients.
+
+    For a single repeated positive form this is its determinant field, so
+    the output integrates like chi^n/n!.
+    """
+    return wedge_coefficient_batch(mats, grid.n) / math.factorial(grid.n)
+
+
+def dbar_energy_matrix(phi: np.ndarray, grid: TorusGrid,
+                       deriv: str = "fd4") -> np.ndarray:
+    """Coefficient stack P_ab = f_a conj(f_b) of sqrt(-1) dphi wedge dbarphi."""
+    f = np.stack(dz_gradient(phi, grid, deriv), axis=-1)
+    return f[..., :, None] * np.conj(f[..., None, :])
+
+
+def mixed_density_bundle(metric: MetricField, omega) -> dict:
+    """J, I and Jhat as sums of mixed-density moments over the linear path:
+    I = (1/(n+1)) sum_{i=0..n} int phi MD(chi0^i, chi_phi^{n-i}) and
+    J = sum_{i=0..n-1} int phi MD(omega, chi0^i, chi_phi^{n-1-i})."""
+    grid, chi0, chi, phi = metric.grid, metric.chi0, metric.chi, metric.phi
+    n, om = grid.n, as_matrix(omega)
+    c = class_constant_c(omega, chi0)
+
+    def moment(mats):
+        return integrate_top(phi * mixed_density(mats, grid), grid)
+
+    ival = sum(moment([chi0] * i + [chi] * (n - i))
+               for i in range(n + 1)) / (n + 1)
+    jval = sum(moment([om] + [chi0] * i + [chi] * (n - 1 - i))
+               for i in range(n))
+    return {"J": jval, "I": ival, "Jhat": jval - n * c * ival}
+
+
+def aubin_yau_terms(metric: MetricField) -> list:
+    """T_i = int W(P, chi0^i, chi_phi^{n-1-i}) dV for i = 0..n-1.
+
+    Each integrand is a mixed discriminant with one rank-one positive
+    semidefinite slot and positive definite remaining slots, hence
+    pointwise nonnegative.
+    """
+    grid = metric.grid
+    n = grid.n
+    p = dbar_energy_matrix(metric.phi, grid, metric.deriv)
+    chi = metric.chi
+    chi0_m = metric.chi0
+    if not np.iscomplexobj(chi):
+        chi0_m = chi0_m.real
+    return [integrate_top(np.asarray(wedge_coefficient_batch(
+        [p] + [chi0_m] * i + [chi] * (n - 1 - i), n)), grid)
+        for i in range(n)]
+
+
+def aubin_yau_energies(metric: MetricField) -> tuple:
+    """(I^E, J^E) from the terms: I^E = (1/(n! V)) sum_i T_i and J^E
+    reweights term i by (i+1)/(n+1)."""
+    n = metric.n
+    terms = aubin_yau_terms(metric)
+    norm = math.factorial(n) * volume_of(metric.chi0, metric.grid)
+    ie = sum(terms) / norm
+    je = sum((i + 1) * t for i, t in enumerate(terms)) / ((n + 1) * norm)
+    return ie, je
 
 
 def average_scalar_curvature(metric: MetricField) -> float:

@@ -118,10 +118,14 @@ UNUSABLE_CONFIGS = [
 
 
 def capped_cfg(n: int, points: int, mode: str = "invariant",
-               band: int | None = None) -> dict:
+               band: int | None = None, modes: int | None = None) -> dict:
     """The problem fields alone, on an n x n pair, with a random phi0 if
-    band is set: a config of flow, functionals and critical alike."""
+    band is set and a list of that many modes if modes is: a config of
+    flow, functionals and critical alike."""
     phi0 = {"random": {"band": band}} if band else {"zero": True}
+    if modes:
+        k = [1] + [0] * ((n if mode == "invariant" else 2 * n) - 1)
+        phi0 = {"modes": [{"k": k, "amplitude": 0.1}] * modes}
     eye = np.eye(min(n, 8))  # the forms of a refused n are never read
     return {"n": n, "points": points, "mode": mode, "phi0": phi0,
             "omega": eye.tolist(), "chi0": (2 * eye).tolist()}
@@ -132,9 +136,10 @@ def _no_field(*args, **kwargs):
 
 
 def _stub_phi0_builders(monkeypatch, stub):
-    """Replace what builds the zero and random phi0 of capped_cfg."""
+    """Replace what builds the zero, random and modes phi0 of capped_cfg."""
     monkeypatch.setattr(TorusGrid, "zeros", stub)
     monkeypatch.setattr(cli, "random_admissible_potential", stub)
+    monkeypatch.setattr(cli, "cosine_mode", stub)
 
 
 # (problem past a work cap, the field its config error names); each is
@@ -153,6 +158,11 @@ WORK_CAPS = [
                  "phi0.random.band", id="n2-full-band-22"),
     pytest.param({"n": 2, "points": 1024, "band": 3}, "phi0.random.band",
                  id="band-3-of-24"),
+    # 4,000 listed modes over 8,192 cells: 3.3e7 cosines
+    pytest.param({"n": 1, "points": 8192, "modes": 4000}, "phi0.modes",
+                 id="modes-4000"),
+    pytest.param({"n": 1, "points": 2048, "mode": "full", "modes": 5},
+                 "phi0.modes", id="modes-5-on-2048^2"),
 ]
 
 
@@ -279,10 +289,12 @@ class TestExitCodes:
         pytest.param({"n": 2, "points": 2048}, id="n2-cells-cap"),
         pytest.param({"n": 4, "points": 32}, id="n4-hessian-cap"),
         pytest.param({"n": 2, "points": 1024, "band": 2}, id="band-2-of-12"),
+        pytest.param({"n": 1, "points": 8192, "modes": 2048},
+                     id="modes-2048"),
     ])
     def test_largest_problems_under_the_caps(self, monkeypatch, problem):
         # exactly at a cap is accepted; nothing is built
-        _stub_phi0_builders(monkeypatch, lambda *args, **kwargs: None)
+        _stub_phi0_builders(monkeypatch, lambda *args, **kwargs: 0.0)
         built = cli._build_problem(capped_cfg(**problem))
         assert built["grid"].points == problem["points"]
 

@@ -478,8 +478,18 @@ class TestFieldBuilds:
 
         monkeypatch.setattr(MetricField, "__init__", counted)
         rec, _ = _sample(setup, state, 0.1)
-        # no path is integrated: every functional reads the state's field
-        assert builds == [] and hessians == [] and fields == []
+        # the functionals read the state's field, and the exact quadrature
+        # builds one metric per interior node (t = 1/3 at n = 2) from the
+        # state's Hessian
+        assert builds == [] and hessians == []
+        metric = state.metric
+        assert len(fields) == 1
+        grid, chi0, phi, hessian, deriv = fields[0]
+        t = 1.0 / 3.0
+        assert (grid, deriv) == (metric.grid, metric.deriv)
+        assert chi0 is metric.chi0
+        assert np.abs(phi - t * metric.phi).max() < 1e-15
+        assert np.abs(hessian - t * metric.hessian).max() < 1e-15
         assert rec.mabuchi == rec.entropy
 
     def test_step_traces_four_times(self, monkeypatch):

@@ -1,4 +1,4 @@
-"""Energy functionals: path integrals, closed forms, inequality chains."""
+"""Energy functionals: path integrals, exact node sums, inequality chains."""
 
 import numpy as np
 import pytest
@@ -19,14 +19,11 @@ from jflow import (
     path_independence_gap,
     volume_of,
 )
-from jflow.functionals import (
-    aubin_yau_terms,
-    dbar_energy_matrix,
-    dz_gradient,
-    mixed_density,
-    path_functional_bundle,
-)
-from oracles import average_scalar_curvature
+from jflow.functionals import _radau_rule, dz_gradient, path_functional_bundle
+from jflow.sampling import make_rng, random_admissible_potential
+from oracles import (aubin_yau_energies, aubin_yau_terms,
+                     average_scalar_curvature, dbar_energy_matrix,
+                     mixed_density, mixed_density_bundle)
 
 TWO_PI = 2.0 * np.pi
 
@@ -140,7 +137,7 @@ class TestPathFunctionals:
     def test_closed_form_j_and_i(self, n, points, pair):
         # along the linear path both integrands are polynomials in t of
         # degree <= 3 for n <= 3, where the Richardson-extrapolated
-        # trapezoid sweep (Simpson) is exact, so it checks the closed form
+        # trapezoid sweep (Simpson) is exact, so it checks the Radau route
         grid = TorusGrid(n=n, points=points)
         if pair == "real":
             omega = np.eye(n) + 0.1 * np.diag(np.ones(n - 1), 1)
@@ -157,6 +154,75 @@ class TestPathFunctionals:
         swept = path_functional_bundle(metric, omega, PathSpec())
         for key in ("J", "I", "Jhat"):
             assert closed[key] == pytest.approx(swept[key], rel=1e-12)
+
+
+def _background(n: int, pair: str) -> tuple:
+    """(omega, chi0) with off-diagonal entries; chi0 complex for "complex"."""
+    off = np.diag(np.ones(n - 1), 1)
+    omega = np.eye(n) + 0.05 * (off + off.T)
+    chi0 = np.diag(np.linspace(1.5, 2.5, n)).astype(complex)
+    if pair == "complex":
+        chi0 += 0.2j * off - 0.2j * off.T
+    else:
+        chi0 += 0.1 * (off + off.T)
+    return omega, chi0
+
+
+class TestRadauRoute:
+    """The right-Radau node route against the mixed-density expansion."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rule_is_exact_to_degree_n(self, n):
+        rule = _radau_rule(n)
+        assert len(rule) == (n + 3) // 2 and rule[-1][0] == 1.0
+        for degree in range(n + 1):
+            got = sum(w * t**degree for t, w in rule)
+            assert got == pytest.approx(1.0 / (degree + 1), rel=1e-14)
+
+    def test_radau_iia_nodes(self):
+        root6 = np.sqrt(6.0)
+        want = [((4 - root6) / 10, (16 - root6) / 36),
+                ((4 + root6) / 10, (16 + root6) / 36), (1.0, 1.0 / 9.0)]
+        assert np.allclose(_radau_rule(3), want, rtol=1e-14, atol=0.0)
+        assert np.allclose(_radau_rule(2), [(1 / 3, 3 / 4), (1.0, 1 / 4)],
+                           rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n, mode, points, deriv, pair, count", [
+        pytest.param(1, "invariant", 16, "spectral", "real", None, id="1-inv"),
+        pytest.param(1, "full", 8, "fd4", "real", None, id="1-full"),
+        pytest.param(2, "invariant", 16, "fd4", "real", None, id="2-inv"),
+        pytest.param(2, "invariant", 16, "spectral", "complex", 3,
+                     id="2-inv-complex-stack"),
+        pytest.param(2, "full", 8, "spectral", "complex", None,
+                     id="2-full-complex"),
+        pytest.param(2, "full", 8, "fd4", "real", None, id="2-full"),
+        pytest.param(3, "invariant", 8, "fd4", "complex", None,
+                     id="3-inv-complex"),
+        pytest.param(3, "invariant", 12, "spectral", "real", None,
+                     id="3-inv"),
+        pytest.param(4, "invariant", 8, "spectral", "real", None, id="4-inv"),
+        pytest.param(4, "invariant", 8, "fd4", "complex", None,
+                     id="4-inv-complex"),
+    ])
+    def test_matches_mixed_density_route(self, n, mode, points, deriv, pair,
+                                         count):
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        omega, chi0 = _background(n, pair)
+        # the shift keeps J and I away from the zero of a mean-free phi
+        phi = 0.3 + random_admissible_potential(
+            make_rng(7, n), grid, chi0, band=2, deriv=deriv, count=count)
+        metric = metric_field(grid, chi0, phi, deriv)
+        new = flow_functional_bundle(metric, omega)
+        old = mixed_density_bundle(metric, omega)
+        old["IE"], old["JE"] = aubin_yau_energies(metric)
+        ie, je = eval_IE_JE(metric)
+        assert np.array_equal(ie, new["IE"]) and np.array_equal(je, new["JE"])
+        # Jhat = J - nc I cancels, so it is measured against its terms
+        scale = {key: np.abs(old[key]) for key in old}
+        scale["Jhat"] = np.abs(old["J"]) + np.abs(old["J"] - old["Jhat"])
+        for key in ("J", "I", "Jhat", "IE", "JE"):
+            gap = np.abs(np.asarray(new[key]) - old[key]) / scale[key]
+            assert np.all(gap <= 1e-12), (key, gap)
 
 
 class TestEnergyChain:
@@ -210,6 +276,23 @@ class TestEnergyChain:
         ie, _ = eval_IE_JE(metric)
         other = ie_second_form(metric)
         assert other == pytest.approx(ie, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_identities_beyond_n2(self, n):
+        # band 2 at N = 12 keeps every product in the integrands below the
+        # grid's aliasing limit, so both I^E routes are exact sums
+        grid = TorusGrid(n=n, points=12)
+        chi0 = np.diag(np.linspace(1.5, 2.5, n))
+        phis = random_admissible_potential(make_rng(11, n), grid, chi0,
+                                           band=2, deriv="spectral", count=3)
+        metric = metric_field(grid, chi0, phis, "spectral")
+        ie, je = eval_IE_JE(metric)
+        other = ie_second_form(metric)
+        assert np.all(np.abs(ie - other) <= 1e-12 * np.abs(ie))
+        slack = 1e-12 * np.maximum(1.0, np.abs(ie))
+        assert np.all(ie > 0.0)
+        assert np.all(je - ie / (n + 1) >= -slack)
+        assert np.all(n * ie / (n + 1) - je >= -slack)
 
     def test_zero_field_energies_vanish(self, setup_n2):
         grid, _, chi0, _ = setup_n2

@@ -3,11 +3,13 @@
 The run: lines of .github/workflows/tier1.yml are read as text (the CI
 image installs no YAML parser).  Every jflow subcommand and builtin lattice
 they name must be the package's, and every config, script and benchmark
-path must be a file of the repository.  A shell loop's words stand in for
+path must be a file of the repository.  The traced perfbench guard must run
+every workload BENCHMARK.json declares.  A shell loop's words stand in for
 its variable, so `for cmd in flow ...; do jflow "$cmd"` checks each word.
 """
 
 import argparse
+import json
 import re
 from pathlib import Path
 
@@ -94,6 +96,20 @@ def test_benchmark_workloads_exist():
     assert used
     for name in used:
         assert re.search(rf'^\s+"{re.escape(name)}": \(', text, re.M), name
+
+
+def test_perfbench_guard_runs_every_benchmark_workload():
+    # the traced guard is the loop that fails on an ABSENT metric; a
+    # workload BENCHMARK.json declares but the loop skips is never guarded
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = {w["name"] for w in spec["workloads"]}
+    guards = [s for s in run_scripts()
+              if "perfbench/run.py" in s and "ABSENT" in s]
+    assert guards
+    for script in guards:
+        guarded = {found for text in expand_loops(script)
+                   for found in re.findall(r"--workload (\S+)", text)}
+        assert declared <= guarded, sorted(declared - guarded)
 
 
 def test_loops_expand():
