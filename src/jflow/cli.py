@@ -444,8 +444,8 @@ def cmd_conditions(args) -> tuple:
     conditions = {}
     for which in CONDITIONS:
         rep = condition_report(lam, which)
-        conditions[which] = {"passed": rep.passed,
-                             "margin": rep.margin,
+        margin = rep.margin if np.isfinite(rep.margin) else None
+        conditions[which] = {"passed": rep.passed, "margin": margin,
                              "boundary": rep.boundary}
     payload = {
         "config": {"omega": _matrix_to_json(omega),

@@ -220,9 +220,6 @@ class SurfaceLattice:
                 f"reference class fails its own cone test: {ref.describe()}"
             )
 
-    def negative_curves(self) -> tuple:
-        return tuple(c for c in self.curves if c.negative)
-
     def curve(self, name: str) -> Curve:
         for c in self.curves:
             if c.name == name:
@@ -342,12 +339,13 @@ def divisor_search(lattice: SurfaceLattice, alpha) -> DivisorSearchReport:
     (typically because it is incomplete).
     """
     av = _vec(alpha, lattice.rank)
-    rep = nakai_test(lattice, av)
-    if not (rep.square > 0 and rep.reference_product > 0):
+    signs = _pairings(lattice, _numerators(av)[0])
+    if min(signs[:2]) <= 0:
+        rep = nakai_test(lattice, av)
         raise ConeError(
             f"divisor search needs alpha^2 > 0 and alpha . reference > 0; "
             f"got {rep.square} and {rep.reference_product}")
-    if rep.passed:
+    if min(signs) > 0:
         return _empty_report(av, 0, "", status="kahler")
 
     # pairings index 2 + k belongs to lattice.curves[k]
@@ -357,13 +355,12 @@ def divisor_search(lattice: SurfaceLattice, alpha) -> DivisorSearchReport:
             av, 0, "class fails the cone test but the lattice lists no "
                    "negative curves")
 
-    def failing_against(v) -> list:
-        signs = _pairings(lattice, _numerators(v)[0])
+    def failing_against(signs) -> list:
         return [c for k, c in negatives if c not in support and signs[k] <= 0]
 
     support: list = []
     coeffs: dict = {}
-    failing = failing_against(av)
+    failing = failing_against(signs)
     for rounds in range(1, 3 * len(lattice.curves) + 11):
         support.extend(failing)
         if not support:
@@ -388,7 +385,8 @@ def divisor_search(lattice: SurfaceLattice, alpha) -> DivisorSearchReport:
             if not support:
                 coeffs = {}
                 break
-        failing = failing_against(_minus(av, coeffs.items()))
+        rest = _pairings(lattice, _numerators(_minus(av, coeffs.items()))[0])
+        failing = failing_against(rest)
         if not failing:
             break
 

@@ -23,7 +23,8 @@ The preconditioner is the exact inverse of -Ltilde with h frozen at its
 grid mean: a constant-coefficient operator, diagonal in Fourier space, whose
 symbol is built from the first-derivative symbol of the stencil.  One real
 FFT pair applies it and removes the dead modes, and the CG iteration count
-stays flat under grid refinement.  The operator's own output is cleared of
+stays flat under grid refinement.  The operator contracts h with the
+complex Hessian of v in torus._hessian_trace, and its output is cleared of
 dead modes by torus.null_mode_projection, which needs no FFT.
 
 With variable coefficients the pointwise form of Ltilde is not exactly
@@ -34,8 +35,6 @@ inner iteration and treats the returned vector as a quasi-Newton direction.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .flow import FlowSetup, FlowState, flow_state
 from .hermitian import SettingError, SingularFormError
 from .torus import (
     TorusGrid,
+    _hessian_trace,
     complex_hessian_of,
     null_mode_projection,
     symbol_mesh,
@@ -90,18 +90,8 @@ class NewtonReport:
 
 def _ltilde(h: np.ndarray, v: np.ndarray, grid: TorusGrid,
             deriv: str) -> np.ndarray:
-    # Ltilde v; private, so traced Hessian calls sit under newton_solve.
-    # h and the Hessian are Hermitian with real diagonals, so the trace of
-    # their product is the diagonal plus twice the real upper triangle.
-    hess = complex_hessian_of(v, grid, deriv)
-    n = grid.n
-    out = reduce(add, (h[..., a, a].real * hess[..., a, a].real
-                       for a in range(n)))
-    if n > 1:
-        upper = reduce(add, ((h[..., a, b] * hess[..., b, a]).real
-                             for a in range(n) for b in range(a + 1, n)))
-        out = out + 2.0 * upper
-    return out / n
+    # Ltilde v; private, so traced Hessian calls sit under newton_solve
+    return _hessian_trace(h, complex_hessian_of(v, grid, deriv)) / grid.n
 
 
 def _mean_symbol_inverse(grid: TorusGrid, h: np.ndarray, deriv: str):

@@ -36,10 +36,10 @@ from .hermitian import SettingError, SingularFormError, as_matrix
 from .torus import (
     MetricField,
     TorusGrid,
+    _hessian_trace,
     class_constant_c,
     form_factor,
     integrate_top,
-    laplacian_w,
     metric_field,
     symbol_mesh,
 )
@@ -268,8 +268,8 @@ def _step_factor(err: float, tol: float) -> float:
 
 
 def blowup_monitor(setup: FlowSetup, state: FlowState) -> float:
-    """sup over the grid of |phi| + |Laplacian_omega phi|."""
-    lap = laplacian_w(setup.omega, state.metric.hessian)
+    """sup over the grid of |phi| + |Laplacian_omega phi| (_hessian_trace)."""
+    lap = _hessian_trace(np.linalg.inv(setup.omega), state.metric.hessian)
     return float(np.max(np.abs(state.phi) + np.abs(lap)))
 
 

@@ -26,7 +26,9 @@ on its own.
 A MetricField factors chi = L L^* one entry of L at a time, each entry one
 array operation over the whole grid, for any n; det, the trace against a
 constant form, the inverse and h = chi^{-1} g chi^{-1} are read from that
-factor, so a flow stage runs no per-point LAPACK call.
+factor, so a flow stage runs no per-point LAPACK call.  Newton's operator,
+the blow-up Laplacian and the curvature contract a Hermitian coefficient
+with a complex Hessian in one kernel, _hessian_trace.
 """
 
 from __future__ import annotations
@@ -494,16 +496,6 @@ def metric_field(grid: TorusGrid, chi0: np.ndarray, phi: np.ndarray,
                        deriv)
 
 
-def laplacian_w(omega, hessian: np.ndarray) -> np.ndarray:
-    """Weighted Laplacian omega^{ab} d^2 phi / dz_a dzbar_b from phi's
-    complex Hessian stack."""
-    inv = np.linalg.inv(as_matrix(omega))
-    val = np.einsum("ab,...ba->...", inv, hessian)
-    if np.iscomplexobj(val):
-        return val.real.copy()
-    return val
-
-
 def class_constant_c(omega, chi0) -> float:
     """The constant c with n c = chi0^{ij} omega_{ij} for constant forms.
 
@@ -515,12 +507,21 @@ def class_constant_c(omega, chi0) -> float:
     return trace_pair(chi0, omega) / n
 
 
+def _hessian_trace(coef: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Pointwise Re sum_ab A_ab H_ba, A a Hermitian constant form or stack,
+    H a complex-Hessian stack: the diagonal plus twice the real upper
+    triangle, since both are Hermitian with real diagonals."""
+    n = hess.shape[-1]
+    out = reduce(add, (coef[..., a, a].real * hess[..., a, a].real
+                       for a in range(n)))
+    if n > 1:
+        upper = reduce(add, ((coef[..., a, b] * hess[..., b, a]).real
+                             for a in range(n) for b in range(a + 1, n)))
+        out = out + 2.0 * upper
+    return out
+
+
 def scalar_curvature(metric: MetricField) -> np.ndarray:
     """R = -chi^{ab} d^2(log det chi)/dz_a dzbar_b on the grid."""
-    logdet = np.log(metric.det())
-    hess = complex_hessian_of(logdet, metric.grid, metric.deriv)
-    inv = metric.inverse()
-    val = np.einsum("...ab,...ba->...", inv, hess)
-    if np.iscomplexobj(val):
-        return val.real.copy() * -1.0
-    return -val
+    hess = complex_hessian_of(np.log(metric.det()), metric.grid, metric.deriv)
+    return -_hessian_trace(metric.inverse(), hess)

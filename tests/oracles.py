@@ -3,12 +3,13 @@
 Each one recomputes a quantity the package computes faster, or one no
 package path needs: the brute-force wedge coefficient, the wedge form of
 the flow velocity, the linearized operator of the critical equation at a
-metric, the energies by the (n!)^2 mixed-density expansion, the
-volume-weighted mean scalar curvature, the random admissible
-potential summed one mode per pass over wavevectors found by a scan, the
-spectral derivative with its multiplier rebuilt on every call, and the
-exact inertia of a symmetric rational matrix.  They read the package's
-private helpers where sharing a check keeps it in one place.
+metric, the weighted Laplacian and the scalar curvature by a full einsum
+over the n^2 Hessian entries, the energies by the (n!)^2 mixed-density
+expansion, the volume-weighted mean scalar curvature, the random
+admissible potential summed one mode per pass over wavevectors found by a
+scan, the spectral derivative with its multiplier rebuilt on every call,
+and the exact inertia of a symmetric rational matrix.  They read the
+package's private helpers where sharing a check keeps it in one place.
 """
 
 import itertools
@@ -100,6 +101,20 @@ def linearized_apply(metric: MetricField, g, v: np.ndarray) -> np.ndarray:
     """Ltilde v = (1/n) h^{ab} (complex Hessian of v)_{ab} in the metric's
     derivative mode; g is coerced as for MetricField.h_matrix."""
     return _ltilde(metric.h_matrix(g), v, metric.grid, metric.deriv)
+
+
+def laplacian_einsum(omega, hessian: np.ndarray) -> np.ndarray:
+    """Weighted Laplacian omega^{ab} d^2 phi / dz_a dzbar_b from phi's
+    complex Hessian stack, every entry of the trace summed by einsum."""
+    inv = np.linalg.inv(as_matrix(omega))
+    return np.einsum("ab,...ba->...", inv, hessian).real
+
+
+def scalar_curvature_einsum(metric: MetricField) -> np.ndarray:
+    """R = -chi^{ab} d^2(log det chi)/dz_a dzbar_b, every entry of the
+    trace summed by einsum."""
+    hess = complex_hessian_of(np.log(metric.det()), metric.grid, metric.deriv)
+    return -np.einsum("...ab,...ba->...", metric.inverse(), hess).real
 
 
 def mixed_density(mats: list, grid: TorusGrid) -> np.ndarray:

@@ -277,9 +277,10 @@ def test_criterion_10_singularity_statement(criterion):
     # the stated reason is checkable: the torus-like lattice has no
     # negative curves, while the blow-up lattice that the certificates
     # run on does
-    flat_side = builtin_lattice("product_curves").negative_curves() == ()
+    flat_side = not any(
+        c.negative for c in builtin_lattice("product_curves").curves)
     blowup_names = tuple(
-        c.name for c in builtin_lattice("blowup_p2_1").negative_curves())
+        c.name for c in builtin_lattice("blowup_p2_1").curves if c.negative)
     blowup_side = blowup_names == ("E",)
     ok = stated and flat_side and blowup_side
     detail = (f"note states the limitation and both substitutes; "

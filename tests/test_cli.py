@@ -38,6 +38,15 @@ from jflow.torus import TorusGrid, load_field
 from jflow.cone import BUILTIN_LATTICES, SurfaceLattice, builtin_lattice
 
 
+def _no_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+def read_report(path):
+    """A report file parsed as strict JSON: NaN and Infinity raise."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 def write_cfg(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -201,7 +210,7 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "f.json", flow_cfg())
         out = tmp_path / "summary.json"
         assert main(["flow", cfg, "--summary", str(out), "--quiet"]) == EXIT_OK
-        payload = json.loads(out.read_text())
+        payload = read_report(out)
         assert payload["verdict"] == "converged"
         assert payload["final"]["residual"] < 1e-8
         assert payload["jhat_monotone"]
@@ -217,7 +226,7 @@ class TestExitCodes:
         out = tmp_path / "summary.json"
         assert main(["flow", cfg, "--summary", str(out),
                      "--quiet"]) == EXIT_BLOWUP
-        assert json.loads(out.read_text())["verdict"] == "blowup"
+        assert read_report(out)["verdict"] == "blowup"
 
     def test_schema_unknown_field(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "f.json", flow_cfg(bogus=3))
@@ -320,7 +329,7 @@ class TestExitCodes:
                      "--inject-fault", "c2-sign",
                      "--out", str(out), "--quiet"])
         assert code == EXIT_PROPERTY_FAILURE
-        payload = json.loads(out.read_text())
+        payload = read_report(out)
         assert not payload["report"]["all_passed"]
         assert payload["report"]["fault"] == "c2-sign"
 
@@ -335,7 +344,7 @@ class TestFlowOutputs:
         assert code == EXIT_TIMEOUT
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) - 1 == json.loads(out.read_text())["samples"]
+        assert len(lines) - 1 == read_report(out)["samples"]
 
     def test_summary_deterministic_modulo_wall_time(self, tmp_path):
         cfg = write_cfg(tmp_path, "f.json", flow_cfg(t_max=2.0))
@@ -343,7 +352,7 @@ class TestFlowOutputs:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             main(["flow", cfg, "--summary", str(out), "--quiet"])
-            payload = json.loads(out.read_text())
+            payload = read_report(out)
             payload.pop("wall_time_s")
             payloads.append(payload)
         assert payloads[0] == payloads[1]
@@ -355,7 +364,7 @@ class TestFlowOutputs:
         out = tmp_path / "summary.json"
         main(["flow", write_cfg(tmp_path, "f.json", cfg), "--summary",
               str(out), "--quiet"])
-        resolved = json.loads(out.read_text())["config"]
+        resolved = read_report(out)["config"]
         # defaults are filled in so the report stands on its own
         assert resolved["deriv"] == "fd4"
         assert resolved["normalize"] is False
@@ -398,7 +407,7 @@ class TestCritical:
         code = main(["critical", cfg, "--save-field", str(field_path),
                      "--summary", str(out), "--quiet"])
         assert code == EXIT_OK
-        payload = json.loads(out.read_text())
+        payload = read_report(out)
         assert payload["newton"]["converged"]
         assert payload["final_residual"] < 1e-10
         grid, values, header = load_field(str(field_path))
@@ -411,7 +420,7 @@ class TestCritical:
             newton={"tol": 1e-10, "max_iters": 7}))
         out = tmp_path / "report.json"
         main(["critical", cfg, "--summary", str(out), "--quiet"])
-        echoed = json.loads(out.read_text())["config"]["newton"]
+        echoed = read_report(out)["config"]["newton"]
         expected = {f.name: f.default for f in fields(NewtonSettings)}
         expected.update(tol=1e-10, max_iters=7)
         assert echoed == expected
@@ -490,7 +499,7 @@ class TestConditionsCommand:
         out = tmp_path / "report.json"
         assert main(["conditions", cfg, "--summary", str(out),
                      "--quiet"]) == EXIT_OK
-        payload = json.loads(out.read_text())
+        payload = read_report(out)
         margins = [payload["conditions"][k]["margin"]
                    for k in ("C1", "C2", "C3")]
         assert margins == pytest.approx([2 / 3, 2 / 3, 2 / 3])
@@ -505,8 +514,18 @@ class TestConditionsCommand:
         })
         out = tmp_path / "report.json"
         main(["conditions", cfg, "--summary", str(out), "--quiet"])
-        payload = json.loads(out.read_text())
+        payload = read_report(out)
         assert payload["trace_of_inverse"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_vacuous_margin_is_null(self, tmp_path):
+        # C2 holds vacuously at n = 1; its margin inf is written as null
+        cfg = write_cfg(tmp_path, "p.json", {"omega": [[1.0]],
+                                            "chi": [[3.0]]})
+        out = tmp_path / "report.json"
+        assert main(["conditions", cfg, "--summary", str(out),
+                     "--quiet"]) == EXIT_OK
+        c2 = read_report(out)["conditions"]["C2"]
+        assert c2 == {"passed": True, "margin": None, "boundary": False}
 
     def test_complex_entries_accepted(self, tmp_path):
         cfg = write_cfg(tmp_path, "p.json", {
@@ -543,7 +562,7 @@ class TestFunctionalsCommand:
         out = tmp_path / "report.json"
         assert main(["functionals", cfg, "--summary", str(out),
                      "--quiet"]) == EXIT_OK
-        payload = json.loads(out.read_text())
+        payload = read_report(out)
         values = payload["values"]
         assert values["IE"] > 0 and values["JE"] > 0
         assert values["JE"] <= values["IE"]
@@ -564,7 +583,7 @@ class TestConeCommand:
         code = main(["cone", "blowup_p2_1", "--alpha", "3,1",
                      "--out", str(out), "--quiet"])
         assert code == EXIT_OK
-        payload = json.loads(out.read_text())
+        payload = read_report(out)
         assert payload["search"]["status"] == "certificate"
         assert payload["verified"]
         assert payload["search"]["remainder"] == ["3", "-1"]
@@ -574,7 +593,7 @@ class TestConeCommand:
         code = main(["cone", "blowup_p2_1", "--omega", "2,-1",
                      "--chi0", "5,-1", "--out", str(out), "--quiet"])
         assert code == EXIT_OK
-        payload = json.loads(out.read_text())
+        payload = read_report(out)
         assert payload["c"] == "3/8"
         assert payload["identity_square"] and payload["identity_mixed"]
         assert payload["needs_divisor"]
@@ -593,7 +612,7 @@ class TestConeCommand:
         code = main(["cone", str(lattice_path), "--alpha", "3,-1",
                      "--out", str(out), "--quiet"])
         assert code == EXIT_OK
-        assert json.loads(out.read_text())["search"]["status"] == "kahler"
+        assert read_report(out)["search"]["status"] == "kahler"
 
     @pytest.fixture
     def degenerate_lattice(self, tmp_path):
@@ -620,7 +639,7 @@ class TestConeCommand:
         code = main(["cone", degenerate_lattice, *target,
                      "--out", str(out), "--quiet"])
         assert code == EXIT_INVARIANT
-        payload = json.loads(out.read_text())
+        payload = read_report(out)
         assert payload["exit_code"] == EXIT_INVARIANT
         assert payload["search"]["status"] == "no-certificate"
         assert not payload["verified"]
@@ -712,7 +731,7 @@ class TestProptestCommand:
                          "--cone-samples", "10",
                          "--out", str(out), "--quiet"])
             assert code == EXIT_OK
-            digests.append(json.loads(out.read_text())["digest"])
+            digests.append(read_report(out)["digest"])
         assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("flag, value", [
@@ -774,7 +793,7 @@ class TestReportEnvelope:
         out = tmp_path / "report.json"
         code = main([*argv, flag, str(out), "--quiet"])
         assert capsys.readouterr().out == ""
-        payload = json.loads(out.read_text())
+        payload = read_report(out)
         assert payload["command"] == command
         assert payload["exit_code"] == code
         wall = payload["wall_time_s"]

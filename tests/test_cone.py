@@ -194,8 +194,8 @@ class TestLatticeValidation:
             blowup.curve("F")
 
     def test_negative_curves(self, blowup, product):
-        assert tuple(c.name for c in blowup.negative_curves()) == ("E",)
-        assert product.negative_curves() == ()
+        assert tuple(c.name for c in blowup.curves if c.negative) == ("E",)
+        assert not any(c.negative for c in product.curves)
 
 
 class TestIntersections:
@@ -311,7 +311,7 @@ class TestIntegerRouteOracle:
     def test_rational_lattice_is_nontrivial(self):
         lattice = _rational_lattice()
         assert lattice._q_den > 1 and lattice._cov_den > lattice._q_den
-        assert len(lattice.negative_curves()) == 3
+        assert sum(c.negative for c in lattice.curves) == 3
 
     def test_intersect_and_nakai(self, lattice):
         rng = random.Random(9)

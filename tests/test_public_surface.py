@@ -1,5 +1,6 @@
-"""Every public name of the package is reached by the package's own code,
-its scripts or the benchmark harness.
+"""Every public name of the package, and every public method of its public
+classes, is reached by the package's own code, its scripts or the benchmark
+harness.
 
 A name only the tests call is an oracle or a wrapper the library does not
 need; oracles live in tests/oracles.py.  A reference is a name, an
@@ -15,16 +16,25 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "jflow"
 
 
+def _public(nodes) -> list:
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def _public_definitions() -> dict:
-    """{name: module file} of the public module-level functions and classes."""
+    """{qualified name: bare name} of the public module-level functions and
+    classes and the public methods of those classes."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                out[node.name] = path.name
+        for node in _public(ast.parse(path.read_text()).body):
+            out[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for method in _public(node.body):
+                    out[f"{path.stem}.{node.name}.{method.name}"] = \
+                        method.name
     return out
 
 
@@ -46,8 +56,8 @@ def _referenced_names() -> set:
 
 def test_every_public_name_is_reached():
     referenced = _referenced_names()
-    unreached = sorted(f"{module[:-3]}.{name}"
-                       for name, module in _public_definitions().items()
+    unreached = sorted(qualified
+                       for qualified, name in _public_definitions().items()
                        if name not in referenced)
     assert not unreached, (
         "public names reached only from tests; move oracles to "

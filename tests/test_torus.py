@@ -20,15 +20,16 @@ from jflow.hermitian import as_matrix
 from jflow.sampling import random_admissible_potential
 from jflow import torus
 from jflow.torus import (
+    _hessian_trace,
     derivative_symbol,
     form_factor,
     gradient,
-    laplacian_w,
     null_mode_projection,
     scalar_curvature,
     symbol_mesh,
 )
-from oracles import spectral_derivative_per_call
+from oracles import (laplacian_einsum, scalar_curvature_einsum,
+                     spectral_derivative_per_call)
 
 TWO_PI = 2.0 * np.pi
 
@@ -631,12 +632,71 @@ class TestEntrywiseFactor:
             assert np.isfinite(np.delete(field.ravel(), 3 * 8 + 4)).all()
 
 
+def _random_hermitian_stack(rng, shape, n, complex_entries):
+    a = rng.standard_normal(shape + (n, n))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal(shape + (n, n))
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
+def _relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestHessianTrace:
+    """The one Hermitian contraction against the einsum routes it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("coef_complex", [False, True])
+    @pytest.mark.parametrize("hess_complex", [False, True])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_matches_einsum_on_hermitian_stacks(self, n, coef_complex,
+                                                 hess_complex, stacked):
+        # a real Hessian is the invariant layout's, a complex one the full
+        # layout's; the coefficient is a constant form or a stack
+        rng = np.random.default_rng([n, coef_complex, hess_complex, stacked])
+        hess = _random_hermitian_stack(rng, (5, 7), n, hess_complex)
+        coef = _random_hermitian_stack(rng, (5, 7) if stacked else (), n,
+                                       coef_complex)
+        got = _hessian_trace(coef, hess)
+        want = np.einsum("...ab,...ba->...", coef, hess).real
+        assert got.shape == (5, 7) and got.dtype == np.float64
+        assert _relative_gap(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
+    @pytest.mark.parametrize("mode,n,points,complex_forms", [
+        (mode, n, points, complex_forms)
+        for mode, n, points in [
+            ("invariant", 1, 16), ("invariant", 2, 12), ("invariant", 3, 8),
+            ("invariant", 4, 8), ("full", 1, 12), ("full", 2, 8),
+            ("full", 3, 8)]
+        # the 8^6-point grid runs once per derivative mode, complex forms
+        for complex_forms in (False, True)
+        if (mode, n) != ("full", 3) or complex_forms
+    ])
+    def test_laplacian_and_curvature_match_einsum(self, mode, n, points,
+                                                  deriv, complex_forms):
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        rng = np.random.default_rng([n, points, deriv == "fd4", complex_forms])
+        omega = _random_form(rng, n, complex_forms)
+        chi0 = _random_form(rng, n, complex_forms)
+        # three low modes, small next to chi0 >= n: admissible by a margin
+        phi = sum(cosine_mode(grid, rng.integers(-1, 2, grid.naxes), 0.1,
+                              rng.uniform(0.0, TWO_PI)) for _ in range(3))
+        metric = metric_field(grid, chi0, phi, deriv)
+        lap = _hessian_trace(np.linalg.inv(omega), metric.hessian)
+        assert _relative_gap(lap, laplacian_einsum(omega, metric.hessian)) \
+            <= 1e-14
+        assert _relative_gap(scalar_curvature(metric),
+                             scalar_curvature_einsum(metric)) <= 1e-14
+
+
 class TestCurvatureAndConstants:
     def test_laplacian_is_weighted_trace(self):
         grid = TorusGrid(n=2, points=16)
         phi = cosine_mode(grid, [1, 2], 0.6)
         h = complex_hessian_of(phi, grid, "fd4")
-        got = laplacian_w(np.eye(2), h)
+        got = _hessian_trace(np.eye(2), h)
         assert np.max(np.abs(got - (h[..., 0, 0] + h[..., 1, 1]))) < 1e-13
 
     def test_class_constant_flat_example(self):
