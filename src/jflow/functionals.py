@@ -11,13 +11,14 @@ Every functional takes the MetricField of its potential alone, which the
 caller builds once with torus.metric_field: phi, its derivative mode and
 chi all come from the metric, and none is rebuilt from phi.
 
-Along chi_t = chi0 + t i ddbar(phi) the integrands of J, I, I^E and J^E are
-polynomials of degree <= n in t, which the right-Radau rule on (n+3)//2
-nodes of [0, 1] integrates exactly; its last node is the metric itself.
-The path sweeps (the path-independence oracle and the Mabuchi energy) run
-over phi_t = f(t) phi, f mapping [0,1] into [0,1], so every chi_t is a
-convex combination of chi0 and chi_phi and stays admissible; they use the
-trapezoid rule on 2M+1 nested nodes with one Richardson step.
+Every energy is a node sum, _node_sums, of weights times a kernel at the
+metrics of s phi.  Along chi_t = chi0 + t i ddbar(phi) the integrands of
+J, I, I^E and J^E are polynomials of degree <= n in t, which the
+right-Radau rule on (n+3)//2 nodes of [0, 1] integrates exactly; its last
+node is the metric itself.  The path sweeps (the path-independence oracle
+and the Mabuchi energy) run over phi_t = f(t) phi, f mapping [0,1] into
+[0,1], so every chi_t is a convex combination of chi0 and chi_phi and
+stays admissible; they sum Simpson's rule on 2M+1 nodes, f' in its weights.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ PATH_KINDS = ("linear", "quadratic")
 class PathSpec:
     """Path phi_t = f(t) phi from 0 to phi, with quadrature resolution.
 
-    linear: f(t) = t.  quadratic: f(t) = t^2.  steps is the coarse
-    trapezoid count M; evaluation uses 2M+1 nodes plus Richardson
-    extrapolation.
+    linear: f(t) = t.  quadratic: f(t) = t^2.  steps is the count M of
+    Simpson panels; the sweep sums 2M+1 nodes.
     """
 
     kind: str = "linear"
@@ -65,18 +65,6 @@ class PathSpec:
 
     def rate(self, t: float) -> float:
         return 1.0 if self.kind == "linear" else 2.0 * t
-
-
-def _trapezoid(values: np.ndarray, dx: float) -> float:
-    return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
-
-
-def _richardson(values: np.ndarray) -> float:
-    """Trapezoid on all nodes and on every second node, extrapolated."""
-    m2 = values.shape[0] - 1
-    fine = _trapezoid(values, 1.0 / m2)
-    coarse = _trapezoid(values[::2], 2.0 / m2)
-    return float(fine + (fine - coarse) / 3.0)
 
 
 def volume_of(chi0, grid: TorusGrid) -> float:
@@ -111,26 +99,30 @@ def _radau_rule(n: int) -> tuple:
     return tuple(zip(nodes.tolist(), weights.tolist()))
 
 
-def _node(metric: MetricField, w: float) -> MetricField:
-    """The metric chi0 + w i ddbar(phi) of w phi, read from metric's
-    Hessian; metric itself at w = 1."""
-    if w == 1.0:
-        return metric
-    return MetricField(metric.grid, metric.chi0, w * metric.phi,
-                       w * metric.hessian, metric.deriv)
+@lru_cache(maxsize=None)
+def _simpson_rule(path: PathSpec) -> tuple:
+    """(f(t), f'(t) weight) of Simpson's rule on the 2M+1 nodes t of
+    [0, 1]: the weights (1, 4, 2, ..., 4, 1)/(6M)."""
+    m = path.steps
+    coef = [1.0] + [4.0, 2.0] * (m - 1) + [4.0, 1.0]
+    nodes = np.linspace(0.0, 1.0, 2 * m + 1).tolist()
+    return tuple((path.weight(t), path.rate(t) * c / (6.0 * m))
+                 for t, c in zip(nodes, coef))
 
 
-def _path_samples(metric: MetricField, path: PathSpec,
-                  kernel: Callable) -> np.ndarray:
-    """rate(t) * kernel(metric_t) on every quadrature node, one row per
-    kernel output; metric_t carries chi0 + f(t) i ddbar(phi).  Raises if a
-    node loses positivity (cannot happen for f in [0,1] with admissible
-    endpoints)."""
-    rows = []
-    for t in np.linspace(0.0, 1.0, 2 * path.steps + 1):
-        node = _node(metric, path.weight(float(t)))
-        rows.append(path.rate(float(t)) * np.atleast_1d(kernel(node)))
-    return np.array(rows).T.copy()
+def _node_sums(metric: MetricField, rule: tuple, kernel: Callable) -> list:
+    """sum_i w_i kernel(node_i, s_i) over the (s_i, w_i) of rule, node_i the
+    metric chi0 + s_i i ddbar(phi) read from metric's Hessian (metric itself
+    at s_i = 1); term by term and node by node, so each field of a stack
+    gets the bits it would get alone."""
+    sums = None
+    for s, w in rule:
+        node = metric if s == 1.0 else MetricField(
+            metric.grid, metric.chi0, s * metric.phi, s * metric.hessian,
+            metric.deriv)
+        terms = [w * v for v in kernel(node, s)]
+        sums = terms if sums is None else [a + b for a, b in zip(sums, terms)]
+    return sums
 
 
 def _j_and_i(node: MetricField, phi: np.ndarray, factor: np.ndarray) -> tuple:
@@ -143,19 +135,16 @@ def _j_and_i(node: MetricField, phi: np.ndarray, factor: np.ndarray) -> tuple:
 
 def _radau_sums(metric: MetricField, factor=None) -> list:
     """Right-Radau sums of e_t = int |dphi|^2_{chi_t} det chi_t, of
-    (1 - t) e_t and, given omega's factor, of the J and I integrands; node
-    by node, so each field of a stack gets the bits it would get alone."""
+    (1 - t) e_t and, given omega's factor, of the J and I integrands."""
     grid, phi = metric.grid, metric.phi
     column = np.stack(dz_gradient(phi, grid, metric.deriv))[:, None]
-    sums = None
-    for t, w in _radau_rule(metric.n):
-        node = _node(metric, t)
+
+    def kernel(node, t):
         e = integrate_top(node.trace_with(column) * node.det(), grid)
-        terms = (e, (1.0 - t) * e) + (
+        return (e, (1.0 - t) * e) + (
             () if factor is None else _j_and_i(node, phi, factor))
-        terms = [w * v for v in terms]
-        sums = terms if sums is None else [a + b for a, b in zip(sums, terms)]
-    return sums
+
+    return _node_sums(metric, _radau_rule(metric.n), kernel)
 
 
 def flow_functional_bundle(metric: MetricField, omega) -> dict:
@@ -175,12 +164,12 @@ def flow_functional_bundle(metric: MetricField, omega) -> dict:
 
 
 def path_functional_bundle(metric: MetricField, omega, path: PathSpec) -> dict:
-    """J, I, and Jhat from one shared quadrature sweep over the path nodes:
-    the oracle for flow_functional_bundle and for path independence."""
+    """J, I, and Jhat from one Simpson sweep over the path nodes: the
+    oracle for flow_functional_bundle and for path independence."""
     factor = form_factor(omega)
     c = class_constant_c(omega, metric.chi0)
-    jval, ival = (_richardson(v) for v in _path_samples(
-        metric, path, lambda node: _j_and_i(node, metric.phi, factor)))
+    jval, ival = _node_sums(metric, _simpson_rule(path),
+                            lambda node, s: _j_and_i(node, metric.phi, factor))
     return {"J": jval, "I": ival, "Jhat": jval - metric.n * c * ival}
 
 
@@ -229,17 +218,19 @@ def eval_mabuchi(metric: MetricField, path: PathSpec = PathSpec()) -> float:
 
     Rbar_t is recomputed from the discrete field at every node rather than
     set to its continuum value zero, keeping the integrand consistent with
-    the discretization, and R_t reads the metric's derivative mode.
+    the discretization, and R_t reads the metric's derivative mode.  For a
+    stack each field has its own Rbar_t.
     """
     grid, phi = metric.grid, metric.phi
 
-    def kernel(node):
+    def kernel(node, s):
         r = scalar_curvature(node)
         det = node.det()
         rbar = integrate_top(r * det, grid) / integrate_top(det, grid)
-        return -integrate_top(phi * (r - rbar) * det, grid)
+        rbar = np.reshape(rbar, np.shape(rbar) + (1,) * grid.naxes)
+        return (-integrate_top(phi * (r - rbar) * det, grid),)
 
-    return _richardson(_path_samples(metric, path, kernel)[0])
+    return _node_sums(metric, _simpson_rule(path), kernel)[0]
 
 
 def path_independence_gap(evaluator: Callable, steps: int = 64) -> tuple:

@@ -5,7 +5,9 @@ package path needs: the brute-force wedge coefficient, the wedge form of
 the flow velocity, the linearized operator of the critical equation at a
 metric, the weighted Laplacian and the scalar curvature by a full einsum
 over the n^2 Hessian entries, the energies by the (n!)^2 mixed-density
-expansion, the volume-weighted mean scalar curvature, the random
+expansion, the path sweeps of J, I, Jhat and the Mabuchi energy by the
+trapezoid rule with one Richardson step, the volume-weighted mean scalar
+curvature, the random
 admissible potential summed one mode per pass over wavevectors found by a
 scan, the spectral derivative with its multiplier rebuilt on every call,
 and the exact inertia of a symmetric rational matrix.  They read the
@@ -21,12 +23,12 @@ import numpy as np
 
 from jflow.critical import _ltilde
 from jflow.flow import FlowSetup, FlowState
-from jflow.functionals import dz_gradient, volume_of
+from jflow.functionals import PathSpec, _j_and_i, dz_gradient, volume_of
 from jflow.hermitian import (ShapeError, _kept_indices, _perms_with_signs,
                              as_matrix, wedge_coefficient_batch)
 from jflow.torus import (MetricField, TorusGrid, class_constant_c,
-                         complex_hessian_of, derivative_symbol, integrate_top,
-                         scalar_curvature)
+                         complex_hessian_of, derivative_symbol, form_factor,
+                         integrate_top, scalar_curvature)
 
 
 def _expand_factors(forms: Sequence) -> list:
@@ -179,6 +181,56 @@ def aubin_yau_energies(metric: MetricField) -> tuple:
     ie = sum(terms) / norm
     je = sum((i + 1) * t for i, t in enumerate(terms)) / ((n + 1) * norm)
     return ie, je
+
+
+def _richardson(values: np.ndarray) -> float:
+    """The trapezoid rule on all 2M+1 nodes of [0, 1] and on every second
+    node, extrapolated by one Richardson step."""
+    def trapezoid(v, dx):
+        return float(dx * (v.sum() - 0.5 * (v[0] + v[-1])))
+
+    m2 = values.shape[0] - 1
+    fine = trapezoid(values, 1.0 / m2)
+    coarse = trapezoid(values[::2], 2.0 / m2)
+    return float(fine + (fine - coarse) / 3.0)
+
+
+def path_rows(metric: MetricField, path: PathSpec, kernel) -> np.ndarray:
+    """rate(t) * kernel(metric_t) on every node t of the path sweep, one row
+    per kernel output; metric_t carries chi0 + f(t) i ddbar(phi), read from
+    the metric's Hessian.  One field only."""
+    rows = []
+    for t in np.linspace(0.0, 1.0, 2 * path.steps + 1):
+        w = path.weight(float(t))
+        node = metric if w == 1.0 else MetricField(
+            metric.grid, metric.chi0, w * metric.phi, w * metric.hessian,
+            metric.deriv)
+        rows.append(path.rate(float(t)) * np.atleast_1d(kernel(node)))
+    return np.array(rows).T.copy()
+
+
+def path_bundle_richardson(metric: MetricField, omega, path: PathSpec) -> dict:
+    """functionals.path_functional_bundle by collecting the node rows and
+    extrapolating the trapezoid rule."""
+    factor = form_factor(omega)
+    c = class_constant_c(omega, metric.chi0)
+    jval, ival = (_richardson(v) for v in path_rows(
+        metric, path, lambda node: _j_and_i(node, metric.phi, factor)))
+    return {"J": jval, "I": ival, "Jhat": jval - metric.n * c * ival}
+
+
+def mabuchi_richardson(metric: MetricField, path: PathSpec) -> float:
+    """functionals.eval_mabuchi by collecting the node rows and
+    extrapolating the trapezoid rule."""
+    grid, phi = metric.grid, metric.phi
+
+    def kernel(node):
+        r = scalar_curvature(node)
+        det = node.det()
+        rbar = integrate_top(r * det, grid) / integrate_top(det, grid)
+        return -integrate_top(phi * (r - rbar) * det, grid)
+
+    return _richardson(path_rows(metric, path, kernel)[0])
 
 
 def average_scalar_curvature(metric: MetricField) -> float:

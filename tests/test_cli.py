@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv): exit codes and report shapes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import settings as hsettings
 from hypothesis import strategies as st
 
-from jflow import cli, flow
+from jflow import cli, critical, flow
 from jflow.cli import (
     EXIT_BLOWUP,
     EXIT_BROKEN_PIPE,
@@ -227,6 +228,60 @@ class TestExitCodes:
         assert main(["flow", cfg, "--summary", str(out),
                      "--quiet"]) == EXIT_BLOWUP
         assert read_report(out)["verdict"] == "blowup"
+
+    def test_flow_positivity_loss_is_blowup(self, tmp_path, monkeypatch):
+        # a first trial step at ten times the stability ceiling leaves the
+        # cone (tests/test_flow.py reproduces it without the CLI)
+        monkeypatch.setattr(flow, "SAFETY", 10.0)
+        cfg = write_cfg(tmp_path, "f.json", flow_cfg(
+            phi0={"modes": [{"k": [1], "amplitude": 7.0}]}, t_max=50.0))
+        out = tmp_path / "summary.json"
+        assert main(["flow", cfg, "--summary", str(out),
+                     "--quiet"]) == EXIT_BLOWUP
+        payload = read_report(out)
+        assert payload["verdict"] == "blowup"
+        assert payload["steps"] == 0 and payload["samples"] == 1
+
+    def test_flow_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def nan_step(setup, state, dt):
+            raise flow.NumericalFailureError(
+                f"non-finite potential at t={state.t}")
+
+        monkeypatch.setattr(flow, "step", nan_step)
+        cfg = write_cfg(tmp_path, "f.json", flow_cfg())
+        out = tmp_path / "summary.json"
+        # with a report file, the headline is all that is printed
+        assert main(["flow", cfg, "--summary", str(out)]) == EXIT_BLOWUP
+        payload = read_report(out)
+        assert payload["verdict"] == "blowup"
+        assert payload["note"] == "non-finite potential at t=0.0"
+        assert payload["exit_code"] == EXIT_BLOWUP
+        assert capsys.readouterr().out == "flow: blowup (non-finite)\n"
+
+    def test_flow_non_monotone_jhat(self, tmp_path, monkeypatch):
+        # the first sample's Jhat lowered by 1 makes the series rise once;
+        # 115 samples later it has left the trailing window, so the run
+        # converges and the descent invariant fails over the whole series
+        real_sample = flow._sample
+
+        def lowered_first(setup, state, dt):
+            rec, eig_min = real_sample(setup, state, dt)
+            if state.t == 0.0:
+                rec = dataclasses.replace(rec, Jhat=rec.Jhat - 1.0)
+            return rec, eig_min
+
+        monkeypatch.setattr(flow, "_sample", lowered_first)
+        cfg = write_cfg(tmp_path, "f.json", flow_cfg(
+            sample_interval=1, tol_converge=1e-10))
+        out = tmp_path / "summary.json"
+        assert main(["flow", cfg, "--summary", str(out),
+                     "--quiet"]) == EXIT_INVARIANT
+        payload = read_report(out)
+        assert payload["verdict"] == "converged"
+        assert payload["samples"] > 101
+        assert not payload["jhat_monotone"]
+        assert payload["note"] == (
+            "descent invariant violated: sampled Jhat is not monotone")
 
     def test_schema_unknown_field(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "f.json", flow_cfg(bogus=3))
@@ -437,6 +492,23 @@ class TestCritical:
         cfg = write_cfg(tmp_path, "c.json", self.crit_cfg(newton=newton))
         assert main(["critical", cfg]) == EXIT_SCHEMA
         assert f"config error: field {field!r}" in capsys.readouterr().err
+
+    def test_no_admissible_step_exits_5(self, tmp_path, monkeypatch,
+                                        capsys):
+        # every trial along a stubbed inner-solve direction loses
+        # positivity (tests/test_critical.py::TestNewtonFailure)
+        grid = TorusGrid(n=1, points=32)
+        monkeypatch.setattr(critical, "_pcg", lambda *args: (
+            np.cos(grid.axis_coordinate(0)) * 1e9, 1))
+        cfg = write_cfg(tmp_path, "c.json", self.crit_cfg())
+        out = tmp_path / "report.json"
+        assert main(["critical", cfg, "--summary", str(out)]) == EXIT_TIMEOUT
+        report = read_report(out)["newton"]
+        assert not report["converged"]
+        assert report["damping_history"] == [0.0]
+        message = "no admissible decreasing step above the damping floor"
+        assert report["message"] == message
+        assert capsys.readouterr().out.startswith(f"critical: {message} in 1")
 
     def test_budget_exhaustion(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",

@@ -475,6 +475,27 @@ class TestDivisorSearch:
         assert set(rep.candidate.support) >= {"E1", "E2"}
         assert verify_certificate(two_blowup, alpha, rep)
 
+    def test_negative_coefficient_is_dropped(self):
+        # alpha fails against A and B, but the Gram solve on {A, B} gives B
+        # a negative coefficient; B leaves the support and A alone explains
+        # the failure
+        lattice = SurfaceLattice(
+            3, [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            [{"name": "A", "class": [-1, 2, 2], "self": "-7"},
+             {"name": "B", "class": [0, 0, 1], "self": "-1"}],
+            [3, -1, -1],
+        )
+        alpha = (1, 0, 0)
+        assert nakai_test(lattice, alpha).curve_products == (-1, 0)
+        rep = divisor_search(lattice, alpha)
+        assert rep.status == "certificate" and rep.rounds == 1
+        assert rep.candidate.support == ("A",)
+        assert rep.candidate.coefficients == (Fraction(11, 28),)
+        assert rep.margin == Fraction(1, 4)
+        assert rep.remainder == (Fraction(39, 28), Fraction(-11, 14),
+                                 Fraction(-11, 14))
+        assert verify_certificate(lattice, alpha, rep)
+
     def test_precondition_failure(self, blowup):
         with pytest.raises(ConeError):
             divisor_search(blowup, [0, 1])

@@ -102,6 +102,20 @@ class TestPcg:
         assert iters == 1
         assert np.array_equal(x, np.zeros_like(b))
 
+    def test_zero_right_hand_side_returns_at_once(self):
+        # a field of dead modes alone projects to zero: nothing to solve,
+        # and neither the operator nor the preconditioner is applied
+        grid = TorusGrid(n=1, points=16)
+
+        def never(v):
+            raise AssertionError("applied to a zero right-hand side")
+
+        parity = np.where(np.arange(16) % 2, 1.0, -2.0)
+        for b in (grid.zeros(), parity):
+            x, iters = _pcg(never, b, never, grid, rtol=1e-10, maxiter=50)
+            assert iters == 0
+            assert not x.any()
+
 
 class TestMeanSymbolPreconditioner:
     # On a constant metric h equals its grid mean, so the preconditioner is
@@ -160,6 +174,50 @@ class TestResidualField:
         res, metric = state.phidot, state.metric
         idx = int(np.argmin(metric.chi[..., 0, 0].real))
         assert res.ravel()[idx] < 0.0
+
+
+def stub_direction(monkeypatch, direction) -> list:
+    """Make every inner solve return direction, and log each line-search
+    trial: its residual, or "singular" where its metric lost positivity."""
+    monkeypatch.setattr(critical, "_pcg", lambda *args: (direction, 1))
+    real = critical.residual_field
+    trials = []
+
+    def logged(setup, phi):
+        try:
+            state = real(setup, phi)
+        except SingularFormError:
+            trials.append("singular")
+            raise
+        trials.append(state.residual)
+        return state
+
+    monkeypatch.setattr(critical, "residual_field", logged)
+    return trials
+
+
+class TestNewtonFailure:
+    """The line search finds no step above DAMPING_FLOOR: the trials from
+    s = 1 down to 2^-20 all lose positivity, or none decreases."""
+
+    @pytest.mark.parametrize("scale, outcome", [
+        pytest.param(1e9, "singular", id="positivity-lost"),
+        pytest.param(0.0, None, id="no-decrease")])
+    def test_no_admissible_decreasing_step(self, monkeypatch, scale, outcome):
+        grid = TorusGrid(n=1, points=32)
+        phi0 = cosine_mode(grid, [1], 0.25)
+        trials = stub_direction(monkeypatch, cosine_mode(grid, [1], scale))
+        phi, report = newton_solve(grid, np.eye(1), np.array([[1.7]]), phi0)
+        assert not report.converged
+        assert report.iterations == 1
+        assert report.damping_history == [0.0]
+        assert report.message == (
+            "no admissible decreasing step above the damping floor")
+        # the initial state, then one trial per halving of s
+        start = trials[0]
+        assert trials[1:] == [outcome or start] * 21
+        assert report.residuals == [start, start]
+        assert np.array_equal(phi, phi0 - phi0.mean())
 
 
 class TestNewtonSolve:

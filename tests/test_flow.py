@@ -216,6 +216,49 @@ class TestRunVerdicts:
         result = run(setup, cosine_mode(setup.grid, [1], 0.2))
         assert result.verdict == "blowup"
 
+    def test_positivity_loss_on_the_first_trial_step(self, monkeypatch):
+        # 7 cos x1 leaves chi0 = 2 a margin of 1/4; at ten times the
+        # stability ceiling the first trial step leaves the cone, and run
+        # reports blow-up before any accepted step instead of retrying at
+        # a smaller dt.  At the shipped SAFETY the same problem runs to
+        # t_max.
+        setup = small_setup(t_max=50.0)
+        phi0 = cosine_mode(setup.grid, [1], 7.0)
+        monkeypatch.setattr(flow, "SAFETY", 10.0)
+        result = run(setup, phi0)
+        assert result.verdict == "blowup"
+        assert result.steps == 0 and result.rejected_steps == 0
+        assert [r.t for r in result.records] == [0.0]
+        assert result.final.t == 0.0
+        monkeypatch.setattr(flow, "SAFETY", 0.9)
+        shipped = run(setup, phi0)
+        assert shipped.verdict == "timeout" and shipped.final.t == 50.0
+
+    def test_blowup_after_accepted_steps_samples_the_last_state(
+            self, monkeypatch):
+        # the fourth trial step loses positivity, before the tenth accepted
+        # step would have sampled; the run samples the last accepted state
+        real_step = flow.step
+        calls = []
+
+        def failing_step(setup, state, dt):
+            calls.append(state.t)
+            if len(calls) == 4:
+                raise SingularFormError("metric lost positivity on the grid")
+            return real_step(setup, state, dt)
+
+        monkeypatch.setattr(flow, "step", failing_step)
+        setup = small_setup()
+        result = run(setup, cosine_mode(setup.grid, [1], 0.2))
+        assert result.verdict == "blowup"
+        assert result.steps + result.rejected_steps == 3
+        assert result.steps > 0
+        assert len(result.records) == len(result.diss_totals) == 2
+        last = result.records[-1]
+        assert last.t == result.final.t == calls[-1] > 0.0
+        assert last.residual == result.final.residual
+        assert result.diss_totals[-1] == result.final.diss
+
     def test_immediate_convergence_at_equilibrium(self):
         setup = small_setup()
         result = run(setup, setup.grid.zeros())

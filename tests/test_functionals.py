@@ -1,8 +1,12 @@
 """Energy functionals: path integrals, exact node sums, inequality chains."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from jflow import cli
 from jflow import (
     PathSpec,
     ShapeError,
@@ -19,13 +23,16 @@ from jflow import (
     path_independence_gap,
     volume_of,
 )
-from jflow.functionals import _radau_rule, dz_gradient, path_functional_bundle
+from jflow.functionals import (PATH_KINDS, _radau_rule, _simpson_rule,
+                               dz_gradient, path_functional_bundle)
 from jflow.sampling import make_rng, random_admissible_potential
 from oracles import (aubin_yau_energies, aubin_yau_terms,
                      average_scalar_curvature, dbar_energy_matrix,
-                     mixed_density, mixed_density_bundle)
+                     mabuchi_richardson, mixed_density, mixed_density_bundle,
+                     path_bundle_richardson)
 
 TWO_PI = 2.0 * np.pi
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _n2_potential(grid):
@@ -136,8 +143,8 @@ class TestPathFunctionals:
         pytest.param(2, 16, "complex", id="2-16-complex")])
     def test_closed_form_j_and_i(self, n, points, pair):
         # along the linear path both integrands are polynomials in t of
-        # degree <= 3 for n <= 3, where the Richardson-extrapolated
-        # trapezoid sweep (Simpson) is exact, so it checks the Radau route
+        # degree <= 3 for n <= 3, where the Simpson sweep is exact, so it
+        # checks the Radau route
         grid = TorusGrid(n=n, points=points)
         if pair == "real":
             omega = np.eye(n) + 0.1 * np.diag(np.ones(n - 1), 1)
@@ -223,6 +230,66 @@ class TestRadauRoute:
         for key in ("J", "I", "Jhat", "IE", "JE"):
             gap = np.abs(np.asarray(new[key]) - old[key]) / scale[key]
             assert np.all(gap <= 1e-12), (key, gap)
+
+
+class TestSimpsonRoute:
+    """The path sweeps' Simpson node sums against the old route, which
+    collects rate(t) * kernel on the nodes and extrapolates the trapezoid
+    rule by one Richardson step (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_rule_integrates_the_rate(self, kind):
+        # sum w f(t)^j = int_0^1 f' f^j dt = 1/(j+1), a cubic at most for
+        # j <= 1, where Simpson's rule is exact
+        path = PathSpec(kind, 16)
+        rule = _simpson_rule(path)
+        assert len(rule) == 33 and rule[0][0] == 0.0 and rule[-1][0] == 1.0
+        assert _simpson_rule(PathSpec(kind, 16)) is rule
+        for j in (0, 1):
+            got = sum(w * s**j for s, w in rule)
+            assert got == pytest.approx(1.0 / (j + 1), rel=1e-14)
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
+    @pytest.mark.parametrize("n, mode, points", [
+        (1, "invariant", 16), (1, "full", 16), (2, "invariant", 16),
+        (2, "full", 8), (3, "invariant", 8)])
+    def test_matches_richardson_route(self, n, mode, points, deriv, kind):
+        grid = TorusGrid(n=n, points=points, mode=mode)
+        omega, chi0 = _background(n, "complex")
+        phi = 0.3 + random_admissible_potential(
+            make_rng(7, n), grid, chi0, band=2, deriv=deriv)
+        metric = metric_field(grid, chi0, phi, deriv)
+        path = PathSpec(kind, 16)
+        new = path_functional_bundle(metric, omega, path)
+        new["M"] = eval_mabuchi(metric, path)
+        old = path_bundle_richardson(metric, omega, path)
+        old["M"] = mabuchi_richardson(metric, path)
+        # Jhat = J - nc I cancels, so it is measured against its terms
+        scale = {key: abs(old[key]) for key in old}
+        scale["Jhat"] = abs(old["J"]) + abs(old["J"] - old["Jhat"])
+        for key in old:
+            assert abs(new[key] - old[key]) <= 2e-15 * scale[key], key
+
+    def test_functionals_demo_gaps(self, tmp_path):
+        config = str(CONFIG_DIR / "functionals_demo.json")
+        out = tmp_path / "report.json"
+        assert cli.main(["functionals", config, "--summary", str(out),
+                         "--quiet"]) == cli.EXIT_OK
+        gaps = json.loads(out.read_text())["path_gaps"]
+        problem = cli._build_problem(cli._load_config(config))
+        metric = metric_field(problem["grid"], problem["chi0"],
+                              problem["phi0"], problem["deriv"])
+        old = {
+            "Jhat": path_independence_gap(lambda path: path_bundle_richardson(
+                metric, problem["omega"], path)["Jhat"]),
+            "mabuchi": path_independence_gap(
+                lambda path: mabuchi_richardson(metric, path)),
+        }
+        for key, (lin, quad, rel) in old.items():
+            assert gaps[key]["linear"] == pytest.approx(lin, rel=2e-15)
+            assert gaps[key]["quadratic"] == pytest.approx(quad, rel=2e-15)
+            assert abs(gaps[key]["rel"] - rel) <= 1e-15, key
 
 
 class TestEnergyChain:

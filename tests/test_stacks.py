@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from jflow import sampling
-from jflow.functionals import (eval_entropy, eval_IE_JE,
-                               flow_functional_bundle, ie_second_form)
+from jflow.functionals import (PathSpec, eval_entropy, eval_IE_JE,
+                               eval_mabuchi, flow_functional_bundle,
+                               ie_second_form, path_functional_bundle)
 from jflow.hermitian import ShapeError, as_matrix
 from jflow.sampling import make_rng, random_admissible_potential
 from jflow.torus import (DERIV_MODES, TorusGrid, complex_hessian_of, gradient,
@@ -107,6 +108,10 @@ FUNCTIONALS = {
     "entropy": eval_entropy,
     "bundle": lambda metric: flow_functional_bundle(
         metric, 0.7 * background(metric.n)),
+    # the path sweeps at their smallest resolution, on both path kinds
+    "mabuchi": lambda metric: eval_mabuchi(metric, PathSpec("quadratic", 16)),
+    "path_bundle": lambda metric: path_functional_bundle(
+        metric, 0.7 * background(metric.n), PathSpec("linear", 16)),
 }
 
 
