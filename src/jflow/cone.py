@@ -350,10 +350,6 @@ def divisor_search(lattice: SurfaceLattice, alpha) -> DivisorSearchReport:
 
     # pairings index 2 + k belongs to lattice.curves[k]
     negatives = [(k, c) for k, c in enumerate(lattice.curves, 2) if c.negative]
-    if not negatives:
-        return _empty_report(
-            av, 0, "class fails the cone test but the lattice lists no "
-                   "negative curves")
 
     def failing_against(signs) -> list:
         return [c for k, c in negatives if c not in support and signs[k] <= 0]

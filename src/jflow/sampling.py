@@ -12,7 +12,8 @@ Three suites are bundled:
                reciprocal-sum trace identity, and sign agreement between the
                eigenvalue margin of the cone form and a brute-force wedge
                expansion of (chi' - (n-1) omega) ^ chi'^{n-2} carried out in
-               the pencil eigenbasis.
+               the pencil eigenbasis.  Pencils go in blocks of _BLOCK_CELLS
+               entries, so memory grows with samples only by the raw draws.
   functionals  energy inequalities on random admissible potentials:
                I^E >= 0, the sandwich I^E/(n+1) <= J^E <= n I^E/(n+1),
                agreement of the two I^E routes, entropy nonnegativity, and
@@ -49,7 +50,7 @@ FAULTS = ("c2-sign",)
 
 _MASK64 = (1 << 64) - 1
 
-_BLOCK_CELLS = 1 << 14  # grid values per block of random_admissible_potential
+_BLOCK_CELLS = 1 << 14  # entries per block of potentials or of pencils
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -59,9 +60,15 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def random_positive_pair_batch(rng: np.random.Generator, n: int,
-                               count: int) -> tuple:
-    """count independent positive Hermitian pairs (g, chi) of size n.
+def _pair_draws(rng: np.random.Generator, n: int, count: int) -> tuple:
+    """Whole raw draws of count pairs (g, chi) of size n, in stream order."""
+    normals = [rng.standard_normal((count, n, n)) for _ in range(4)]
+    top = max(8.0, 4.0 * n * n)
+    return normals, np.exp(rng.uniform(np.log(0.5), np.log(top), size=count))
+
+
+def _positive_pairs(draws: tuple, rows: slice) -> tuple:
+    """The pairs (g, chi) of the given rows of _pair_draws.
 
     Complex Wishart matrices normalized by n, plus 0.05 I so the Cholesky
     factorizations stay comfortably away from breakdown.  chi carries an
@@ -70,16 +77,14 @@ def random_positive_pair_batch(rng: np.random.Generator, n: int,
     1/(n-1); without the scale almost every raw Wishart pair would sit on
     the failing side and the passing verdicts would go unexercised.
     """
-    def draw():
-        a = rng.standard_normal((count, n, n)) \
-            + 1j * rng.standard_normal((count, n, n))
+    def wishart(re, im):
+        a = re[rows] + 1j * im[rows]
+        n = a.shape[-1]
         return a @ a.conj().swapaxes(-1, -2) / n + 0.05 * np.eye(n)
 
-    g = draw()
-    chi = draw()
-    top = max(8.0, 4.0 * n * n)
-    scale = np.exp(rng.uniform(np.log(0.5), np.log(top), size=count))
-    return g, chi * scale[:, None, None]
+    (g_re, g_im, chi_re, chi_im), scale = draws
+    chi = wishart(chi_re, chi_im) * scale[rows, None, None]
+    return wishart(g_re, g_im), chi
 
 
 def wavevector_representatives(naxes: int, band: int) -> list:
@@ -190,18 +195,43 @@ def suite_conditions(seed: int, samples: int = 10_000,
                      dims: tuple = (2, 3, 4, 5),
                      cone_dims: tuple = (2, 3, 4),
                      fault: str | None = None) -> dict:
-    """Implication chain, n = 2 coincidence, trace identity, cone oracle."""
+    """Implication chain, n = 2 coincidence, trace identity, cone oracle.
+
+    Pencils are built and reduced in blocks of _BLOCK_CELLS entries that
+    keep only per-pencil results, so memory grows with samples only through
+    the raw draws; each matrix is processed alone, so no bit of the report
+    depends on the block size.
+    """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {FAULTS}")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     per_dim = {}
     counterexamples = []
     passed = True
     for n in dims:
-        rng = make_rng(seed, stream=100 + n)
-        g, chi = random_positive_pair_batch(rng, n, samples)
-        # the cone oracle below reuses the reduction of the pencil
-        low, reduced = _pencil_reduction(g, chi)
-        lam = np.linalg.eigvalsh(reduced)
+        draws = _pair_draws(make_rng(seed, stream=100 + n), n, samples)
+        lam = np.empty((samples, n))
+        tr = np.empty(samples)
+        wedge_positive = np.ones(samples, dtype=bool)
+        block = max(1, _BLOCK_CELLS // (n * n))
+        for lo in range(0, samples, block):
+            rows = slice(lo, lo + block)
+            g, chi = _positive_pairs(draws, rows)
+            # the cone oracle below reuses the reduction of the pencil
+            low, reduced = _pencil_reduction(g, chi)
+            lam[rows] = np.linalg.eigvalsh(reduced)
+            tr[rows] = np.einsum("...ii->...", np.linalg.solve(chi, g)).real
+            if n in cone_dims:
+                _, u = np.linalg.eigh(reduced)
+                t = np.linalg.solve(low.conj().swapaxes(-1, -2), u)
+                th = t.conj().swapaxes(-1, -2)
+                chi_t = th @ chi @ t
+                form = chi_t - (n - 1) * (th @ g @ t)
+                mats = [form] + [chi_t] * (n - 2)
+                for k in range(n):
+                    coeff = wedge_coefficient_batch(mats, n, k)
+                    wedge_positive[rows] &= coeff > 0.0
         margins = condition_margins_batch(lam)
         c1m, c3m = margins["C1"], margins["C3"]
         c2m = margins["C2"]
@@ -229,7 +259,6 @@ def suite_conditions(seed: int, samples: int = 10_000,
 
         # trace identity: sum of reciprocals equals tr(chi^{-1} g)
         recip = (1.0 / lam).sum(axis=-1)
-        tr = np.einsum("...ii->...", np.linalg.solve(chi, g)).real
         spectrum_gap = np.abs(recip - tr) / np.maximum(np.abs(tr), 1.0)
         spectrum_violations = int((spectrum_gap > 1e-9).sum())
 
@@ -237,17 +266,6 @@ def suite_conditions(seed: int, samples: int = 10_000,
         cone_min_abs_margin = None
         scalar_disagreements = None
         if n in cone_dims:
-            _, u = np.linalg.eigh(reduced)
-            t = np.linalg.solve(low.conj().swapaxes(-1, -2), u)
-            th = t.conj().swapaxes(-1, -2)
-            omega_t = th @ g @ t
-            chi_t = th @ chi @ t
-            form = chi_t - (n - 1) * omega_t
-            mats = [form] + [chi_t] * (n - 2)
-            wedge_positive = np.ones(samples, dtype=bool)
-            for k in range(n):
-                coeff = wedge_coefficient_batch(mats, n, k)
-                wedge_positive &= coeff > 0.0
             cone_pass = margins["C3"] > 0.0
             disagree = np.where(wedge_positive != cone_pass)[0]
             cone_disagreements = int(disagree.size)
@@ -257,6 +275,7 @@ def suite_conditions(seed: int, samples: int = 10_000,
                     n, "cone-wedge-oracle", lam[i],
                     {"C3": margins["C3"][i]}, i))
             scalar_disagreements = 0
+            g, chi = _positive_pairs(draws, slice(0, 50))
             for i in range(min(50, samples)):
                 rep = cone_form_positive(g[i], chi[i])
                 if rep.passed != bool(wedge_positive[i]):
@@ -378,6 +397,8 @@ def suite_cone(seed: int, count: int = 1000) -> dict:
     the same.  The shipped lattices carry complete negative-curve lists, so
     a no-certificate outcome on them is a failure.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     names = ("blowup_p2_1", "blowup_p2_2")
     lattices = [builtin_lattice(name) for name in names]
     rng = make_rng(seed, stream=500)

@@ -9,7 +9,8 @@ expansion, the path sweeps of J, I, Jhat and the Mabuchi energy by the
 trapezoid rule with one Richardson step, the volume-weighted mean scalar
 curvature, the random
 admissible potential summed one mode per pass over wavevectors found by a
-scan, the spectral derivative with its multiplier rebuilt on every call,
+scan, the positive Hermitian pairs of the conditions suite drawn as one
+whole batch, the spectral derivative with its multiplier rebuilt on every call,
 and the exact inertia of a symmetric rational matrix.  They read the
 package's private helpers where sharing a check keeps it in one place.
 """
@@ -276,6 +277,29 @@ def admissible_potential_loop(rng: np.random.Generator, grid: TorusGrid,
         scale = min(1.0, allowed / (-hmin))
         phi = scale * phi
     return phi
+
+
+def random_positive_pair_batch(rng: np.random.Generator, n: int,
+                               count: int) -> tuple:
+    """count independent positive Hermitian pairs (g, chi) of size n.
+
+    Complex Wishart matrices normalized by n, plus 0.05 I so the Cholesky
+    factorizations stay comfortably away from breakdown.  chi carries an
+    extra per-sample log-uniform scale reaching past n(n-1), because the
+    conditions under test compare reciprocal pencil eigenvalues against
+    1/(n-1); without the scale almost every raw Wishart pair would sit on
+    the failing side and the passing verdicts would go unexercised.
+    """
+    def draw():
+        a = rng.standard_normal((count, n, n)) \
+            + 1j * rng.standard_normal((count, n, n))
+        return a @ a.conj().swapaxes(-1, -2) / n + 0.05 * np.eye(n)
+
+    g = draw()
+    chi = draw()
+    top = max(8.0, 4.0 * n * n)
+    scale = np.exp(rng.uniform(np.log(0.5), np.log(top), size=count))
+    return g, chi * scale[:, None, None]
 
 
 def spectral_derivative_per_call(values: np.ndarray, axis: int,

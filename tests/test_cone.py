@@ -506,6 +506,25 @@ class TestDivisorSearch:
         rep = divisor_search(product, [3, 1])
         assert rep.status == "kahler"
 
+    def test_without_negative_curves_every_target_is_kahler(self, product):
+        # signature (1, r - 1) and a reference positive on every curve put
+        # a class with alpha^2 > 0 and alpha . h > 0 in the positive cone,
+        # which pairs positively with every curve of self-intersection
+        # >= 0, so the search has no failing curve to explain
+        rank3 = SurfaceLattice(
+            3, [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            [{"name": "A", "class": [1, 0, 0], "self": "1"},
+             {"name": "B", "class": [1, 1, 0], "self": "0"},
+             {"name": "C", "class": [2, 1, 1], "self": "2"}],
+            [2, 0, 0],
+        )
+        rng = make_rng(25)
+        for lattice in (product, rank3):
+            for _ in range(300):
+                alpha = random_rational_class(
+                    rng, lattice, predicate=lambda p: min(p[:2]) > 0)
+                assert divisor_search(lattice, alpha).status == "kahler"
+
     def test_no_certificate_on_degenerate_support(self):
         # two proportional negative classes make the Gram matrix singular,
         # so the search must refuse rather than fabricate a certificate

@@ -1,5 +1,7 @@
 """Deterministic random sampling and the property suites."""
 
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,6 @@ from jflow.sampling import (
     FAULTS,
     _mode_table,
     canonical_json,
-    random_positive_pair_batch,
     random_rational_class,
     suite_conditions,
     suite_cone,
@@ -27,7 +28,8 @@ from jflow.sampling import (
     wavevector_representatives,
 )
 from jflow.torus import metric_field
-from oracles import admissible_potential_loop, representatives_loop
+from oracles import (admissible_potential_loop, random_positive_pair_batch,
+                     representatives_loop)
 
 
 class TestGenerators:
@@ -256,6 +258,13 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_property_suites(1, sizes={"flow": 10})
 
+    @pytest.mark.parametrize("size", [0, -3])
+    @pytest.mark.parametrize("suite", ["conditions", "functionals", "cone"])
+    def test_suite_sizes_below_one_rejected(self, suite, size):
+        sizes = {"conditions": 1, "functionals": 1, "cone": 1, suite: size}
+        with pytest.raises(ValueError, match="must be at least 1"):
+            run_property_suites(0, sizes=sizes)
+
     def test_report_digest_deterministic(self):
         sizes = {"conditions": 200, "functionals": 5, "cone": 20}
         a = run_property_suites(42, sizes=sizes)
@@ -300,3 +309,56 @@ class TestSuites:
         assert report["fault"] == "c2-sign"
         assert not report["all_passed"]
         assert FAULTS == ("c2-sign",)
+
+
+class TestConditionBlocks:
+    """suite_conditions builds and reduces its pencils in blocks of
+    _BLOCK_CELLS matrix entries from draws made whole: the report may not
+    depend on the block size, and its memory grows with the sample count
+    only through the raw draws."""
+
+    CASES = ({"samples": 1500}, {"samples": 7},
+             {"samples": 1500, "fault": "c2-sign"})
+
+    def reports(self) -> list:
+        return [canonical_json(suite_conditions(0, **case))
+                for case in self.CASES]
+
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+        default = self.reports()
+        # the fault's counterexamples reach past the first block of every
+        # budget below, so their global sample indices are compared too
+        faulty = json.loads(default[-1])["counterexamples"]
+        assert max(c["sample_index"] for c in faulty) >= 9
+        # one pencil per block, then blocks of 9, 4, 2 and 1 for n = 2...5
+        for cells in (1, 37):
+            monkeypatch.setattr(sampling, "_BLOCK_CELLS", cells)
+            assert self.reports() == default
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_blocks_of_pairs_are_the_whole_batch(self, n):
+        count = 23
+        for rows in (1, 4, count):
+            new_rng, old_rng = make_rng(9, n), make_rng(9, n)
+            draws = sampling._pair_draws(new_rng, n, count)
+            blocks = [sampling._positive_pairs(draws, slice(lo, lo + rows))
+                      for lo in range(0, count, rows)]
+            whole = random_positive_pair_batch(old_rng, n, count)
+            for part, batch in zip(zip(*blocks), whole):
+                assert np.concatenate(part).tobytes() == batch.tobytes()
+            np.testing.assert_equal(new_rng.bit_generator.state,
+                                    old_rng.bit_generator.state)
+
+    def test_memory_grows_only_with_the_raw_draws(self):
+        def peak(samples: int) -> int:
+            tracemalloc.start()
+            try:
+                suite_conditions(0, samples=samples, dims=(4,))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # four (samples, 4, 4) normal arrays; pencils held whole would add
+        # about 34 MB here
+        raw = 4 * (16_000 - 4_000) * 16 * 8
+        assert peak(16_000) - peak(4_000) <= 1.5 * raw
