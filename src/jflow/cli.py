@@ -59,7 +59,7 @@ from .functionals import (eval_entropy, eval_mabuchi,
 from .hermitian import (CONDITIONS, SettingError, SingularFormError,
                         as_matrix, condition_report, relative_spectrum,
                         require_positive)
-from .sampling import (DEFAULT_SIZES, FAULTS, make_rng,
+from .sampling import (DEFAULT_SIZES, FAULTS, MAX_SUITE_SIZE, make_rng,
                        random_admissible_potential, report_digest,
                        run_property_suites)
 from .torus import (DERIV_MODES, GRID_MODES, TorusGrid, class_constant_c,
@@ -80,8 +80,6 @@ MAX_GRID_CELLS = 2**22
 MAX_N = 4
 MAX_HESSIAN_ENTRIES = 2**24
 MAX_MODE_CELLS = 2**24
-
-MAX_SUITE_SIZE = 100_000  # cap on each proptest suite, 10x the largest default
 
 
 class SchemaError(ValueError):
@@ -261,7 +259,6 @@ def _parse_phi0(value, grid: TorusGrid, chi0: np.ndarray, deriv: str,
         raise SchemaError(_join(path, "modes"), f"{len(modes)} modes over "
                           f"the grid exceed {MAX_MODE_CELLS} cosines")
     parsed = []
-    phi = grid.zeros()
     for i, mode in enumerate(modes):
         mpath = f"{path}.modes[{i}]"
         if not isinstance(mode, dict):
@@ -281,8 +278,8 @@ def _parse_phi0(value, grid: TorusGrid, chi0: np.ndarray, deriv: str,
         amplitude = _as_float(mode["amplitude"], _join(mpath, "amplitude"))
         phase = _as_float(mode.get("phase", 0.0), _join(mpath, "phase"))
         parsed.append({"k": list(k), "amplitude": amplitude, "phase": phase})
-        phi = phi + cosine_mode(grid, k, amplitude, phase)
-    return {"modes": parsed}, phi
+    table = zip(*(m.values() for m in parsed))  # k, amplitude, phase
+    return {"modes": parsed}, cosine_mode(grid, *table)
 
 
 def _reject_constant(name: str):

@@ -32,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .hermitian import SettingError, SingularFormError, as_matrix
+from .hermitian import (SettingError, SingularFormError, as_matrix,
+                        require_positive)
 from .torus import (
     MetricField,
     TorusGrid,
@@ -115,6 +116,8 @@ class FlowSetup:
     def __post_init__(self):
         om = as_matrix(self.omega)
         ch = as_matrix(self.chi0)
+        require_positive(om, "omega")
+        require_positive(ch, "chi0")
         c0 = class_constant_c(om, ch)
         scale = 1.0
         if self.normalize:

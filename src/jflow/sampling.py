@@ -12,8 +12,8 @@ Three suites are bundled:
                reciprocal-sum trace identity, and sign agreement between the
                eigenvalue margin of the cone form and a brute-force wedge
                expansion of (chi' - (n-1) omega) ^ chi'^{n-2} carried out in
-               the pencil eigenbasis.  Pencils go in blocks of _BLOCK_CELLS
-               entries, so memory grows with samples only by the raw draws.
+               the pencil eigenbasis.  Pencils go in torus._BLOCK_CELLS blocks,
+               so memory grows with samples only by the raw draws.
   functionals  energy inequalities on random admissible potentials:
                I^E >= 0, the sandwich I^E/(n+1) <= J^E <= n I^E/(n+1),
                agreement of the two I^E routes, entropy nonnegativity, and
@@ -44,13 +44,12 @@ from .functionals import (eval_entropy, eval_IE_JE, flow_functional_bundle,
                           ie_second_form)
 from .hermitian import (_pencil_reduction, as_matrix, condition_margins_batch,
                         cone_form_positive, wedge_coefficient_batch)
-from .torus import MetricField, TorusGrid, complex_hessian_of, metric_field
+from .torus import (_BLOCK_CELLS, MetricField, TorusGrid, complex_hessian_of,
+                    cosine_mode, metric_field)
 
 FAULTS = ("c2-sign",)
 
 _MASK64 = (1 << 64) - 1
-
-_BLOCK_CELLS = 1 << 14  # entries per block of potentials or of pencils
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -87,17 +86,12 @@ def _positive_pairs(draws: tuple, rows: slice) -> tuple:
     return wishart(g_re, g_im), chi
 
 
-def wavevector_representatives(naxes: int, band: int) -> list:
-    """One integer wavevector per +-pair with sup-norm at most band: the
-    one whose first nonzero component is positive."""
-    return [k for k in itertools.product(range(-band, band + 1), repeat=naxes)
-            if k > (0,) * naxes]
-
-
 @cache
 def _mode_table(naxes: int, band: int) -> tuple:
-    """Read-only wavevectors and 1 + |k|^2, built once per (naxes, band)."""
-    kvecs = np.array(wavevector_representatives(naxes, band), dtype=np.int64)
+    """Read-only wavevectors k, one per +-pair with sup-norm at most band
+    (the one whose first nonzero entry is positive), and 1 + |k|^2."""
+    cube = itertools.product(range(-band, band + 1), repeat=naxes)
+    kvecs = np.array([k for k in cube if k > (0,) * naxes], dtype=np.int64)
     denom = 1.0 + (kvecs * kvecs).sum(axis=1)
     kvecs.flags.writeable = denom.flags.writeable = False
     return kvecs, denom
@@ -122,18 +116,7 @@ def random_admissible_potential(rng: np.random.Generator, grid: TorusGrid,
     draws = np.array([(rng.standard_normal(), rng.uniform(0.0, 2.0 * np.pi))
                       for _ in range(fields * len(denom))])
     coef, phase = draws.reshape(fields, -1, 2).T  # (mode, field) tables
-    coef = amplitude / denom[:, None] * coef
-    # k.x of a block of modes at once; the modes are added in draw order
-    phi = np.zeros((fields,) + grid.shape)
-    block = max(1, _BLOCK_CELLS // phi.size)
-    tail = (None,) * grid.naxes
-    for lo in range(0, len(denom), block):
-        modes = slice(lo, lo + block)
-        arg = sum(kvecs[(modes, None) + tail + (j,)] * x
-                  for j, x in enumerate(grid.meshgrid()))
-        rows = (modes, slice(None)) + tail
-        phi = sum(coef[rows] * np.cos(arg + phase[rows]), phi)
-
+    phi = cosine_mode(grid, kvecs, amplitude / denom[:, None] * coef, phase)
     hess = complex_hessian_of(phi, grid, deriv)
     hmin = np.linalg.eigvalsh(hess).reshape(fields, -1).min(axis=1)
     lam0 = float(np.linalg.eigvalsh(np.asarray(chi0, dtype=complex)).min())
@@ -491,17 +474,21 @@ def suite_cone(seed: int, count: int = 1000) -> dict:
 
 
 DEFAULT_SIZES = {"conditions": 10_000, "functionals": 1000, "cone": 1000}
+MAX_SUITE_SIZE = 100_000  # cap on each suite, 10x the largest default
 
 
 def run_property_suites(seed: int, sizes: dict | None = None,
                         fault: str | None = None) -> dict:
     """All three suites under one seed; the report is hashable and stable."""
+    unknown = set(sizes or ()) - set(DEFAULT_SIZES)
+    if unknown:
+        raise ValueError(f"unknown suite sizes: {sorted(unknown)}")
     merged = dict(DEFAULT_SIZES)
-    if sizes:
-        unknown = set(sizes) - set(DEFAULT_SIZES)
-        if unknown:
-            raise ValueError(f"unknown suite sizes: {sorted(unknown)}")
-        merged.update({k: int(v) for k, v in sizes.items()})
+    merged.update({k: int(v) for k, v in (sizes or {}).items()})
+    for name, size in merged.items():
+        if not 1 <= size <= MAX_SUITE_SIZE:
+            raise ValueError(f"{name} size must be at least 1 and at most "
+                             f"{MAX_SUITE_SIZE}, not {size}")
     suites = {
         "conditions": suite_conditions(seed, samples=merged["conditions"],
                                        fault=fault),

@@ -18,10 +18,11 @@ matters.  A spectral derivative mode with the Nyquist bin zeroed shares the
 same null space.  The fd4 stencil reads its neighbours as slices of one
 wrap-padded copy of the field.
 
-The derivatives, integrate_top and MetricField take a stack of fields as
-well as one field: the grid axes are the trailing ones, any leading axes
-index the fields, and each field of a stack gets the same bits it would get
-on its own.
+cosine_mode is the one route from a table of modes to a potential: it adds
+the modes in table order, _BLOCK_CELLS cosines at a time.  It, the
+derivatives, integrate_top and MetricField take a stack of fields as well as
+one: the grid axes are the trailing ones, any leading axes index the fields,
+and each field of a stack gets the same bits it would get on its own.
 
 A MetricField factors chi = L L^* one entry of L at a time, each entry one
 array operation over the whole grid, for any n; det, the trace against a
@@ -37,7 +38,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
-from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ TWO_PI = 2.0 * np.pi
 
 DERIV_MODES = ("fd4", "spectral")
 GRID_MODES = ("invariant", "full")
+_BLOCK_CELLS = 1 << 14  # cosines per block of modes; sampling's block size
 
 
 @dataclass(frozen=True)
@@ -120,19 +121,30 @@ class TorusGrid:
         return {"n": self.n, "points": self.points, "mode": self.mode}
 
 
-def cosine_mode(grid: TorusGrid, kvec: Sequence[int], amplitude: float = 1.0,
-                phase: float = 0.0) -> np.ndarray:
-    """amplitude * cos(k . x + phase) sampled on the grid."""
-    kvec = list(kvec)
-    if len(kvec) != grid.naxes:
-        raise ShapeError(
-            f"wavevector has {len(kvec)} entries, grid has {grid.naxes} axes"
-        )
-    arg = np.zeros(grid.shape)
-    for j, k in enumerate(kvec):
-        if k:
-            arg = arg + k * grid.axis_coordinate(j)
-    return amplitude * np.cos(arg + phase)
+def cosine_mode(grid: TorusGrid, kvecs, amplitude=1.0, phase=0.0):
+    """Sum of amplitude * cos(k . x + phase) over a (modes, naxes) integer
+    table of wavevectors k (one wavevector is the table of one); amplitude
+    and phase are (modes,) for one field, (modes, fields) for a stack."""
+    table = np.array(kvecs, dtype=object, ndmin=2)  # keeps bools, raggedness
+    if table.ndim != 2 or any(isinstance(k, bool) or not isinstance(
+            k, (int, np.integer)) for k in table.flat):
+        raise ShapeError("wavevectors must form a table of integers")
+    if table.shape[1] != grid.naxes:
+        raise ShapeError(f"wavevector has {table.shape[1]} entries, grid has "
+                         f"{grid.naxes} axes")
+    table = table.astype(np.int64)
+    lead = np.broadcast_shapes(np.shape(amplitude), np.shape(phase))[1:]
+    coef, phase = (np.broadcast_to(a, table.shape[:1] + lead)
+                   for a in (amplitude, phase))
+    phi = np.zeros(lead + grid.shape)
+    block = max(1, _BLOCK_CELLS // phi.size)
+    ks = table.reshape(table.shape + (1,) * phi.ndim)
+    for lo in range(0, len(table), block):
+        modes = slice(lo, lo + block)
+        arg = sum(ks[modes, j] * x for j, x in enumerate(grid.meshgrid()))
+        rows = (modes, ...) + (None,) * grid.naxes
+        phi = sum(coef[rows] * np.cos(arg + phase[rows]), phi)
+    return phi
 
 
 def _fd4(values: np.ndarray, axis: int, dx: float) -> np.ndarray:

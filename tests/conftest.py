@@ -48,3 +48,18 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def cosine_sizes(monkeypatch):
+    """The argument size of every np.cos call while the test runs, in call
+    order: a bound on them shows that a route works in blocks."""
+    sizes = []
+    cos = np.cos
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", spy)
+    return sizes

@@ -242,8 +242,8 @@ def average_scalar_curvature(metric: MetricField) -> float:
 
 
 def representatives_loop(naxes: int, band: int) -> list:
-    """sampling.wavevector_representatives by scanning for each wavevector's
-    leading nonzero component."""
+    """The wavevectors of sampling._mode_table, found by scanning for each
+    wavevector's leading nonzero component."""
     out = []
     for k in itertools.product(range(-band, band + 1), repeat=naxes):
         if all(c == 0 for c in k):

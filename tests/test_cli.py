@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import settings as hsettings
 from hypothesis import strategies as st
 
-from jflow import cli, critical, flow
+from jflow import cli, critical, flow, sampling
 from jflow.cli import (
     EXIT_BLOWUP,
     EXIT_BROKEN_PIPE,
@@ -87,43 +87,82 @@ def bytes_cfg(data):
     return write
 
 
-# (writer of a config path, the field its config error names)
+def cfg_of(**overrides):
+    """Writer of flow_cfg(**overrides)."""
+    return lambda tmp_path: write_cfg(tmp_path, "f.json",
+                                      flow_cfg(**overrides))
+
+
+# (writer of a config path, the field its config error names, the start of
+# its reason)
 UNUSABLE_CONFIGS = [
-    pytest.param(str, "(config)", id="directory"),
-    pytest.param(bytes_cfg(b"\xff\xfe{}"), "(config)", id="utf16-bom"),
+    pytest.param(str, "(config)", "cannot read", id="directory"),
+    pytest.param(bytes_cfg(b"\xff\xfe{}"), "(config)", "invalid JSON",
+                 id="utf16-bom"),
     pytest.param(raw_cfg("Infinity", tol_converge="@"), "(config)",
-                 id="infinity"),
+                 "Infinity is not a finite number", id="infinity"),
     pytest.param(raw_cfg("-Infinity", safety="@"), "(config)",
-                 id="minus-infinity"),
+                 "-Infinity is not a finite number", id="minus-infinity"),
     pytest.param(raw_cfg("NaN", phi0={"modes": [{"k": [1], "amplitude": "@"}]}),
-                 "(config)", id="nan-amplitude"),
+                 "(config)", "NaN is not a finite number", id="nan-amplitude"),
     pytest.param(raw_cfg("1e400", omega=[["@"]]), "omega[0][0]",
-                 id="overflow-entry"),
+                 "matrix entries are finite numbers", id="overflow-entry"),
     pytest.param(raw_cfg("[1.0, -1e400]", chi0=[["@"]]), "chi0[0][0]",
-                 id="overflow-pair"),
-    pytest.param(raw_cfg("1e400", t_max="@"), "t_max", id="overflow-float"),
+                 "matrix entries are finite numbers", id="overflow-pair"),
+    pytest.param(raw_cfg("1e400", t_max="@"), "t_max",
+                 "must be a finite number", id="overflow-float"),
     pytest.param(raw_cfg("1" + "0" * 400, t_max="@"), "t_max",
-                 id="overflow-int"),
+                 "must be a finite number", id="overflow-int"),
     pytest.param(raw_cfg("1e400", phi0={"modes": [
         {"k": [1], "amplitude": 0.3, "phase": "@"}]}),
-        "phi0.modes[0].phase", id="overflow-phase"),
+        "phi0.modes[0].phase", "must be a finite number", id="overflow-phase"),
     # grids past cli.MAX_GRID_CELLS are refused before any field exists
     pytest.param(raw_cfg("1" + "0" * 30, points="@"), "points",
-                 id="points-huge"),
+                 "points ** 1 = ", id="points-huge"),
     pytest.param(raw_cfg("100000", n=2, points="@",
                          omega=[[1.0, 0.0], [0.0, 1.0]],
                          chi0=[[2.0, 0.0], [0.0, 2.0]], phi0={"zero": True}),
-                 "points", id="points-n2"),
+                 "points", "points ** 2 = ", id="points-n2"),
     # past points // 2 = 8 the grid holds no new mode
     pytest.param(raw_cfg("1" + "0" * 400, phi0={"modes": [
-        {"k": ["@"], "amplitude": 0.3}]}), "phi0.modes[0].k", id="k-huge"),
+        {"k": ["@"], "amplitude": 0.3}]}), "phi0.modes[0].k",
+        "components must be at most points // 2 = 8", id="k-huge"),
     pytest.param(raw_cfg("-9", phi0={"modes": [
         {"k": ["@"], "amplitude": 0.3}]}), "phi0.modes[0].k",
-        id="k-past-half"),
+        "components must be at most points // 2 = 8", id="k-past-half"),
     pytest.param(raw_cfg("9", phi0={"random": {"band": "@"}}),
-                 "phi0.random.band", id="band-past-half"),
+                 "phi0.random.band", "must be at most points // 2 = 8",
+                 id="band-past-half"),
     pytest.param(raw_cfg("200", phi0={"random": {"band": "@"}}),
-                 "phi0.random.band", id="band-huge"),
+                 "phi0.random.band", "must be at most points // 2 = 8",
+                 id="band-huge"),
+    # the ranges and types of the grid, the method and phi0
+    pytest.param(cfg_of(n=0), "n", "must be at least 1", id="n-zero"),
+    pytest.param(cfg_of(points=4), "points", "must be at least 8",
+                 id="points-4"),
+    pytest.param(cfg_of(phi0={"random": {"band": 0}}), "phi0.random.band",
+                 "must be at least 1", id="band-zero"),
+    pytest.param(cfg_of(phi0={"random": {"amplitude": 0}}),
+                 "phi0.random.amplitude", "must be positive",
+                 id="amplitude-zero"),
+    pytest.param(cfg_of(normalize="yes"), "normalize", "expected true/false",
+                 id="normalize-string"),
+    pytest.param(cfg_of(mode="half"), "mode", "must be one of",
+                 id="mode-half"),
+    pytest.param(cfg_of(deriv="fd2"), "deriv", "must be one of",
+                 id="deriv-fd2"),
+    pytest.param(cfg_of(phi0=[]), "phi0", "expected an object",
+                 id="phi0-list"),
+    pytest.param(cfg_of(phi0={"zero": False}), "phi0.zero",
+                 "the only allowed value is true", id="phi0-zero-false"),
+    pytest.param(cfg_of(phi0={"file": 3}), "phi0.file",
+                 "expected a path string", id="phi0-file-number"),
+    pytest.param(cfg_of(phi0={"modes": []}), "phi0.modes",
+                 "expected a non-empty list", id="phi0-modes-empty"),
+    pytest.param(cfg_of(phi0={"modes": [3]}), "phi0.modes[0]",
+                 "expected an object", id="phi0-mode-number"),
+    pytest.param(bytes_cfg(json.dumps([flow_cfg()]).encode()), "(config)",
+                 "top level must be an object", id="top-level-list"),
 ]
 
 
@@ -303,12 +342,12 @@ class TestExitCodes:
     def test_schema_missing_file(self, tmp_path):
         assert main(["flow", str(tmp_path / "absent.json")]) == EXIT_SCHEMA
 
-    @pytest.mark.parametrize("write, field", UNUSABLE_CONFIGS)
+    @pytest.mark.parametrize("write, field, reason", UNUSABLE_CONFIGS)
     def test_unusable_config_is_a_schema_error(self, tmp_path, capsys, write,
-                                               field):
+                                               field, reason):
         assert main(["flow", write(tmp_path)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: field {field!r}")
+        assert err.startswith(f"config error: field {field!r}: {reason}"), err
         assert "Traceback" not in err
 
     def test_inadmissible_form(self, tmp_path, capsys):
@@ -487,6 +526,7 @@ class TestCritical:
         ({"cg_rtol": 2}, "newton.cg_rtol"),
         ({"damping_floor": 2}, "newton.damping_floor"),
         ({"max_iters": 0}, "newton.max_iters"),
+        ([], "newton"),
     ])
     def test_newton_schema_errors(self, tmp_path, capsys, newton, field):
         cfg = write_cfg(tmp_path, "c.json", self.crit_cfg(newton=newton))
@@ -614,6 +654,12 @@ class TestConditionsCommand:
         assert main(["conditions", cfg]) == EXIT_SCHEMA
         assert "Hermitian" in capsys.readouterr().err
 
+    def test_form_not_a_matrix_is_a_schema_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "p.json", {"omega": {}, "chi": [[2.0]]})
+        assert main(["conditions", cfg]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(
+            "config error: field 'omega': expected a matrix (list of rows)")
+
     def test_near_singular_omega_is_inadmissible(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "p.json", {
             "omega": NEAR_SINGULAR, "chi": [[2.0, 0.0], [0.0, 2.0]],
@@ -726,6 +772,7 @@ class TestConeCommand:
             for c in data["curves"]]), "'self'"),
         (lambda data: dict(data, rank="x"), "'rank'"),
         (lambda data: dict(data, rank=True), "'rank'"),
+        (lambda data: dict(data, rank=0, Q=[]), "rank must be at least 1"),
         (lambda data: dict(data, Q=5), "'Q'"),
         (lambda data: dict(data, reference_kahler="2,-1"),
          "'reference_kahler'"),
@@ -736,9 +783,9 @@ class TestConeCommand:
         (lambda data: dict(data, Q=["1", "0", "0", "1/0"]), "'1/0'"),
         (lambda data: dict(data, Q=["1", "0", "0", math.nan]), "float"),
     ], ids=["no-rank", "top-level-list", "curve-without-self", "rank-string",
-            "rank-bool", "q-number", "reference-string", "curves-number",
-            "class-number", "entry-not-rational", "entry-zero-denominator",
-            "entry-nan"])
+            "rank-bool", "rank-zero", "q-number", "reference-string",
+            "curves-number", "class-number", "entry-not-rational",
+            "entry-zero-denominator", "entry-nan"])
     def test_malformed_lattice_file(self, tmp_path, capsys, mangle, names):
         data = builtin_lattice("blowup_p2_1").as_dict()
         path = tmp_path / "lattice.json"
@@ -763,6 +810,12 @@ class TestConeCommand:
     def test_alpha_arity_checked(self, capsys):
         assert main(["cone", "blowup_p2_1", "--alpha", "3"]) == EXIT_SCHEMA
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1/0,1", "x,1"])
+    def test_bad_alpha_component(self, capsys, alpha):
+        assert main(["cone", "blowup_p2_1", "--alpha", alpha]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith(
+            "config error: field 'alpha': bad rational component")
 
     def test_alpha_excludes_pair(self):
         assert main(["cone", "blowup_p2_1", "--alpha", "3,1",
@@ -813,7 +866,7 @@ class TestProptestCommand:
     def test_suite_size_out_of_range(self, capsys, flag, value):
         # each size flag is an integer from 1 to MAX_SUITE_SIZE; argparse
         # exits 2 before any suite runs
-        assert MAX_SUITE_SIZE == 100_000
+        assert MAX_SUITE_SIZE == sampling.MAX_SUITE_SIZE == 100_000
         with pytest.raises(SystemExit) as exc:
             main(["proptest", flag, value, "--quiet"])
         assert exc.value.code == EXIT_SCHEMA

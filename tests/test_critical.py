@@ -278,6 +278,15 @@ class TestNewtonSolve:
             newton_solve(grid, np.eye(1), np.eye(1),
                          cosine_mode(grid, [1], 4.5))
 
+    @pytest.mark.parametrize("forms, name", [
+        ((-np.eye(1), np.eye(1)), "omega"),
+        ((np.eye(1), -2.0 * np.eye(1)), "chi0")])
+    def test_nonpositive_form_is_named(self, forms, name):
+        grid = TorusGrid(n=1, points=16)
+        with pytest.raises(SingularFormError,
+                           match=f"form '{name}' is not positive definite"):
+            newton_solve(grid, *forms, cosine_mode(grid, [1], 0.2))
+
     def test_report_dict_roundtrip(self):
         grid = TorusGrid(n=1, points=16)
         _, report = newton_solve(grid, np.eye(1), 2.0 * np.eye(1),

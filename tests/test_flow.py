@@ -60,6 +60,17 @@ class TestFlowSetup:
         assert setup.omega_scale == pytest.approx(0.5)
         assert np.allclose(setup.omega, np.diag([1.5, 0.5]))
 
+    @pytest.mark.parametrize("forms, name", [
+        ((np.diag([1.0, -1.0]), np.eye(2)), "omega"),
+        ((np.eye(2), np.diag([1.0, -0.5])), "chi0"),
+        ((np.eye(2), np.zeros((2, 2))), "chi0")])
+    def test_forms_must_be_positive_and_are_named(self, forms, name):
+        # no grid is involved: the refusal names the form, not the grid
+        grid = TorusGrid(n=2, points=16)
+        with pytest.raises(SingularFormError,
+                           match=f"form '{name}' is not positive definite"):
+            FlowSetup(grid=grid, omega=forms[0], chi0=forms[1])
+
     def test_setting_validation(self):
         with pytest.raises(ValueError):
             small_setup(sample_interval=0)

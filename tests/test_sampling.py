@@ -16,7 +16,7 @@ from jflow import (
     report_digest,
     run_property_suites,
 )
-from jflow import sampling
+from jflow import sampling, torus
 from jflow.sampling import (
     FAULTS,
     _mode_table,
@@ -25,7 +25,6 @@ from jflow.sampling import (
     suite_conditions,
     suite_cone,
     suite_functionals,
-    wavevector_representatives,
 )
 from jflow.torus import metric_field
 from oracles import (admissible_potential_loop, random_positive_pair_batch,
@@ -67,7 +66,7 @@ class TestGenerators:
             assert 0 < int(c2.sum()) < 400
 
     def test_wavevector_representatives(self):
-        reps = wavevector_representatives(2, 1)
+        reps = [tuple(k) for k in _mode_table(2, 1)[0].tolist()]
         assert len(reps) == 4
         for k in reps:
             assert tuple(-c for c in k) not in reps
@@ -182,18 +181,22 @@ class TestModeTable:
         self.assert_same_draws(grid, np.diag([2.0, 1.5, 1.0]), 1, "fd4",
                                calls=1)
 
-    def test_blocks_of_modes_keep_the_order(self, monkeypatch):
-        # twelve modes in blocks of five, five and two
+    def test_blocks_of_modes_keep_the_order(self, monkeypatch, cosine_sizes):
+        # twelve modes in blocks of five, five and two; the per-mode oracle
+        # takes one cosine per cell at a time
         grid = TorusGrid(n=2, points=16)
-        monkeypatch.setattr(sampling, "_BLOCK_CELLS", 5 * 16 * 16 + 3)
+        budget = 5 * 16 * 16 + 3
+        monkeypatch.setattr(torus, "_BLOCK_CELLS", budget)
         for deriv in ("fd4", "spectral"):
             self.assert_same_draws(grid, np.eye(2), 2, deriv, seed=3)
+        assert max(cosine_sizes) <= budget
+        draw = [5 * 256, 5 * 256, 2 * 256] + [256] * 12
+        assert cosine_sizes == draw * 2 * 2
 
     def test_table_matches_representatives(self):
         for naxes in (1, 2, 3, 4):
             for band in (1, 2, 3):
-                reps = wavevector_representatives(naxes, band)
-                assert reps == representatives_loop(naxes, band)
+                reps = representatives_loop(naxes, band)
                 kvecs, denom = _mode_table(naxes, band)
                 assert [tuple(k) for k in kvecs.tolist()] == reps
                 assert denom.tolist() == [1.0 + sum(c * c for c in k)
@@ -263,6 +266,20 @@ class TestSuites:
     def test_suite_sizes_below_one_rejected(self, suite, size):
         sizes = {"conditions": 1, "functionals": 1, "cone": 1, suite: size}
         with pytest.raises(ValueError, match="must be at least 1"):
+            run_property_suites(0, sizes=sizes)
+
+    @pytest.mark.parametrize("sizes", [{"cone": 0}, {"functionals": 100_001}])
+    def test_suite_sizes_refused_before_any_suite_runs(self, monkeypatch,
+                                                       sizes):
+        # every size is checked against 1..MAX_SUITE_SIZE = 100,000 before
+        # the conditions suite, which runs first, can start
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran before the sizes were checked")
+
+        monkeypatch.setattr(sampling, "suite_conditions", no_suite)
+        name, size = next(iter(sizes.items()))
+        with pytest.raises(ValueError, match=f"{name} size must be at least 1 "
+                           f"and at most 100000, not {size}"):
             run_property_suites(0, sizes=sizes)
 
     def test_report_digest_deterministic(self):

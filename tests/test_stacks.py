@@ -8,7 +8,7 @@ exactly the bits it gets on its own, so every comparison here is bytewise.
 import numpy as np
 import pytest
 
-from jflow import sampling
+from jflow import torus
 from jflow.functionals import (PathSpec, eval_entropy, eval_IE_JE,
                                eval_mabuchi, flow_functional_bundle,
                                ie_second_form, path_functional_bundle)
@@ -161,12 +161,17 @@ class TestSampledStacks:
         for band, count in ((1, 1), (2, 3), (3, 5)):
             self.assert_same_as_calls(grid, background(n), band, deriv, count)
 
-    def test_blocks_of_modes_span_the_stack(self, monkeypatch):
-        # 12 modes of 4 fields in blocks of two modes
+    def test_blocks_of_modes_span_the_stack(self, monkeypatch, cosine_sizes):
+        # 12 modes of 4 fields in blocks of two modes; one field at a time
+        # in blocks of eight
         grid = TorusGrid(n=2, points=16)
-        monkeypatch.setattr(sampling, "_BLOCK_CELLS", 2 * 4 * 16 * 16 + 5)
+        budget = 2 * 4 * 16 * 16 + 5
+        monkeypatch.setattr(torus, "_BLOCK_CELLS", budget)
         for deriv in DERIV_MODES:
             self.assert_same_as_calls(grid, np.eye(2), 2, deriv, 4, seed=3)
+        assert max(cosine_sizes) <= budget
+        stack, call = [2 * 4 * 256] * 6, [8 * 256, 4 * 256]
+        assert cosine_sizes == (stack + call * 4) * len(DERIV_MODES)
 
     def test_without_count_one_field(self):
         grid = TorusGrid(n=2, points=16)

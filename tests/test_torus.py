@@ -89,9 +89,43 @@ class TestGridGeometry:
             3.5, rel=1e-13)
 
     def test_cosine_wavevector_validation(self):
+        # a fractional wavevector is not periodic on the torus, and a bool
+        # is not a wavenumber; neither may be cast to one
         grid = TorusGrid(n=2, points=8)
-        with pytest.raises(ShapeError):
-            cosine_mode(grid, [1, 0, 0])
+        width = "wavevector has 3 entries, grid has 2 axes"
+        for kvecs, reason in (([1, 0, 0], width),
+                              ([[1, 0, 0], [0, 1, 0]], width),
+                              ([1.5, 0], "table of integers"),
+                              ([True, 0], "table of integers"),
+                              ([[1, 0], [1]], "table of integers"),
+                              ([[[1, 0]]], "table of integers")):
+            with pytest.raises(ShapeError, match=reason):
+                cosine_mode(grid, kvecs)
+
+    @pytest.mark.parametrize("budget", [1, 37, 5 * 3 * 8 * 8 + 1, None])
+    @pytest.mark.parametrize("mode", ["invariant", "full"])
+    def test_mode_table_equals_one_mode_calls(self, monkeypatch, mode, budget):
+        # 12 modes with zero and negative components for a stack of three
+        # fields, in blocks of one, five (invariant only) or the default
+        grid = TorusGrid(n=2, points=8, mode=mode)
+        if budget is not None:
+            monkeypatch.setattr(torus, "_BLOCK_CELLS", budget)
+        rng = np.random.default_rng(6)
+        table = rng.integers(-3, 4, size=(12, grid.naxes))
+        table[0] = 0
+        table[1, 0] = 0
+        amplitude = rng.standard_normal((12, 3))
+        phase = rng.uniform(0.0, TWO_PI, (12, 3))
+        stack = cosine_mode(grid, table, amplitude, phase)
+        assert stack.shape == (3,) + grid.shape
+        for f in range(3):
+            want = grid.zeros()
+            for k, a, p in zip(table, amplitude[:, f], phase[:, f]):
+                want = want + cosine_mode(grid, k, a, p)
+            assert stack[f].tobytes() == want.tobytes()
+            one = cosine_mode(grid, table.tolist(), amplitude[:, f],
+                              phase[:, f])
+            assert one.tobytes() == want.tobytes()
 
 
 class TestDerivatives:
