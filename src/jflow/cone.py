@@ -16,7 +16,8 @@ The divisor search splits a non-Kahler class with positive square into a
 positive combination of negative self-intersection curves plus a remainder,
 by repeatedly solving the Gram system on the curves the class currently
 fails against, then inflating the coefficients by the first dyadic margin
-2^-k (k ascending from 0) whose remainder passes the strict cone test.  A
+2^-k (k ascending from 0) whose remainder passes the strict cone test,
+uniformly, then along x > 0 with G x = -1, G the support's Gram matrix.  A
 support is admitted only if its Gram matrix is negative definite, and one
 exact elimination decides that and solves the system: Gauss-Jordan without
 row exchanges stops at the first pivot >= 0, which by Sylvester's criterion
@@ -391,16 +392,22 @@ def divisor_search(lattice: SurfaceLattice, alpha) -> DivisorSearchReport:
             av, rounds, "no positive combination of listed negative curves "
                         "explains the failure")
 
-    for k in range(MAX_MARGIN_EXPONENT + 1):
-        delta = Fraction(1, 2**k)
-        inflated = {c: a + delta for c, a in coeffs.items()}
-        remainder = _minus(av, inflated.items())
-        if _passes(lattice, remainder):
-            candidate = DivisorCandidate(tuple(c.name for c in inflated),
-                                         tuple(inflated.values()))
-            return DivisorSearchReport(
-                status="certificate", candidate=candidate,
-                remainder=remainder, margin=delta, rounds=rounds)
+    # uniform first; along x the remainder meets each support curve by delta
+    for x in ([1] * len(coeffs), None):
+        x = x or _solve_exact(gram, [-1] * len(coeffs))
+        if min(x) <= 0:
+            break
+        for k in range(MAX_MARGIN_EXPONENT + 1):
+            delta = Fraction(1, 2**k)
+            inflated = {c: a + delta * xc
+                        for (c, a), xc in zip(coeffs.items(), x)}
+            remainder = _minus(av, inflated.items())
+            if _passes(lattice, remainder):
+                candidate = DivisorCandidate(tuple(c.name for c in inflated),
+                                             tuple(inflated.values()))
+                return DivisorSearchReport(
+                    status="certificate", candidate=candidate,
+                    remainder=remainder, margin=delta, rounds=rounds)
 
     return _empty_report(
         av, rounds, f"margin schedule exhausted at 2^-{MAX_MARGIN_EXPONENT}")

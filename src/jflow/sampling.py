@@ -111,8 +111,11 @@ def random_admissible_potential(rng: np.random.Generator, grid: TorusGrid,
     With count, a stack of count potentials, equal to as many calls in a
     row and leaving the generator in the same state; without it, one.
     """
-    kvecs, denom = _mode_table(grid.naxes, band)
     fields = 1 if count is None else count
+    for name, value in (("band", band), ("count", fields)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
+    kvecs, denom = _mode_table(grid.naxes, band)
     draws = np.array([(rng.standard_normal(), rng.uniform(0.0, 2.0 * np.pi))
                       for _ in range(fields * len(denom))])
     coef, phase = draws.reshape(fields, -1, 2).T  # (mode, field) tables

@@ -27,9 +27,9 @@ and each field of a stack gets the same bits it would get on its own.
 A MetricField factors chi = L L^* one entry of L at a time, each entry one
 array operation over the whole grid, for any n; det, the trace against a
 constant form, the inverse and h = chi^{-1} g chi^{-1} are read from that
-factor, so a flow stage runs no per-point LAPACK call.  Newton's operator,
-the blow-up Laplacian and the curvature contract a Hermitian coefficient
-with a complex Hessian in one kernel, _hessian_trace.
+factor, so a flow stage runs no per-point LAPACK call.  _hermitian_stack
+packs the Hessian, the inverse and h; _hessian_trace contracts a Hermitian
+coefficient with a Hessian for Newton, the blow-up monitor and curvature.
 """
 
 from __future__ import annotations
@@ -232,46 +232,46 @@ def gradient(values: np.ndarray, grid: TorusGrid, deriv: str = "fd4") -> list:
     return [_derivative(values, grid, j, deriv) for j in range(grid.naxes)]
 
 
+def _hermitian_stack(n: int, lead: tuple, dtype, entry) -> np.ndarray:
+    """The (lead..., n, n) stack with entry(a, b) on and above the diagonal,
+    row by row: the diagonal keeps its real part and the lower triangle is
+    the conjugate of the upper, so the stack is exactly Hermitian."""
+    out = np.empty(lead + (n, n), dtype=dtype)
+    for a in range(n):
+        out[..., a, a] = entry(a, a).real
+        for b in range(a + 1, n):
+            block = entry(a, b)
+            out[..., a, b], out[..., b, a] = block, block.conj()
+    return out
+
+
 def complex_hessian_of(values: np.ndarray, grid: TorusGrid,
                        deriv: str = "fd4") -> np.ndarray:
     """Discrete coefficient matrix of the (1,1)-form i ddbar(phi).
 
     Entry (a, b) approximates d^2 phi / dz_a dzbar_b.  In invariant mode the
-    result is real symmetric; in full mode it is Hermitian, with conjugate
-    symmetry holding exactly because the lower triangle is assigned by
-    conjugation.  Composed first-derivative passes commute across axes, so
-    the symmetric part needs no averaging.  Both layouts need a real field.
+    result is real symmetric; in full mode it is Hermitian, exactly so
+    because _hermitian_stack fills it from the upper triangle.  Composed
+    first-derivative passes commute across axes, so the symmetric part needs
+    no averaging.  Both layouts need a real field.
     """
     if np.iscomplexobj(values):
         raise ShapeError("the complex Hessian takes a real field")
-    n = grid.n
+    n, full = grid.n, grid.mode == "full"
     # every second derivative differentiates du[j] along axis k >= j once
     du = gradient(values, grid, deriv)
-    if grid.mode == "invariant":
-        hess = np.empty(values.shape + (n, n))
-        for a in range(n):
-            for b in range(a, n):
-                block = 0.25 * _derivative(du[a], grid, b, deriv)
-                hess[..., a, b] = block
-                if b > a:
-                    hess[..., b, a] = block
-        return hess
 
-    hess = np.empty(values.shape + (n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(a, n):
-            real = (_derivative(du[a], grid, b, deriv)
-                    + _derivative(du[n + a], grid, n + b, deriv))
-            if b == a:
-                # the imaginary part of a diagonal entry cancels exactly
-                hess[..., a, a] = 0.25 * real
-                continue
-            imag = (_derivative(du[a], grid, n + b, deriv)
-                    - _derivative(du[b], grid, n + a, deriv))
-            block = 0.25 * (real + 1j * imag)
-            hess[..., a, b] = block
-            hess[..., b, a] = np.conj(block)
-    return hess
+    def entry(a, b):
+        block = _derivative(du[a], grid, b, deriv)
+        if full:
+            block = block + _derivative(du[n + a], grid, n + b, deriv)
+        if full and b > a:
+            # the imaginary part of a diagonal entry cancels exactly
+            block = block + 1j * (_derivative(du[a], grid, n + b, deriv)
+                                  - _derivative(du[b], grid, n + a, deriv))
+        return 0.25 * block
+
+    return _hermitian_stack(n, values.shape, complex if full else float, entry)
 
 
 def null_mode_projection(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -446,12 +446,9 @@ class MetricField:
 
     def inverse(self) -> np.ndarray:
         """chi^{-1} as a stack."""
-        n = self.n
-        inv = np.empty(self.chi.shape, dtype=self.chi.dtype)
-        for a, row in enumerate(self._inverse_entries()):
-            for b in range(n):
-                inv[..., a, b] = row[b]
-        return inv
+        inv = self._inverse_entries()
+        return _hermitian_stack(self.n, self.chi.shape[:-2], self.chi.dtype,
+                                lambda a, b: inv[a][b])
 
     def h_matrix(self, g: np.ndarray) -> np.ndarray:
         """Pointwise chi^{-1} g chi^{-1}, the kernel of the linearized trace.
@@ -459,8 +456,7 @@ class MetricField:
         g is a constant form the caller coerced once with as_matrix, as
         FlowSetup.omega is; the product is real when chi is real and g has
         no imaginary part.  Built entry by entry as (chi^{-1} g) chi^{-1},
-        skipping the zero entries of g; the lower triangle is the conjugate
-        of the upper and the diagonal is real, exactly.
+        skipping the zero entries of g, and packed by _hermitian_stack.
         """
         inv = self._inverse_entries()
         if not (np.iscomplexobj(inv[0][0]) or g.imag.any()):
@@ -469,16 +465,10 @@ class MetricField:
         left = [[reduce(add, (inv[a][c] * g[c, d]
                               for c in range(n) if g[c, d]))
                  for d in range(n)] for a in range(n)]
-        h = np.empty(self.chi.shape, dtype=np.result_type(self.chi, g))
-        for a in range(n):
-            for b in range(a, n):
-                entry = reduce(add, (left[a][d] * inv[d][b] for d in range(n)))
-                if b == a:
-                    h[..., a, a] = entry.real
-                else:
-                    h[..., a, b] = entry
-                    h[..., b, a] = entry.conj()
-        return h
+        return _hermitian_stack(
+            n, self.chi.shape[:-2], np.result_type(self.chi, g),
+            lambda a, b: reduce(add, (left[a][d] * inv[d][b]
+                                      for d in range(n))))
 
     def relative_eigenvalues(self, g: np.ndarray) -> np.ndarray:
         """Eigenvalues of chi against g at every grid point, ascending; g is

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from jflow import SurfaceLattice
+
 settings.register_profile(
     "repro",
     deadline=None,
@@ -63,3 +65,18 @@ def cosine_sizes(monkeypatch):
 
     monkeypatch.setattr(np, "cos", spy)
     return sizes
+
+
+@pytest.fixture
+def crowded_lattice():
+    """A lattice whose curve C0 meets C3 (19) more than its own |C0^2|
+    (18): no uniform margin opens the support {C3, C0} of alpha =
+    (4, -2, 0, 2), while raising the coefficients along x with
+    Gram x = -1 does."""
+    return SurfaceLattice(
+        4, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]],
+        [{"name": "C0", "class": [1, 1, -3, 0], "self": "-18"},
+         {"name": "C1", "class": [3, 2, 0, 1], "self": "3"},
+         {"name": "C2", "class": [3, 3, 2, -2], "self": "-16"},
+         {"name": "C3", "class": [-1, -2, 3, 3], "self": "-39"}],
+        [4, -1, 0, -2], name="crowded")

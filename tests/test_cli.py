@@ -732,6 +732,21 @@ class TestConeCommand:
         assert code == EXIT_OK
         assert read_report(out)["search"]["status"] == "kahler"
 
+    def test_crowded_support_certified(self, tmp_path, crowded_lattice):
+        # the uniform margin alone left this class refused, and the refusal
+        # failed the audit
+        path = tmp_path / "crowded.json"
+        path.write_text(json.dumps(crowded_lattice.as_dict()))
+        out = tmp_path / "cone.json"
+        code = main(["cone", str(path), "--alpha", "4,-2,0,2",
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_OK
+        payload = read_report(out)
+        assert payload["search"]["certificate"] == {
+            "support": ["C3", "C0"], "coefficients": ["283/341", "204/341"]}
+        assert payload["search"]["margin"] == "1"
+        assert payload["verified"]
+
     @pytest.fixture
     def degenerate_lattice(self, tmp_path):
         # E and E2 = 2E are proportional negative curves, so any support

@@ -23,7 +23,8 @@ from jflow import (
 )
 from jflow.cone import (DivisorCandidate, DivisorSearchReport, NakaiReport,
                         _solve_exact)
-from jflow.sampling import make_rng, random_rational_class
+from jflow.sampling import (_is_failing_with_positive_square, make_rng,
+                            random_rational_class)
 from oracles import signature
 
 
@@ -424,6 +425,30 @@ class TestClassCondition:
         assert not out["needs_divisor"]
 
 
+def _meeting_curves_lattice(rng):
+    rank = rng.randint(3, 4)
+    q = [1] + [-rng.randint(1, 3) for _ in range(rank - 1)]
+
+    def dot(x, y):
+        return sum(a * b * c for a, b, c in zip(q, x, y))
+
+    h = [0] * rank
+    while dot(h, h) <= 0:
+        h = [rng.randint(1, 4)] + [rng.randint(-2, 2) for _ in range(rank - 1)]
+    curves, want = [], rng.randint(2, 4)
+    for _ in range(200):
+        c = [rng.randint(-3, 3) for _ in range(rank)]
+        if (len(curves) < want and dot(c, c) < 0 < dot(c, h)
+                and c not in curves and all(dot(c, d) >= 0 for d in curves)):
+            curves.append(c)
+    if len(curves) < 2:
+        return _meeting_curves_lattice(rng)
+    return SurfaceLattice(
+        rank, [[q[i] * (i == j) for j in range(rank)] for i in range(rank)],
+        [{"name": f"C{k}", "class": c, "self": str(dot(c, c))}
+         for k, c in enumerate(curves)], h)
+
+
 class TestDivisorSearch:
     def test_kahler_class_passes_through(self, blowup):
         rep = divisor_search(blowup, [3, -2])
@@ -495,6 +520,41 @@ class TestDivisorSearch:
         assert rep.remainder == (Fraction(39, 28), Fraction(-11, 14),
                                  Fraction(-11, 14))
         assert verify_certificate(lattice, alpha, rep)
+
+    def test_gram_direction_opens_a_crowded_support(self, crowded_lattice):
+        # every uniform margin leaves the remainder negative on C0; along x
+        # with Gram x = -1 it meets C3 and C0 by exactly the margin
+        alpha = (4, -2, 0, 2)
+        rep = divisor_search(crowded_lattice, alpha)
+        assert rep.status == "certificate"
+        assert rep.candidate.support == ("C3", "C0")
+        assert rep.candidate.coefficients == (Fraction(283, 341),
+                                              Fraction(204, 341))
+        assert rep.margin == 1
+        rem = nakai_test(crowded_lattice, rep.remainder)
+        assert (rem.curve_products[0], rem.curve_products[3]) == (1, 1)
+        assert verify_certificate(crowded_lattice, alpha, rep)
+
+    def test_random_lattices_with_meeting_curves_certified(self):
+        # rank 3-4, Q = diag(1, -a, ...) with a in {1, 2, 3}, and 2-4
+        # distinct negative curves that meet the reference positively and
+        # each other nonnegatively, as distinct irreducible curves do
+        rng, class_rng = random.Random(0), make_rng(0)
+        searched = 0
+        for _ in range(40):
+            lattice = _meeting_curves_lattice(rng)
+            for _ in range(20):
+                alpha = random_rational_class(
+                    class_rng, lattice, tries=20,
+                    predicate=_is_failing_with_positive_square)
+                if alpha is None:
+                    continue
+                rep = divisor_search(lattice, alpha)
+                assert rep.status == "certificate", (lattice.as_dict(),
+                                                     alpha, rep.reason)
+                assert verify_certificate(lattice, alpha, rep)
+                searched += 1
+        assert searched > 300
 
     def test_precondition_failure(self, blowup):
         with pytest.raises(ConeError):

@@ -86,6 +86,19 @@ class TestGenerators:
             # the requested floor
             assert lam_min >= 0.25 * lam0 - 1e-12
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"band": 0}, "band"), ({"band": -2}, "band"),
+        ({"count": 0}, "count"), ({"count": -1, "band": 1}, "count"),
+    ])
+    def test_admissible_potential_refuses_bad_arguments(self, kwargs, name):
+        # refused before any draw, so the generator keeps its state
+        rng = make_rng(5, 1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+            random_admissible_potential(rng, TorusGrid(n=2, points=16),
+                                        np.eye(2), **kwargs)
+        np.testing.assert_equal(rng.bit_generator.state, state)
+
     def test_rational_class_default_predicate(self):
         lattice = builtin_lattice("blowup_p2_1")
         vec = random_rational_class(make_rng(3), lattice)

@@ -265,7 +265,8 @@ class TestDerivatives:
 
 class TestComplexHessian:
     @pytest.mark.parametrize("deriv", ["fd4", "spectral"])
-    @pytest.mark.parametrize("layout", [(2, "invariant"), (2, "full")])
+    @pytest.mark.parametrize("layout", [(2, "invariant"), (2, "full"),
+                                        (1, "full"), (3, "invariant")])
     def test_matches_composed_first_derivatives(self, rng, deriv, layout):
         # the passes skip gradient's per-call checks, not its arithmetic:
         # every entry is bit-identical to the public route
@@ -576,6 +577,9 @@ class TestEntrywiseFactor:
         for value, want in zip(got, (det, trace, inv, h)):
             assert value.shape == want.shape
             assert np.max(np.abs(value - want)) <= 1e-13 * np.max(np.abs(want))
+        # packed from the upper triangle: exactly Hermitian, real diagonal
+        assert np.array_equal(got[2], got[2].conj().swapaxes(-1, -2))
+        assert not np.diagonal(got[2], axis1=-2, axis2=-1).imag.any()
 
     @pytest.mark.parametrize("complex_omega", [False, True])
     @pytest.mark.parametrize("points", [8, 9])
