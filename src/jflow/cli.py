@@ -10,9 +10,10 @@ Subcommands:
   proptest     run the randomized property suites under a fixed seed
 
 Configs are strictly validated: any unknown or malformed field aborts with
-exit code 2 and a message naming the field path.  Each cmd_* returns its
-exit code, its JSON payload (with the fully resolved configuration, so a
-report describes its own provenance) and a one-line headline; main adds
+exit code 2 and a message naming the field path; the ranges and grid caps
+are those of TorusGrid, FlowSetup and NewtonSettings.  Each cmd_* returns
+its exit code, its JSON payload (with the fully resolved configuration, so
+a report describes its own provenance) and a one-line headline; main adds
 the keys "command", "exit_code" and "wall_time_s" and emits the report,
 which --summary (flow, critical, conditions, functionals) and --out (cone,
 proptest) both write to a file.  wall_time_s is the seconds from the
@@ -22,7 +23,8 @@ identical runs.
 Exit codes:
   0  success
   1  property suite found a counterexample
-  2  schema violation (config, lattice file, phi0.file archive)
+  2  schema violation (config, lattice file, phi0.file archive) or an
+     output path that cannot be written
   3  inadmissible input (non-positive form, potential outside the cone)
   4  flow blow-up (positivity loss or monitor past its ceiling)
   5  timeout or iteration budget exhausted
@@ -62,8 +64,8 @@ from .hermitian import (CONDITIONS, SettingError, SingularFormError,
 from .sampling import (DEFAULT_SIZES, FAULTS, MAX_SUITE_SIZE, make_rng,
                        random_admissible_potential, report_digest,
                        run_property_suites)
-from .torus import (DERIV_MODES, GRID_MODES, TorusGrid, class_constant_c,
-                    cosine_mode, load_field, metric_field, save_field)
+from .torus import (DERIV_MODES, TorusGrid, class_constant_c, cosine_mode,
+                    load_field, metric_field, save_field)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -74,11 +76,8 @@ EXIT_TIMEOUT = 5
 EXIT_INVARIANT = 6
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
-# caps tested before any field is allocated: n up to 4, the largest tested,
-# and one cosine per mode and cell for phi0.random and phi0.modes
-MAX_GRID_CELLS = 2**22
-MAX_N = 4
-MAX_HESSIAN_ENTRIES = 2**24
+# one cosine per mode and cell for phi0.random and phi0.modes, tested
+# before any field is allocated; TorusGrid holds the grid's own caps
 MAX_MODE_CELLS = 2**24
 
 
@@ -100,14 +99,11 @@ def _reject_unknown(obj: dict, allowed, path: str) -> None:
             raise SchemaError(_join(path, key), "unknown field")
 
 
-def _as_int(value, path: str, minimum: int | None = None,
-            maximum: int | None = None) -> int:
+def _as_int(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
         raise SchemaError(path, f"must be at least {minimum}")
-    if maximum is not None and value > maximum:
-        raise SchemaError(path, f"must be at most {maximum}")
     return value
 
 
@@ -147,12 +143,6 @@ def _build_settings(cls, cfg: dict, path: str, **problem) -> tuple:
         return cls(**problem, **resolved), resolved
     except SettingError as err:
         raise SchemaError(_join(path, err.field), err.reason) from None
-
-
-def _as_choice(value, choices, path: str) -> str:
-    if value not in choices:
-        raise SchemaError(path, f"must be one of {tuple(choices)}")
-    return value
 
 
 def _parse_entry(value, path: str) -> complex:
@@ -309,24 +299,18 @@ def _build_problem(cfg: dict, extra_allowed=()) -> dict:
     for key in ("n", "points"):
         if key not in cfg:
             raise SchemaError(key, "required field is missing")
-    n = _as_int(cfg["n"], "n", 1, MAX_N)
-    points = _as_int(cfg["points"], "points", 8)
-    omega = _parse_form(cfg, "omega", n)
-    chi0 = _parse_form(cfg, "chi0", n)
-    mode = _as_choice(cfg.get("mode", "invariant"), GRID_MODES, "mode")
-    deriv = _as_choice(cfg.get("deriv", "fd4"), DERIV_MODES, "deriv")
-    grid = TorusGrid(n=n, points=points, mode=mode)
-    cells = points ** grid.naxes
-    if cells > MAX_GRID_CELLS or cells * n * n > MAX_HESSIAN_ENTRIES:
-        raise SchemaError("points", f"points ** {grid.naxes} = {cells} "
-                          f"cells; the caps are {MAX_GRID_CELLS} cells and "
-                          f"{MAX_HESSIAN_ENTRIES} Hessian entries (cells n^2)")
+    # TorusGrid checks the grid's ranges and caps before any field exists
+    grid, _ = _build_settings(TorusGrid, cfg, "",
+                              mode=cfg.get("mode", "invariant"))
+    omega = _parse_form(cfg, "omega", grid.n)
+    chi0 = _parse_form(cfg, "chi0", grid.n)
+    deriv = cfg.get("deriv", "fd4")
+    if deriv not in DERIV_MODES:
+        raise SchemaError("deriv", f"must be one of {DERIV_MODES}")
     phi0_spec, phi0 = _parse_phi0(cfg.get("phi0"), grid, chi0, deriv, "phi0")
-    resolved = {
-        "n": n, "points": points, "mode": mode, "deriv": deriv,
-        "omega": _matrix_to_json(omega), "chi0": _matrix_to_json(chi0),
-        "phi0": phi0_spec,
-    }
+    resolved = dict(grid.describe(), deriv=deriv,
+                    omega=_matrix_to_json(omega), chi0=_matrix_to_json(chi0),
+                    phi0=phi0_spec)
     return {"grid": grid, "omega": omega, "chi0": chi0, "phi0": phi0,
             "deriv": deriv, "resolved": resolved}
 
@@ -656,6 +640,9 @@ def main(argv=None) -> int:
         # the reader is gone: devnull keeps the flush at exit from raising
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as err:  # each read raises SchemaError: this is a write
+        print(f"output error: {err}", file=sys.stderr)
+        return EXIT_SCHEMA
     except SchemaError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_SCHEMA

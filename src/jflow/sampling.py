@@ -40,12 +40,11 @@ import numpy as np
 
 from .cone import (SurfaceLattice, _pairings, builtin_lattice,
                    class_condition, divisor_search, verify_certificate)
-from .functionals import (eval_entropy, eval_IE_JE, flow_functional_bundle,
-                          ie_second_form)
+from .functionals import eval_entropy, flow_functional_bundle, ie_second_form
 from .hermitian import (_pencil_reduction, as_matrix, condition_margins_batch,
                         cone_form_positive, wedge_coefficient_batch)
-from .torus import (_BLOCK_CELLS, MetricField, TorusGrid, complex_hessian_of,
-                    cosine_mode, metric_field)
+from .torus import (_BLOCK_CELLS, TorusGrid, complex_hessian_of, cosine_mode,
+                    metric_field)
 
 FAULTS = ("c2-sign",)
 
@@ -325,21 +324,19 @@ def suite_functionals(seed: int, count: int = 1000) -> dict:
             rng, grid, chi0, band=band, amplitude=0.6, rel_margin=0.25,
             deriv="spectral", count=min(block, count - first))
         metric = metric_field(grid, chi0, phis, "spectral")
-        ies, jes = eval_IE_JE(metric)
+        bundle = flow_functional_bundle(metric, omega)
         ie2s = ie_second_form(metric)
         ents = eval_entropy(metric)
         # translation on every tenth sample; differentiating the shifted
         # potentials afresh covers the stencil's blindness to constants
         tenth = slice(-first % 10, None, 10)
-        base = flow_functional_bundle(
-            MetricField(grid, chi0, phis[tenth], metric.hessian[tenth],
-                        "spectral"), omega)["Jhat"]
         shifted = flow_functional_bundle(
             metric_field(grid, chi0, phis[tenth] + 0.7, "spectral"),
             omega)["Jhat"]
-        shifts = iter(zip(base.tolist(), shifted.tolist()))
-        for i, ie, je, ie2, ent in zip(range(first, count), ies.tolist(),
-                                       jes.tolist(), ie2s.tolist(),
+        shifts = iter(zip(bundle["Jhat"][tenth].tolist(), shifted.tolist()))
+        for i, ie, je, ie2, ent in zip(range(first, count),
+                                       bundle["IE"].tolist(),
+                                       bundle["JE"].tolist(), ie2s.tolist(),
                                        ents.tolist()):
             slack = 1e-12 * max(1.0, abs(ie))
             low, high = je - ie / 3.0, 2.0 * ie / 3.0 - je

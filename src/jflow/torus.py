@@ -6,7 +6,8 @@ supported.  The "invariant" layout samples only the x coordinates on an
 n-dimensional grid and represents potentials constant along the y
 directions; this is the workhorse layout, since every structure constant of
 the problem survives the restriction.  The "full" layout samples all 2n real
-coordinates.
+coordinates.  TorusGrid owns the grid's ranges and caps: a grid past one
+raises SettingError naming its field before any field is allocated.
 
 Derivatives are fourth-order centred differences by default.  The complex
 Hessian is built by composing two first-derivative passes rather than by a
@@ -41,14 +42,18 @@ from operator import add
 
 import numpy as np
 
-from .hermitian import (ShapeError, SingularFormError, as_matrix,
-                        pencil_eigenvalues_batch, trace_pair)
+from .hermitian import (SettingError, ShapeError, SingularFormError,
+                        as_matrix, pencil_eigenvalues_batch, trace_pair)
 
 TWO_PI = 2.0 * np.pi
 
 DERIV_MODES = ("fd4", "spectral")
 GRID_MODES = ("invariant", "full")
 _BLOCK_CELLS = 1 << 14  # cosines per block of modes; sampling's block size
+# grid caps: n up to 4, the largest tested, cells and Hessian entries
+MAX_N = 4
+MAX_GRID_CELLS = 2**22
+MAX_HESSIAN_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,8 @@ class TorusGrid:
     n is the complex dimension, points the sample count per axis.  Samples
     sit at cell centres (i + 1/2) * dx, so midpoint quadrature applies.  In
     invariant mode the grid has n axes and each sample carries the volume of
-    its cell times the (2pi)^n volume of the suppressed y torus.
+    its cell times the (2pi)^n volume of the suppressed y torus.  n is
+    checked first, so points ** naxes is only taken for n <= MAX_N.
     """
 
     n: int
@@ -67,11 +73,19 @@ class TorusGrid:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ShapeError("complex dimension must be at least 1")
+            raise SettingError("n", "must be at least 1")
+        if self.n > MAX_N:
+            raise SettingError("n", f"must be at most {MAX_N}")
         if self.points < 8:
-            raise ShapeError("need at least 8 points per axis for the stencils")
+            raise SettingError("points", "must be at least 8")
         if self.mode not in GRID_MODES:
-            raise ShapeError(f"grid mode must be one of {GRID_MODES}")
+            raise SettingError("mode", f"must be one of {GRID_MODES}")
+        cells = self.points ** self.naxes
+        if cells > MAX_GRID_CELLS or cells * self.n**2 > MAX_HESSIAN_ENTRIES:
+            raise SettingError("points", f"points ** {self.naxes} = {cells} "
+                               f"cells; the caps are {MAX_GRID_CELLS} cells "
+                               f"and {MAX_HESSIAN_ENTRIES} Hessian entries "
+                               f"(cells n^2)")
 
     @property
     def naxes(self) -> int:
@@ -430,19 +444,13 @@ class MetricField:
                    for row in _forward(self.low, factor) for x in row)
 
     def _inverse_entries(self) -> list:
-        """Entries of chi^{-1} = L^{-*} L^{-1} from the triangular inverse,
-        each one array over the grid; the lower triangle is the conjugate
-        of the upper."""
+        """Entries (a, b >= a) of chi^{-1} = L^{-*} L^{-1} from the
+        triangular inverse, each one array over the grid; None below the
+        diagonal, whose entries are the conjugates."""
         n = self.n
         tri = _forward(self.low, np.eye(n))
-        ent = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                entry = sum(tri[k][a].conj() * tri[k][b] for k in range(b, n))
-                ent[a][b] = entry
-                if b > a:
-                    ent[b][a] = entry.conj()
-        return ent
+        return [[sum(tri[k][a].conj() * tri[k][b] for k in range(b, n))
+                 if b >= a else None for b in range(n)] for a in range(n)]
 
     def inverse(self) -> np.ndarray:
         """chi^{-1} as a stack."""
@@ -458,10 +466,11 @@ class MetricField:
         no imaginary part.  Built entry by entry as (chi^{-1} g) chi^{-1},
         skipping the zero entries of g, and packed by _hermitian_stack.
         """
-        inv = self._inverse_entries()
+        n, up = self.n, self._inverse_entries()
+        inv = [[up[a][b] if b >= a else up[b][a].conj() for b in range(n)]
+               for a in range(n)]
         if not (np.iscomplexobj(inv[0][0]) or g.imag.any()):
             g = g.real
-        n = self.n
         left = [[reduce(add, (inv[a][c] * g[c, d]
                               for c in range(n) if g[c, d]))
                  for d in range(n)] for a in range(n)]

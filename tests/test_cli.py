@@ -116,7 +116,7 @@ UNUSABLE_CONFIGS = [
     pytest.param(raw_cfg("1e400", phi0={"modes": [
         {"k": [1], "amplitude": 0.3, "phase": "@"}]}),
         "phi0.modes[0].phase", "must be a finite number", id="overflow-phase"),
-    # grids past cli.MAX_GRID_CELLS are refused before any field exists
+    # grids past torus.MAX_GRID_CELLS are refused before any field exists
     pytest.param(raw_cfg("1" + "0" * 30, points="@"), "points",
                  "points ** 1 = ", id="points-huge"),
     pytest.param(raw_cfg("100000", n=2, points="@",
@@ -245,6 +245,26 @@ class TestExitCodes:
         codes = {EXIT_OK, EXIT_PROPERTY_FAILURE, EXIT_SCHEMA,
                  EXIT_INADMISSIBLE, EXIT_BLOWUP, EXIT_TIMEOUT, EXIT_INVARIANT}
         assert codes == {0, 1, 2, 3, 4, 5, 6}
+
+    # (command, its arguments before the output flag's path; a dict is
+    # written as the config)
+    @pytest.mark.parametrize("command, args", [
+        pytest.param("conditions", [{"omega": [[1.0]], "chi": [[2.0]]},
+                                    "--summary"], id="summary"),
+        pytest.param("cone", ["blowup_p2_1", "--alpha", "3,1", "--out"],
+                     id="out"),
+        pytest.param("flow", [flow_cfg(t_max=0.01), "--csv"], id="csv"),
+        pytest.param("critical", [{"n": 1, "points": 16, "omega": [[1.0]],
+                                   "chi0": [[2.0]]}, "--save-field"],
+                     id="save-field"),
+    ])
+    def test_unwritable_output_path(self, tmp_path, capsys, command, args):
+        argv = [write_cfg(tmp_path, "c.json", a) if isinstance(a, dict) else a
+                for a in args]
+        missing = str(tmp_path / "absent" / "output")
+        assert main([command, *argv, missing, "--quiet"]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1, err
 
     def test_flow_converged(self, tmp_path):
         cfg = write_cfg(tmp_path, "f.json", flow_cfg())

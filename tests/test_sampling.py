@@ -257,6 +257,21 @@ class TestSuites:
         assert report["gaps"]["entropy_min"] >= -1e-6
         assert report["gaps"]["sandwich_low"] >= -1e-12
 
+    def test_functionals_suite_builds_four_metrics_per_block(self,
+                                                            monkeypatch):
+        # one block of 64 fields: the metric, the second Radau node of its
+        # one bundle, and the shifted tenth with its own second node
+        builds = []
+        init = torus.MetricField.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(torus.MetricField, "__init__", counting_init)
+        assert suite_functionals(0, count=64)["passed"]
+        assert len(builds) == 4
+
     def test_functionals_count_validated(self):
         with pytest.raises(ValueError):
             suite_functionals(seed=1, count=0)

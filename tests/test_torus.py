@@ -16,7 +16,7 @@ from jflow import (
     metric_field,
     save_field,
 )
-from jflow.hermitian import as_matrix
+from jflow.hermitian import SettingError, as_matrix
 from jflow.sampling import random_admissible_potential
 from jflow import torus
 from jflow.torus import (
@@ -56,12 +56,31 @@ class TestGridGeometry:
         assert grid.volume == pytest.approx(TWO_PI**2)
 
     def test_validation(self):
-        with pytest.raises(ShapeError):
-            TorusGrid(n=0, points=16)
-        with pytest.raises(ShapeError):
-            TorusGrid(n=1, points=4)
-        with pytest.raises(ShapeError):
-            TorusGrid(n=1, points=16, mode="radial")
+        # (grid, the field it is refused at, the start of the reason);
+        # n = 10**30 shows n is checked before points ** naxes is taken,
+        # and 128^3 cells of 3 x 3 Hessians are 18.9 million entries
+        for kwargs, field, reason in (
+                ({"n": 0, "points": 16}, "n", "must be at least 1"),
+                ({"n": 5, "points": 8}, "n", "must be at most 4"),
+                ({"n": 10**30, "points": 8}, "n", "must be at most 4"),
+                ({"n": 1, "points": 4}, "points", "must be at least 8"),
+                ({"n": 1, "points": 16, "mode": "radial"}, "mode",
+                 "must be one of"),
+                ({"n": 2, "points": 4096}, "points", "points ** 2 = "),
+                ({"n": 3, "points": 128}, "points", "points ** 3 = ")):
+            with pytest.raises(SettingError) as info:
+                TorusGrid(**kwargs)
+            assert info.value.field == field
+            assert info.value.reason.startswith(reason)
+
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"n": 2, "points": 2048}, id="n2-cells-cap"),
+        pytest.param({"n": 4, "points": 32}, id="n4-hessian-cap"),
+    ])
+    def test_at_a_cap_accepted(self, kwargs):
+        cells = TorusGrid(**kwargs).points ** kwargs["n"]
+        assert (cells == torus.MAX_GRID_CELLS
+                or cells * kwargs["n"] ** 2 == torus.MAX_HESSIAN_ENTRIES)
 
     def test_cell_centred_samples(self):
         grid = TorusGrid(n=1, points=8)
