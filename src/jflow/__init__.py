@@ -33,9 +33,9 @@ from .functionals import (PathSpec, eval_IE_JE, eval_entropy, eval_mabuchi,
                           fit_properness, flow_functional_bundle,
                           ie_second_form, path_independence_gap, volume_of)
 from .flow import (CSV_COLUMNS, SINGULARITY_NOTE, FlowSetup, FlowState,
-                   MonitorRecord, NumericalFailureError, RunResult,
-                   blowup_monitor, dt_control, monitor_max_principle,
-                   refinement_shrink, run, step, write_series_csv)
+                   MonitorRecord, RunResult, blowup_monitor, dt_control,
+                   monitor_max_principle, refinement_shrink, run, step,
+                   write_series_csv)
 from .critical import NewtonReport, NewtonSettings, newton_solve
 from .cone import (BUILTIN_LATTICES, ConeError, Curve, DivisorSearchReport,
                    LatticeError, NakaiReport, SurfaceLattice, builtin_lattice,

@@ -26,7 +26,8 @@ Exit codes:
   2  schema violation (config, lattice file, phi0.file archive) or an
      output path that cannot be written
   3  inadmissible input (non-positive form, potential outside the cone)
-  4  flow blow-up (positivity loss or monitor past its ceiling)
+  4  flow blow-up (a trial step loses positivity or holds a NaN, or the
+     monitor passes its ceiling)
   5  timeout or iteration budget exhausted
   6  internal invariant violation (descent monotonicity, certificate audit)
   141  stdout closed by its reader before the output was written
@@ -53,8 +54,7 @@ from .cone import (BUILTIN_LATTICES, ConeError, LatticeError, builtin_lattice,
                    class_condition, divisor_search, load_lattice, nakai_test,
                    verify_certificate)
 from .critical import NewtonSettings, newton_solve
-from .flow import (FlowSetup, NumericalFailureError, monitor_max_principle,
-                   run, write_series_csv)
+from .flow import FlowSetup, monitor_max_principle, run, write_series_csv
 from .functionals import (eval_entropy, eval_mabuchi,
                           flow_functional_bundle, ie_second_form,
                           path_functional_bundle, path_independence_gap)
@@ -334,13 +334,7 @@ def cmd_flow(args) -> tuple:
         FlowSetup, cfg, "", grid=problem["grid"], omega=problem["omega"],
         chi0=problem["chi0"], deriv=problem["deriv"])
     resolved = dict(problem["resolved"], **settings)
-    try:
-        result = run(setup, problem["phi0"])
-    except NumericalFailureError as err:
-        return (EXIT_BLOWUP,
-                {"config": resolved, "verdict": "blowup", "note": str(err)},
-                "flow: blowup (non-finite)")
-
+    result = run(setup, problem["phi0"])
     code = {"converged": EXIT_OK, "blowup": EXIT_BLOWUP,
             "timeout": EXIT_TIMEOUT}[result.verdict]
     note = ""
@@ -391,7 +385,7 @@ def cmd_critical(args) -> tuple:
     if args.save_field:
         save_field(args.save_field, problem["grid"], phi,
                    meta={"source": "critical"})
-    final_res = report.residuals[-1] if report.residuals else float("nan")
+    final_res = report.residuals[-1]
     payload = {
         "config": dict(problem["resolved"], newton=newton),
         "newton": report.as_dict(),

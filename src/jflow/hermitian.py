@@ -40,7 +40,7 @@ class SettingError(ValueError):
 
     def __init__(self, field: str, reason: str):
         self.field, self.reason = field, reason
-        super().__init__(f"{field} {reason}")
+        super().__init__(f"field {field!r}: {reason}")
 
 
 def as_matrix(form) -> np.ndarray:
@@ -149,26 +149,12 @@ def cone_form_positive(omega, chi_prime) -> ConditionReport:
                    which="cone")
 
 
-def _perm_sign(p: tuple) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
 def _perms_with_signs(m: int) -> tuple:
-    return tuple((p, _perm_sign(p)) for p in itertools.permutations(range(m)))
+    """Permutations of range(m), each with its sign (-1)^(inversions)."""
+    return tuple(
+        (p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
+        for p in itertools.permutations(range(m)))
 
 
 def _kept_indices(n: int, k, m: int) -> list:

@@ -354,7 +354,7 @@ def _lower_factor(chi: np.ndarray) -> list:
 
     low[i][j], j <= i, is one array over the stack, so each entry costs one
     array operation for every grid point at once.  Raises SingularFormError
-    where a pivot is <= 0, the test of LAPACK potrf: a NaN pivot passes.
+    where a pivot is not > 0, so a NaN pivot fails as a non-positive one.
     """
     n = chi.shape[-1]
     low = [[] for _ in range(n)]
@@ -362,7 +362,7 @@ def _lower_factor(chi: np.ndarray) -> list:
         pivot = chi[..., j, j].real
         for k in range(j):
             pivot = pivot - (low[j][k] * low[j][k].conj()).real
-        if (pivot <= 0.0).any():
+        if not (pivot > 0.0).all():
             raise SingularFormError("metric lost positivity on the grid")
         diag = np.sqrt(pivot)
         low[j].append(diag)
@@ -397,9 +397,8 @@ class MetricField:
     is; chi is real when the Hessian is and chi0 has no imaginary part.  low
     holds the factor chi = L L^* entry by entry (_lower_factor), and det,
     the traces, the inverse and h all read it.  Construction fails with
-    SingularFormError as soon as a pivot is <= 0 somewhere, which is the
-    blow-up signal the flow driver listens for; a NaN passes through to the
-    stepper's finiteness check.
+    SingularFormError as soon as a pivot is not > 0 somewhere, a NaN
+    included, which is the blow-up signal the flow driver listens for.
     """
 
     __slots__ = ("grid", "chi0", "phi", "hessian", "deriv", "chi", "low",

@@ -302,20 +302,36 @@ class TestExitCodes:
         assert payload["steps"] == 0 and payload["samples"] == 1
 
     def test_flow_numerical_failure(self, tmp_path, monkeypatch, capsys):
-        def nan_step(setup, state, dt):
-            raise flow.NumericalFailureError(
-                f"non-finite potential at t={state.t}")
+        # a NaN met in the 4th trial step gets the report of every other
+        # blow-up: payload, monitor and the series up to the last accepted
+        # state
+        real_step, starts = flow.step, []
 
-        monkeypatch.setattr(flow, "step", nan_step)
+        def nan_fourth_step(setup, state, dt):
+            starts.append(state.t)
+            if len(starts) == 4:
+                nan = np.full_like(state.phidot, np.nan)
+                state = dataclasses.replace(state, phidot=nan)
+            return real_step(setup, state, dt)
+
+        monkeypatch.setattr(flow, "step", nan_fourth_step)
         cfg = write_cfg(tmp_path, "f.json", flow_cfg())
-        out = tmp_path / "summary.json"
+        out, csv = tmp_path / "summary.json", tmp_path / "series.csv"
         # with a report file, the headline is all that is printed
-        assert main(["flow", cfg, "--summary", str(out)]) == EXIT_BLOWUP
+        assert main(["flow", cfg, "--summary", str(out),
+                     "--csv", str(csv)]) == EXIT_BLOWUP
         payload = read_report(out)
         assert payload["verdict"] == "blowup"
-        assert payload["note"] == "non-finite potential at t=0.0"
         assert payload["exit_code"] == EXIT_BLOWUP
-        assert capsys.readouterr().out == "flow: blowup (non-finite)\n"
+        # each accepted step moves t, so the distinct start times count them
+        steps = len(set(starts)) - 1
+        assert payload["steps"] == steps >= 1 and payload["samples"] == 2
+        assert payload["final"]["t"] == starts[-1]
+        assert payload["monitor"]["band_ok"] and payload["csv"] == str(csv)
+        rows = csv.read_text().splitlines()
+        assert rows[0] == ",".join(CSV_COLUMNS) and len(rows) == 3
+        assert capsys.readouterr().out.startswith(
+            f"flow: blowup after {steps} steps, residual ")
 
     def test_flow_non_monotone_jhat(self, tmp_path, monkeypatch):
         # the first sample's Jhat lowered by 1 makes the series rise once;

@@ -1,5 +1,7 @@
 """Flow driver: stepping, verdicts, monitors, series output."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from jflow import flow
 from jflow import (
     CSV_COLUMNS,
     FlowSetup,
-    NumericalFailureError,
     SingularFormError,
     TorusGrid,
     blowup_monitor,
@@ -128,16 +129,31 @@ class TestStepping:
         assert np.max(np.abs(after.phi)) < 1e-14
         assert after.diss == pytest.approx(0.0, abs=1e-16)
 
-    def test_nan_ends_in_numerical_failure(self):
-        # a NaN passes the metric's pivot test (as through LAPACK) and is
-        # caught by the step's finiteness check, not reported as blow-up
+    def test_nan_ends_in_blowup(self, monkeypatch):
+        # a NaN fails the metric's pivot test, so a NaN stage raises
+        # SingularFormError like a positivity loss
         setup = small_setup()
-        phi = cosine_mode(setup.grid, [1], 0.2)
-        phi[5] = np.nan
-        state = flow_state(setup, phi)
-        assert np.isnan(state.lam).any()
-        with pytest.raises(NumericalFailureError):
-            step(setup, state, 1e-3)
+        state = flow_state(setup, cosine_mode(setup.grid, [1], 0.2))
+        phidot = state.phidot.copy()
+        phidot[5] = np.nan
+        with pytest.raises(SingularFormError):
+            step(setup, replace(state, phidot=phidot), 1e-3)
+        # and run ends on it as blow-up, sampling the last accepted state
+        real_step, starts = flow.step, []
+
+        def nan_fourth_step(setup, state, dt):
+            starts.append(state)
+            if len(starts) == 4:
+                state = replace(state, phidot=phidot)
+            return real_step(setup, state, dt)
+
+        monkeypatch.setattr(flow, "step", nan_fourth_step)
+        result = run(setup, state.phi)
+        assert result.verdict == "blowup" and len(starts) == 4
+        assert result.steps + result.rejected_steps == 3
+        assert result.steps >= 1 and result.final is starts[-1]
+        last = result.records[-1]
+        assert (last.t, last.residual) == (starts[-1].t, starts[-1].residual)
 
     def test_linear_decay_rate(self):
         # In the linearized regime a single mode decays like

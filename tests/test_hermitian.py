@@ -18,6 +18,7 @@ from jflow import (
 )
 from jflow.hermitian import (
     CONDITIONS,
+    _perms_with_signs,
     as_matrix,
     condition_margins_batch,
     pencil_eigenvalues_batch,
@@ -204,6 +205,14 @@ def minor_pair_oracle(a, b, p, q):
 
 
 class TestWedgeOracle:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_permutation_signs_are_determinants(self, m):
+        perms = _perms_with_signs(m)
+        assert len(perms) == math.factorial(m)
+        for p, sign in perms:
+            want = round(np.linalg.det(np.eye(m)[list(p)]))
+            assert type(sign) is int and sign == want
+
     def test_power_is_factorial_determinant(self, rng):
         for n in (1, 2, 3):
             a = random_hermitian_positive(rng, n)

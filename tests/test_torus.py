@@ -73,6 +73,13 @@ class TestGridGeometry:
             assert info.value.field == field
             assert info.value.reason.startswith(reason)
 
+    def test_message_names_the_field_once(self):
+        # the text the CLI prints for a config: field 'points': <reason>
+        with pytest.raises(SettingError) as info:
+            TorusGrid(n=2, points=4096)
+        assert str(info.value).startswith("field 'points': points ** 2 = ")
+        assert str(info.value) == f"field 'points': {info.value.reason}"
+
     @pytest.mark.parametrize("kwargs", [
         pytest.param({"n": 2, "points": 2048}, id="n2-cells-cap"),
         pytest.param({"n": 4, "points": 32}, id="n4-hessian-cap"),
@@ -675,18 +682,15 @@ class TestEntrywiseFactor:
             MetricField(grid, np.zeros((2, 2)), grid.zeros(), stack, "fd4")
 
     @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (1, 1)])
-    def test_nan_passes_the_pivot_test(self, entry):
-        # as through LAPACK, a NaN is no positivity failure: it propagates
-        # into det and the trace for the flow's finiteness check to catch
+    def test_nan_fails_the_pivot_test(self, entry):
+        # LAPACK passes a NaN pivot; the factor refuses it as a
+        # non-positive one, so no metric holds a NaN
         grid = TorusGrid(n=2, points=8)
         hess = np.zeros(grid.shape + (2, 2))
         hess[(3, 4) + entry] = np.nan
         np.linalg.cholesky(2.0 * np.eye(2) + hess)
-        metric = MetricField(grid, 2.0 * np.eye(2), grid.zeros(), hess, "fd4")
-        trace = metric.trace_with(form_factor(np.eye(2)))
-        for field in (metric.det(), trace):
-            assert np.isnan(field[3, 4])
-            assert np.isfinite(np.delete(field.ravel(), 3 * 8 + 4)).all()
+        with pytest.raises(SingularFormError):
+            MetricField(grid, 2.0 * np.eye(2), grid.zeros(), hess, "fd4")
 
 
 def _random_hermitian_stack(rng, shape, n, complex_entries):
