@@ -14,21 +14,12 @@ import numpy as np
 
 from jflow import (PathSpec, TorusGrid, eval_entropy, eval_IE_JE, eval_mabuchi,
                    fit_properness, metric_field)
-from jflow.hermitian import as_matrix
+from jflow.hermitian import SettingError, as_matrix
 from jflow.sampling import make_rng, random_admissible_potential
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points", type=int, default=16)
-    parser.add_argument("--per-amplitude", type=int, default=8)
-    parser.add_argument("--amplitudes", type=float, nargs="+",
-                        default=[0.1, 0.2, 0.4, 0.8, 1.2])
-    parser.add_argument("--band", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mabuchi-steps", type=int, default=32)
-    args = parser.parse_args(argv)
-
+def scan(args) -> tuple:
+    """(J^E, M, entropy) lists, one array per amplitude."""
     grid = TorusGrid(n=2, points=args.points, mode="invariant")
     chi0 = as_matrix([[1.4, 0.25 + 0.10j], [0.25 - 0.10j, 1.0]])
     rng = make_rng(args.seed, stream=17)
@@ -45,9 +36,25 @@ def main(argv=None):
         je_vals.append(eval_IE_JE(metric)[1])
         mab_vals.append(eval_mabuchi(metric, path))
         ent_vals.append(eval_entropy(metric))
+    return je_vals, mab_vals, ent_vals
 
-    je_vals, mab_vals, ent_vals = (np.concatenate(v)
-                                   for v in (je_vals, mab_vals, ent_vals))
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--points", type=int, default=16)
+    parser.add_argument("--per-amplitude", type=int, default=8)
+    parser.add_argument("--amplitudes", type=float, nargs="+",
+                        default=[0.1, 0.2, 0.4, 0.8, 1.2])
+    parser.add_argument("--band", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--mabuchi-steps", type=int, default=32)
+    args = parser.parse_args(argv)
+
+    try:
+        samples = scan(args)
+    except SettingError as err:  # a grid, band or amplitude out of range
+        parser.error(str(err))
+    je_vals, mab_vals, ent_vals = (np.concatenate(v) for v in samples)
     fit = fit_properness(je_vals, mab_vals)
 
     print(f"samples      {fit['samples']} "

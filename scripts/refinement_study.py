@@ -14,6 +14,7 @@ import numpy as np
 
 from jflow import (FlowSetup, TorusGrid, cosine_mode, monitor_max_principle,
                    refinement_shrink, run)
+from jflow.hermitian import SettingError
 
 
 def run_level(points: int, amplitude: float, t_max: float) -> dict:
@@ -43,8 +44,11 @@ def main(argv=None):
     parser.add_argument("--t-max", type=float, default=600.0)
     args = parser.parse_args(argv)
 
-    rows = [run_level(points, args.amplitude, args.t_max)
-            for points in args.levels]
+    try:
+        rows = [run_level(points, args.amplitude, args.t_max)
+                for points in args.levels]
+    except SettingError as err:  # a level past a grid cap
+        parser.error(str(err))
     print(f"{'N':>4}  {'verdict':<10} {'steps':>7} {'wall/s':>7} "
           f"{'residual':>10} {'band escape':>12} {'chi escape':>11}")
     for row in rows:

@@ -10,8 +10,9 @@ Subcommands:
   proptest     run the randomized property suites under a fixed seed
 
 Configs are strictly validated: any unknown or malformed field aborts with
-exit code 2 and a message naming the field path; the ranges and grid caps
-are those of TorusGrid, FlowSetup and NewtonSettings.  Each cmd_* returns
+exit code 2 and a message naming the field path; the CLI checks types, and
+the ranges and work caps are the library's (TorusGrid, FlowSetup,
+NewtonSettings, the sampler and cosine_mode).  Each cmd_* returns
 its exit code, its JSON payload (with the fully resolved configuration, so
 a report describes its own provenance) and a one-line headline; main adds
 the keys "command", "exit_code" and "wall_time_s" and emits the report,
@@ -44,6 +45,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
 from zipfile import BadZipFile
@@ -76,19 +78,6 @@ EXIT_TIMEOUT = 5
 EXIT_INVARIANT = 6
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
-# one cosine per mode and cell for phi0.random and phi0.modes, tested
-# before any field is allocated; TorusGrid holds the grid's own caps
-MAX_MODE_CELLS = 2**24
-
-
-class SchemaError(ValueError):
-    """A config field is missing, unknown, or has the wrong shape."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"field {field!r}: {message}")
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -96,32 +85,27 @@ def _join(path: str, key: str) -> str:
 def _reject_unknown(obj: dict, allowed, path: str) -> None:
     for key in obj:
         if key not in allowed:
-            raise SchemaError(_join(path, key), "unknown field")
+            raise SettingError(_join(path, key), "unknown field")
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        raise SchemaError(path, f"must be at least {minimum}")
+        raise SettingError(path, f"expected an integer, got {type(value).__name__}")
     return value
 
 
-def _as_float(value, path: str, positive: bool = False) -> float:
+def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+        raise SettingError(path, f"expected a number, got {type(value).__name__}")
     # an exact comparison, so an integer past the float range fails too
     if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise SchemaError(path, "must be a finite number")
-    out = float(value)
-    if positive and not out > 0.0:
-        raise SchemaError(path, "must be positive")
-    return out
+        raise SettingError(path, "must be a finite number")
+    return float(value)
 
 
 def _as_bool(value, path: str) -> bool:
     if not isinstance(value, bool):
-        raise SchemaError(path, f"expected true/false, got {type(value).__name__}")
+        raise SettingError(path, f"expected true/false, got {type(value).__name__}")
     return value
 
 
@@ -134,37 +118,44 @@ def _setting_fields(cls) -> dict:
             if f.init and f.type in _SETTING_PARSERS}
 
 
+@contextmanager
+def _fields_under(path: str):
+    """Reraise a library SettingError from the block at its config path."""
+    try:
+        yield
+    except SettingError as err:
+        raise SettingError(_join(path, err.field), err.reason) from None
+
+
 def _build_settings(cls, cfg: dict, path: str, **problem) -> tuple:
     """(cls instance, its policy fields from cfg or the class defaults)."""
     resolved = {name: _SETTING_PARSERS[f.type](cfg.get(name, f.default),
                                                _join(path, name))
                 for name, f in _setting_fields(cls).items()}
-    try:
+    with _fields_under(path):
         return cls(**problem, **resolved), resolved
-    except SettingError as err:
-        raise SchemaError(_join(path, err.field), err.reason) from None
 
 
 def _parse_entry(value, path: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
     try:
         return complex(*(_as_float(v, path) for v in parts))
-    except SchemaError:
-        raise SchemaError(path, "matrix entries are finite numbers or "
-                                "[re, im] pairs") from None
+    except SettingError:
+        raise SettingError(path, "matrix entries are finite numbers or "
+                                 "[re, im] pairs") from None
 
 
 def _parse_matrix(value, n: int, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:
-        raise SchemaError(path, f"expected {n} rows")
+        raise SettingError(path, f"expected {n} rows")
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"{path}[{i}]", f"expected {n} entries")
+            raise SettingError(f"{path}[{i}]", f"expected {n} entries")
         for j, entry in enumerate(row):
             out[i, j] = _parse_entry(entry, f"{path}[{i}][{j}]")
     if np.max(np.abs(out - out.conj().T)) > 1e-12 * max(1.0, np.abs(out).max()):
-        raise SchemaError(path, "matrix must be Hermitian")
+        raise SettingError(path, "matrix must be Hermitian")
     return out
 
 
@@ -176,7 +167,7 @@ def _matrix_to_json(m: np.ndarray) -> list:
 def _parse_form(cfg: dict, key: str, n: int) -> np.ndarray:
     """The required n x n form cfg[key]; a non-positive one is inadmissible."""
     if key not in cfg:
-        raise SchemaError(key, "required field is missing")
+        raise SettingError(key, "required field is missing")
     form = _parse_matrix(cfg[key], n, key)
     require_positive(form, key)
     return form
@@ -191,89 +182,82 @@ def _parse_phi0(value, grid: TorusGrid, chi0: np.ndarray, deriv: str,
     """Normalize the initial-potential spec to exactly one variant and build
     its field; returns (spec, phi0).
 
-    Wavevector components and the random band are at most points // 2:
-    past it the grid holds no new mode.
+    Wavevector components are at most points // 2: past it the grid holds
+    no new mode.  The sampler and cosine_mode check their own ranges and
+    the mode cap before they draw or allocate.
     """
     if value is None:
         return {"zero": True}, grid.zeros()
     if not isinstance(value, dict):
-        raise SchemaError(path, "expected an object")
+        raise SettingError(path, "expected an object")
     variants = ("zero", "modes", "file", "random")
     half = grid.points // 2
     _reject_unknown(value, variants, path)
     if len(value) != 1:
-        raise SchemaError(path, f"exactly one of {variants} must be given")
+        raise SettingError(path, f"exactly one of {variants} must be given")
     if "zero" in value:
         if value["zero"] is not True:
-            raise SchemaError(_join(path, "zero"), "the only allowed value is true")
+            raise SettingError(_join(path, "zero"), "the only allowed value is true")
         return {"zero": True}, grid.zeros()
     if "file" in value:
         if not isinstance(value["file"], str):
-            raise SchemaError(_join(path, "file"), "expected a path string")
+            raise SettingError(_join(path, "file"), "expected a path string")
         try:
             stored, values, _ = load_field(value["file"])
         except (OSError, ValueError, KeyError, BadZipFile) as err:
-            raise SchemaError("phi0.file", f"cannot load a stored potential: "
-                                           f"{err}") from None
+            raise SettingError("phi0.file", f"cannot load a stored "
+                                            f"potential: {err}") from None
         if stored != grid:
-            raise SchemaError(
+            raise SettingError(
                 "phi0.file",
                 f"stored grid {stored.describe()} does not match the "
                 f"configured grid {grid.describe()}")
         return {"file": value["file"]}, np.asarray(values, dtype=float)
     if "random" in value:
-        spec = value["random"]
+        spec, rpath = value["random"], _join(path, "random")
         if not isinstance(spec, dict):
-            raise SchemaError(_join(path, "random"), "expected an object")
-        _reject_unknown(spec, _PHI0_RANDOM_DEFAULTS, _join(path, "random"))
+            raise SettingError(rpath, "expected an object")
+        _reject_unknown(spec, _PHI0_RANDOM_DEFAULTS, rpath)
         merged = dict(_PHI0_RANDOM_DEFAULTS, **spec)
-        merged["seed"] = _as_int(merged["seed"], _join(path, "random.seed"))
-        merged["band"] = _as_int(merged["band"], _join(path, "random.band"), 1)
-        if merged["band"] > half:
-            raise SchemaError(_join(path, "random.band"),
-                              f"must be at most points // 2 = {half}")
-        modes = ((2 * merged["band"] + 1) ** grid.naxes - 1) // 2
-        if modes * grid.points ** grid.naxes > MAX_MODE_CELLS:
-            raise SchemaError(_join(path, "random.band"), f"{modes} modes "
-                              f"over the grid exceed {MAX_MODE_CELLS} cosines")
-        merged["amplitude"] = _as_float(
-            merged["amplitude"], _join(path, "random.amplitude"), positive=True)
-        phi = random_admissible_potential(
-            make_rng(merged["seed"], stream=7), grid, chi0,
-            band=merged["band"], amplitude=merged["amplitude"], deriv=deriv)
+        for key, parse in (("seed", _as_int), ("band", _as_int),
+                           ("amplitude", _as_float)):
+            merged[key] = parse(merged[key], _join(rpath, key))
+        with _fields_under(rpath):
+            phi = random_admissible_potential(
+                make_rng(merged["seed"], stream=7), grid, chi0,
+                band=merged["band"], amplitude=merged["amplitude"],
+                deriv=deriv)
         return {"random": merged}, phi
     modes = value["modes"]
     if not isinstance(modes, list) or not modes:
-        raise SchemaError(_join(path, "modes"), "expected a non-empty list")
-    if len(modes) * grid.points ** grid.naxes > MAX_MODE_CELLS:
-        raise SchemaError(_join(path, "modes"), f"{len(modes)} modes over "
-                          f"the grid exceed {MAX_MODE_CELLS} cosines")
+        raise SettingError(_join(path, "modes"), "expected a non-empty list")
     parsed = []
     for i, mode in enumerate(modes):
         mpath = f"{path}.modes[{i}]"
         if not isinstance(mode, dict):
-            raise SchemaError(mpath, "expected an object")
+            raise SettingError(mpath, "expected an object")
         _reject_unknown(mode, _PHI0_MODE_KEYS, mpath)
         if "k" not in mode or "amplitude" not in mode:
-            raise SchemaError(mpath, "needs k and amplitude")
+            raise SettingError(mpath, "needs k and amplitude")
         k = mode["k"]
         if (not isinstance(k, list) or len(k) != grid.naxes
                 or not all(isinstance(x, int) and not isinstance(x, bool)
                            for x in k)):
-            raise SchemaError(_join(mpath, "k"),
-                              f"expected {grid.naxes} integer components")
+            raise SettingError(_join(mpath, "k"),
+                               f"expected {grid.naxes} integer components")
         if any(abs(x) > half for x in k):
-            raise SchemaError(_join(mpath, "k"), f"components must be at "
-                              f"most points // 2 = {half} in magnitude")
+            raise SettingError(_join(mpath, "k"), f"components must be at "
+                               f"most points // 2 = {half} in magnitude")
         amplitude = _as_float(mode["amplitude"], _join(mpath, "amplitude"))
         phase = _as_float(mode.get("phase", 0.0), _join(mpath, "phase"))
         parsed.append({"k": list(k), "amplitude": amplitude, "phase": phase})
     table = zip(*(m.values() for m in parsed))  # k, amplitude, phase
-    return {"modes": parsed}, cosine_mode(grid, *table)
+    with _fields_under(path):
+        return {"modes": parsed}, cosine_mode(grid, *table)
 
 
 def _reject_constant(name: str):
-    raise SchemaError("(config)", f"{name} is not a finite number")
+    raise SettingError("(config)", f"{name} is not a finite number")
 
 
 def _load_config(path: str) -> dict:
@@ -281,12 +265,12 @@ def _load_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle, parse_constant=_reject_constant)
     except OSError as err:
-        raise SchemaError("(config)",
-                          f"cannot read {path}: {err.strerror}") from None
+        raise SettingError("(config)",
+                           f"cannot read {path}: {err.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise SchemaError("(config)", f"invalid JSON: {err}") from None
+        raise SettingError("(config)", f"invalid JSON: {err}") from None
     if not isinstance(data, dict):
-        raise SchemaError("(config)", "top level must be an object")
+        raise SettingError("(config)", "top level must be an object")
     return data
 
 
@@ -298,7 +282,7 @@ def _build_problem(cfg: dict, extra_allowed=()) -> dict:
     _reject_unknown(cfg, set(_PROBLEM_FIELDS) | set(extra_allowed), "")
     for key in ("n", "points"):
         if key not in cfg:
-            raise SchemaError(key, "required field is missing")
+            raise SettingError(key, "required field is missing")
     # TorusGrid checks the grid's ranges and caps before any field exists
     grid, _ = _build_settings(TorusGrid, cfg, "",
                               mode=cfg.get("mode", "invariant"))
@@ -306,7 +290,7 @@ def _build_problem(cfg: dict, extra_allowed=()) -> dict:
     chi0 = _parse_form(cfg, "chi0", grid.n)
     deriv = cfg.get("deriv", "fd4")
     if deriv not in DERIV_MODES:
-        raise SchemaError("deriv", f"must be one of {DERIV_MODES}")
+        raise SettingError("deriv", f"must be one of {DERIV_MODES}")
     phi0_spec, phi0 = _parse_phi0(cfg.get("phi0"), grid, chi0, deriv, "phi0")
     resolved = dict(grid.describe(), deriv=deriv,
                     omega=_matrix_to_json(omega), chi0=_matrix_to_json(chi0),
@@ -375,7 +359,7 @@ def cmd_critical(args) -> tuple:
     problem = _build_problem(cfg, extra_allowed=("newton",))
     newton_cfg = cfg.get("newton", {})
     if not isinstance(newton_cfg, dict):
-        raise SchemaError("newton", "expected an object")
+        raise SettingError("newton", "expected an object")
     _reject_unknown(newton_cfg, _setting_fields(NewtonSettings), "newton")
     settings, newton = _build_settings(NewtonSettings, newton_cfg, "newton")
 
@@ -408,7 +392,7 @@ def cmd_conditions(args) -> tuple:
     _reject_unknown(cfg, _CONDITIONS_FIELDS, "")
     if "omega" in cfg and (not isinstance(cfg["omega"], list)
                            or not cfg["omega"]):
-        raise SchemaError("omega", "expected a matrix (list of rows)")
+        raise SettingError("omega", "expected a matrix (list of rows)")
     n = len(cfg.get("omega", ()))
     omega = _parse_form(cfg, "omega", n)
     chi = _parse_form(cfg, "chi", n)
@@ -476,11 +460,11 @@ def cmd_functionals(args) -> tuple:
 def _parse_class(text: str, rank: int, name: str) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != rank:
-        raise SchemaError(name, f"expected {rank} comma-separated components")
+        raise SettingError(name, f"expected {rank} comma-separated components")
     try:
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as err:
-        raise SchemaError(name, f"bad rational component: {err}") from None
+        raise SettingError(name, f"bad rational component: {err}") from None
 
 
 def cmd_cone(args) -> tuple:
@@ -490,18 +474,18 @@ def cmd_cone(args) -> tuple:
         try:
             lattice = load_lattice(args.lattice)
         except OSError:
-            raise SchemaError(
+            raise SettingError(
                 "lattice",
                 f"{args.lattice!r} is neither a builtin "
                 f"({', '.join(BUILTIN_LATTICES)}) nor a readable file"
             ) from None
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise SchemaError("lattice", f"invalid JSON: {err}") from None
+            raise SettingError("lattice", f"invalid JSON: {err}") from None
 
     if args.alpha is None and (args.omega is None or args.chi0 is None):
-        raise SchemaError("alpha", "give --alpha, or both --omega and --chi0")
+        raise SettingError("alpha", "give --alpha, or both --omega and --chi0")
     if args.alpha is not None and (args.omega or args.chi0):
-        raise SchemaError("alpha", "--alpha excludes --omega/--chi0")
+        raise SettingError("alpha", "--alpha excludes --omega/--chi0")
 
     code = EXIT_OK
     payload = {"lattice": lattice.as_dict()}
@@ -634,10 +618,10 @@ def main(argv=None) -> int:
         # the reader is gone: devnull keeps the flush at exit from raising
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except OSError as err:  # each read raises SchemaError: this is a write
+    except OSError as err:  # each read raises SettingError: this is a write
         print(f"output error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
-    except SchemaError as err:
+    except SettingError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
     except LatticeError as err:

@@ -158,7 +158,8 @@ class DivisorSearchReport:
 
 
 class SurfaceLattice:
-    """Rational intersection lattice with a finite curve list."""
+    """Rational intersection lattice with a finite curve list, each curve a
+    dict of its name, class and self-intersection ("self")."""
 
     def __init__(self, rank: int, q_rows: Sequence, curves: Sequence,
                  reference_kahler: Sequence, name: str = ""):
@@ -173,9 +174,6 @@ class SurfaceLattice:
             raise LatticeError("intersection matrix must be symmetric")
         self.q = tuple(rows)
         self.curves = tuple(
-            Curve(name=c.name, cls=_vec(c.cls, rank),
-                  self_intersection=_frac(c.self_intersection))
-            if isinstance(c, Curve) else
             Curve(name=str(c["name"]), cls=_vec(c["class"], rank),
                   self_intersection=_frac(c["self"]))
             for c in curves

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import collections
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -57,11 +57,6 @@ SINGULARITY_NOTE = (
     "The blow-up monitor sup(|phi| + |Laplacian_omega phi|) and the exact "
     "surface-lattice divisor certificates in the cone module are the "
     "desk-scale substitutes for that regime."
-)
-
-CSV_COLUMNS = (
-    "t", "residual", "lam_min", "lam_max", "J", "I", "Jhat", "IE", "JE",
-    "entropy", "mabuchi", "blowup", "sup_phi", "inf_phi", "dt",
 )
 
 # where the RK4 stability region meets the negative real axis (Hairer &
@@ -181,7 +176,10 @@ class MonitorRecord:
     dt: float
 
     def row(self) -> tuple:
-        return tuple(getattr(self, name) for name in CSV_COLUMNS)
+        return astuple(self)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MonitorRecord))
 
 
 @dataclass

@@ -41,10 +41,11 @@ import numpy as np
 from .cone import (SurfaceLattice, _pairings, builtin_lattice,
                    class_condition, divisor_search, verify_certificate)
 from .functionals import eval_entropy, flow_functional_bundle, ie_second_form
-from .hermitian import (_pencil_reduction, as_matrix, condition_margins_batch,
-                        cone_form_positive, wedge_coefficient_batch)
-from .torus import (_BLOCK_CELLS, TorusGrid, complex_hessian_of, cosine_mode,
-                    metric_field)
+from .hermitian import (SettingError, _pencil_reduction, as_matrix,
+                        condition_margins_batch, cone_form_positive,
+                        wedge_coefficient_batch)
+from .torus import (_BLOCK_CELLS, TorusGrid, _require_mode_cells,
+                    complex_hessian_of, cosine_mode, metric_field)
 
 FAULTS = ("c2-sign",)
 
@@ -109,11 +110,19 @@ def random_admissible_potential(rng: np.random.Generator, grid: TorusGrid,
     The zero mode is never drawn, so the mean is zero by construction.
     With count, a stack of count potentials, equal to as many calls in a
     row and leaving the generator in the same state; without it, one.
+    Before any draw, SettingError refuses a band outside 1..points // 2
+    (no new mode lies past it) or past torus.MAX_MODE_CELLS cosines, a
+    count below 1 and an amplitude that is not positive.
     """
-    fields = 1 if count is None else count
+    fields, half = 1 if count is None else count, grid.points // 2
     for name, value in (("band", band), ("count", fields)):
         if value < 1:
-            raise ValueError(f"{name} must be at least 1")
+            raise SettingError(name, "must be at least 1")
+    if band > half:
+        raise SettingError("band", f"must be at most points // 2 = {half}")
+    _require_mode_cells(grid, ((2 * band + 1) ** grid.naxes - 1) // 2, "band")
+    if not amplitude > 0.0:
+        raise SettingError("amplitude", "must be positive")
     kvecs, denom = _mode_table(grid.naxes, band)
     draws = np.array([(rng.standard_normal(), rng.uniform(0.0, 2.0 * np.pi))
                       for _ in range(fields * len(denom))])

@@ -20,7 +20,8 @@ same null space.  The fd4 stencil reads its neighbours as slices of one
 wrap-padded copy of the field.
 
 cosine_mode is the one route from a table of modes to a potential: it adds
-the modes in table order, _BLOCK_CELLS cosines at a time.  It, the
+the modes in table order, _BLOCK_CELLS cosines at a time, and refuses more
+than MAX_MODE_CELLS cosines per field before it allocates one.  It, the
 derivatives, integrate_top and MetricField take a stack of fields as well as
 one: the grid axes are the trailing ones, any leading axes index the fields,
 and each field of a stack gets the same bits it would get on its own.
@@ -54,6 +55,7 @@ _BLOCK_CELLS = 1 << 14  # cosines per block of modes; sampling's block size
 MAX_N = 4
 MAX_GRID_CELLS = 2**22
 MAX_HESSIAN_ENTRIES = 2**24
+MAX_MODE_CELLS = 2**24  # modes x cells of one field, for a table of modes
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,13 @@ class TorusGrid:
         return {"n": self.n, "points": self.points, "mode": self.mode}
 
 
+def _require_mode_cells(grid: TorusGrid, modes: int, field: str) -> None:
+    """SettingError at field when modes x cells pass MAX_MODE_CELLS."""
+    if modes * grid.points ** grid.naxes > MAX_MODE_CELLS:
+        raise SettingError(field, f"{modes} modes over the grid exceed "
+                                  f"{MAX_MODE_CELLS} cosines")
+
+
 def cosine_mode(grid: TorusGrid, kvecs, amplitude=1.0, phase=0.0):
     """Sum of amplitude * cos(k . x + phase) over a (modes, naxes) integer
     table of wavevectors k (one wavevector is the table of one); amplitude
@@ -146,6 +155,7 @@ def cosine_mode(grid: TorusGrid, kvecs, amplitude=1.0, phase=0.0):
     if table.shape[1] != grid.naxes:
         raise ShapeError(f"wavevector has {table.shape[1]} entries, grid has "
                          f"{grid.naxes} axes")
+    _require_mode_cells(grid, len(table), "modes")
     table = table.astype(np.int64)
     lead = np.broadcast_shapes(np.shape(amplitude), np.shape(phase))[1:]
     coef, phase = (np.broadcast_to(a, table.shape[:1] + lead)

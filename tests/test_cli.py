@@ -184,15 +184,9 @@ def _no_field(*args, **kwargs):
     raise AssertionError("a field was built past a work cap")
 
 
-def _stub_phi0_builders(monkeypatch, stub):
-    """Replace what builds the zero, random and modes phi0 of capped_cfg."""
-    monkeypatch.setattr(TorusGrid, "zeros", stub)
-    monkeypatch.setattr(cli, "random_admissible_potential", stub)
-    monkeypatch.setattr(cli, "cosine_mode", stub)
-
-
 # (problem past a work cap, the field its config error names); each is
-# refused before any field exists
+# refused before any field exists: the grid caps by TorusGrid, the mode
+# caps by the sampler and cosine_mode before their first cosine
 WORK_CAPS = [
     pytest.param({"n": 5, "points": 8}, "n", id="n5"),
     pytest.param({"n": 7, "points": 8}, "n", id="n7"),
@@ -416,24 +410,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("problem, field", WORK_CAPS)
     def test_work_cap_refused_before_any_field(self, tmp_path, capsys,
-                                               monkeypatch, problem, field):
-        _stub_phi0_builders(monkeypatch, _no_field)
+                                               monkeypatch, cosine_sizes,
+                                               problem, field):
+        monkeypatch.setattr(TorusGrid, "zeros", _no_field)
         for command in ("flow", "functionals", "critical"):
             cfg = write_cfg(tmp_path, "f.json", capped_cfg(**problem))
             assert main([command, cfg]) == EXIT_SCHEMA
             err = capsys.readouterr().err
             assert err.startswith(f"config error: field {field!r}: "), err
+        assert cosine_sizes == []
 
     @pytest.mark.parametrize("problem", [
         pytest.param({"n": 2, "points": 2048}, id="n2-cells-cap"),
         pytest.param({"n": 4, "points": 32}, id="n4-hessian-cap"),
-        pytest.param({"n": 2, "points": 1024, "band": 2}, id="band-2-of-12"),
-        pytest.param({"n": 1, "points": 8192, "modes": 2048},
-                     id="modes-2048"),
     ])
     def test_largest_problems_under_the_caps(self, monkeypatch, problem):
-        # exactly at a cap is accepted; nothing is built
-        _stub_phi0_builders(monkeypatch, lambda *args, **kwargs: 0.0)
+        # exactly at a grid cap is accepted; nothing is built (the mode
+        # caps at the cap are tests of the sampler and cosine_mode)
+        monkeypatch.setattr(TorusGrid, "zeros", lambda *args: 0.0)
         built = cli._build_problem(capped_cfg(**problem))
         assert built["grid"].points == problem["points"]
 
@@ -444,6 +438,21 @@ class TestExitCodes:
         assert main([command, cfg]) == EXIT_SCHEMA
         assert capsys.readouterr().err.startswith(
             f"config error: field {field!r}: unknown field")
+
+    def test_types_are_checked_before_ranges_and_caps(self, tmp_path,
+                                                      capsys):
+        # the CLI parses every field of phi0 before the library checks
+        # the ranges and the mode cap, so a malformed field is reported
+        random = flow_cfg(phi0={"random": {"band": 9, "amplitude": "x"}})
+        listed = capped_cfg(n=1, points=8192, modes=2049)
+        listed["phi0"]["modes"].append(3)
+        for cfg, field, reason in (
+                (random, "phi0.random.amplitude", "expected a number, got str"),
+                (listed, "phi0.modes[2049]", "expected an object")):
+            assert main(["flow", write_cfg(tmp_path, "f.json", cfg)]) == (
+                EXIT_SCHEMA)
+            err = capsys.readouterr().err
+            assert err == f"config error: field {field!r}: {reason}\n", err
 
     def test_band_at_half_the_points_accepted(self, tmp_path):
         cfg = write_cfg(tmp_path, "f.json", flow_cfg(

@@ -9,7 +9,6 @@ import pytest
 from jflow import (
     BUILTIN_LATTICES,
     ConeError,
-    Curve,
     LatticeError,
     SurfaceLattice,
     builtin_lattice,
@@ -663,11 +662,3 @@ class TestSerialization:
             lattice_from_dict({"rank": 2, "Q": ["1", "0", "0"],
                                "reference_kahler": ["1", "0"]})
 
-    def test_curve_dataclass_accepted(self):
-        lattice = SurfaceLattice(
-            2, [[1, 0], [0, -1]],
-            [Curve(name="E", cls=(Fraction(0), Fraction(1)),
-                   self_intersection=Fraction(-1))],
-            [2, -1],
-        )
-        assert lattice.curve("E").negative

@@ -17,6 +17,7 @@ from jflow import (
     run_property_suites,
 )
 from jflow import sampling, torus
+from jflow.hermitian import SettingError
 from jflow.sampling import (
     FAULTS,
     _mode_table,
@@ -29,6 +30,14 @@ from jflow.sampling import (
 from jflow.torus import metric_field
 from oracles import (admissible_potential_loop, random_positive_pair_batch,
                      representatives_loop)
+
+
+class Reached(Exception):
+    """Raised by a stub to show that a call got that far."""
+
+
+def _no_table(*args):
+    raise AssertionError("a mode table was built past the mode cap")
 
 
 class TestGenerators:
@@ -91,12 +100,59 @@ class TestGenerators:
         ({"count": 0}, "count"), ({"count": -1, "band": 1}, "count"),
     ])
     def test_admissible_potential_refuses_bad_arguments(self, kwargs, name):
+        self.assert_refused(TorusGrid(n=2, points=16), kwargs, name,
+                            "must be at least 1")
+
+    @pytest.mark.parametrize("kwargs, name, reason", [
+        pytest.param({"band": 9}, "band", "must be at most points // 2 = 8",
+                     id="band-past-half"),
+        pytest.param({"amplitude": 0.0}, "amplitude", "must be positive",
+                     id="amplitude-zero"),
+        pytest.param({"amplitude": -0.5, "band": 1}, "amplitude",
+                     "must be positive", id="amplitude-negative"),
+    ])
+    def test_admissible_potential_refuses_out_of_range(self, kwargs, name,
+                                                       reason):
+        self.assert_refused(TorusGrid(n=2, points=16), kwargs, name, reason)
+
+    @pytest.mark.parametrize("grid, band, modes", [
+        # 364 modes over 8^6 cells; 2.1 million modes over 45^4 cells, whose
+        # table alone would take seconds; 24 modes over 1024^2 cells
+        pytest.param(TorusGrid(n=3, points=8, mode="full"), 1, 364,
+                     id="six-axes-band-1"),
+        pytest.param(TorusGrid(n=2, points=45, mode="full"), 22, 2050312,
+                     id="n2-full-band-22"),
+        pytest.param(TorusGrid(n=2, points=1024), 3, 24, id="band-3-of-24"),
+    ])
+    def test_draw_past_the_mode_cap_refused(self, monkeypatch, cosine_sizes,
+                                            grid, band, modes):
+        monkeypatch.setattr(sampling, "_mode_table", _no_table)
+        self.assert_refused(grid, {"band": band}, "band",
+                            f"{modes} modes over the grid exceed 16777216 "
+                            f"cosines")
+        assert cosine_sizes == []
+
+    def test_largest_band_under_the_cap_is_drawn(self, monkeypatch):
+        # band 2 on 1024^2 cells is 12 modes, 12.6 million cosines: the
+        # checks pass and the draw reaches cosine_mode with all 12
+        def reached(grid, kvecs, *args):
+            raise Reached(len(kvecs))
+
+        monkeypatch.setattr(sampling, "cosine_mode", reached)
+        with pytest.raises(Reached) as info:
+            random_admissible_potential(make_rng(5, 1),
+                                        TorusGrid(n=2, points=1024),
+                                        np.eye(2), band=2)
+        assert info.value.args == (12,)
+
+    @staticmethod
+    def assert_refused(grid, kwargs, name, reason):
         # refused before any draw, so the generator keeps its state
         rng = make_rng(5, 1)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
-            random_admissible_potential(rng, TorusGrid(n=2, points=16),
-                                        np.eye(2), **kwargs)
+        with pytest.raises(SettingError) as info:
+            random_admissible_potential(rng, grid, np.eye(grid.n), **kwargs)
+        assert (info.value.field, info.value.reason) == (name, reason)
         np.testing.assert_equal(rng.bit_generator.state, state)
 
     def test_rational_class_default_predicate(self):
@@ -150,9 +206,8 @@ class TestGenerators:
                         1 << 60)
 
 
-# (n, mode, points, bands): every layout of n = 1, 2, 3 at bands 1-3, but the
-# six-axis grid only at band 1 (364 modes over 262,144 cells, 2 s a route;
-# band 2 would draw 7,812 modes)
+# (n, mode, points, bands): every layout of n = 1, 2, 3 at bands 1-3 but the
+# six-axis one, whose 262,144 cells pass the mode cap at band 1
 MODE_TABLE_GRIDS = [
     (1, "invariant", 16, (1, 2, 3)),
     (1, "full", 16, (1, 2, 3)),
@@ -187,12 +242,16 @@ class TestModeTable:
         for band in bands:
             self.assert_same_draws(grid, chi0, band, deriv)
 
-    def test_six_axis_grid_bitwise_equal(self):
-        # the derivative mode changes only the margin's Hessian, which the
-        # cases above cover; here each mode is a block of its own
-        grid = TorusGrid(n=3, points=8, mode="full")
-        self.assert_same_draws(grid, np.diag([2.0, 1.5, 1.0]), 1, "fd4",
-                               calls=1)
+    def test_one_mode_per_block_bitwise_equal(self, monkeypatch,
+                                              cosine_sizes):
+        # a block budget below one field's cells puts each mode in a block
+        # of its own, as on any grid of more than _BLOCK_CELLS cells; the
+        # derivative mode changes only the margin's Hessian, which the
+        # cases above cover
+        grid = TorusGrid(n=2, points=8, mode="full")
+        monkeypatch.setattr(torus, "_BLOCK_CELLS", 8**4 - 1)
+        self.assert_same_draws(grid, np.diag([2.0, 1.0]), 1, "fd4", calls=1)
+        assert cosine_sizes == [8**4] * 40 * 2
 
     def test_blocks_of_modes_keep_the_order(self, monkeypatch, cosine_sizes):
         # twelve modes in blocks of five, five and two; the per-mode oracle

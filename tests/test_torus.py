@@ -128,6 +128,23 @@ class TestGridGeometry:
             with pytest.raises(ShapeError, match=reason):
                 cosine_mode(grid, kvecs)
 
+    def test_modes_at_the_cap_accepted(self, cosine_sizes):
+        # 2048 modes over 8192 cells are exactly torus.MAX_MODE_CELLS
+        grid = TorusGrid(n=1, points=8192)
+        phi = cosine_mode(grid, [[k] for k in range(2048)], 1e-3)
+        assert phi.shape == grid.shape
+        assert sum(cosine_sizes) == torus.MAX_MODE_CELLS == 2**24
+
+    @pytest.mark.parametrize("modes", [2049, 4000])
+    def test_modes_past_the_cap_refused(self, cosine_sizes, modes):
+        # refused before any field is allocated or cosine taken
+        with pytest.raises(SettingError) as info:
+            cosine_mode(TorusGrid(n=1, points=8192), [[1]] * modes)
+        assert info.value.field == "modes"
+        assert info.value.reason == (f"{modes} modes over the grid exceed "
+                                     f"16777216 cosines")
+        assert cosine_sizes == []
+
     @pytest.mark.parametrize("budget", [1, 37, 5 * 3 * 8 * 8 + 1, None])
     @pytest.mark.parametrize("mode", ["invariant", "full"])
     def test_mode_table_equals_one_mode_calls(self, monkeypatch, mode, budget):
@@ -191,14 +208,18 @@ class TestDerivatives:
         got = gradient(f, grid, "spectral")[0]
         assert np.max(np.abs(got + 4 * np.sin(4 * x).reshape(grid.shape))) < 1e-12
 
-    @pytest.mark.parametrize("n, mode, points", [
-        (1, "invariant", 16), (2, "invariant", 9), (2, "full", 12),
-        (3, "invariant", 8)])
+    # band 3 on 12^4 cells would be 24.9 million cosines, past the mode cap
+    @pytest.mark.parametrize("n, mode, points, band", [
+        pytest.param(1, "invariant", 16, 3, id="1-invariant-16"),
+        pytest.param(2, "invariant", 9, 3, id="2-invariant-9"),
+        pytest.param(2, "full", 12, 2, id="2-full-12"),
+        pytest.param(3, "invariant", 8, 3, id="3-invariant-8")])
     def test_cached_multiplier_matches_per_call(self, monkeypatch, n, mode,
-                                                points):
+                                                points, band):
         grid = TorusGrid(n=n, points=points, mode=mode)
         phi = random_admissible_potential(np.random.default_rng(points), grid,
-                                          np.eye(n), band=3, deriv="spectral")
+                                          np.eye(n), band=band,
+                                          deriv="spectral")
 
         def derivatives():
             return (gradient(phi, grid, "spectral")
