@@ -180,18 +180,14 @@ _PHI0_RANDOM_DEFAULTS = {"seed": 0, "band": 2, "amplitude": 0.5}
 def _parse_phi0(value, grid: TorusGrid, chi0: np.ndarray, deriv: str,
                 path: str) -> tuple:
     """Normalize the initial-potential spec to exactly one variant and build
-    its field; returns (spec, phi0).
-
-    Wavevector components are at most points // 2: past it the grid holds
-    no new mode.  The sampler and cosine_mode check their own ranges and
-    the mode cap before they draw or allocate.
+    its field; returns (spec, phi0).  The sampler and cosine_mode check
+    their own ranges and the mode cap before they draw or allocate.
     """
     if value is None:
         return {"zero": True}, grid.zeros()
     if not isinstance(value, dict):
         raise SettingError(path, "expected an object")
     variants = ("zero", "modes", "file", "random")
-    half = grid.points // 2
     _reject_unknown(value, variants, path)
     if len(value) != 1:
         raise SettingError(path, f"exactly one of {variants} must be given")
@@ -245,9 +241,6 @@ def _parse_phi0(value, grid: TorusGrid, chi0: np.ndarray, deriv: str,
                            for x in k)):
             raise SettingError(_join(mpath, "k"),
                                f"expected {grid.naxes} integer components")
-        if any(abs(x) > half for x in k):
-            raise SettingError(_join(mpath, "k"), f"components must be at "
-                               f"most points // 2 = {half} in magnitude")
         amplitude = _as_float(mode["amplitude"], _join(mpath, "amplitude"))
         phase = _as_float(mode.get("phase", 0.0), _join(mpath, "phase"))
         parsed.append({"k": list(k), "amplitude": amplitude, "phase": phase})

@@ -6,30 +6,28 @@ second-order operator
     Ltilde v = (1/n) h^{ab} d^2 v / dz_a dzbar_b,   h = chi^{-1} g chi^{-1},
 
 which is negative semidefinite with a null space consisting of the stencil
-dead modes (axis frequencies in {0, N/2}).  Each Newton step solves
-(-Ltilde) delta = residual by preconditioned conjugate gradients restricted
-to the orthogonal complement of the dead modes, then halves the step
-length from 1, down to DAMPING_FLOOR, until the sup residual strictly
-decreases and the metric stays positive.  The inner solve is inexact: step
-k stops CG at the relative residual max(CG_RTOL, eta_k), with
-eta_0 = FORCING_MAX and eta_k = min(FORCING_MAX, 0.9 (r_k / r_{k-1})^2)
-from the outer residuals r (Eisenstat and Walker's choice 2), so early
-steps take a few CG iterations and the tail keeps quadratic convergence.
-The additive gauge is fixed by removing the grid mean from every iterate.
-Each iterate is a flow.FlowState of one FlowSetup, built by
-flow.flow_state, so the residual is the flow velocity phidot of the state.
+dead modes (axis frequencies in {0, N/2}), and not self-adjoint where h
+varies over the grid.  Each Newton step solves (-Ltilde) delta = residual by
+right-preconditioned BiCGStab on the orthogonal complement of the dead
+modes, then halves the step length from 1, down to DAMPING_FLOOR, until the
+sup residual strictly decreases and the metric stays positive.  The inner
+solve is inexact: step k stops it at the relative residual
+max(CG_RTOL, eta_k), with eta_0 = FORCING_MAX and
+eta_k = min(FORCING_MAX, 0.9 (r_k / r_{k-1})^2) from the outer residuals r
+(Eisenstat and Walker's choice 2), so early steps take few Krylov
+iterations and the tail keeps quadratic convergence; a breakdown, an
+exactly zero divisor, ends it at the iterate reached.  The additive gauge
+is fixed by removing the grid mean from every iterate.  Each iterate is a
+flow.FlowState of one FlowSetup, built by flow.flow_state, so the residual
+is the flow velocity phidot of the state.
 
 The preconditioner is the exact inverse of -Ltilde with h frozen at its
 grid mean: a constant-coefficient operator, diagonal in Fourier space, whose
 symbol is built from the first-derivative symbol of the stencil.  One real
-FFT pair applies it and removes the dead modes, and the CG iteration count
-stays flat under grid refinement.  The operator contracts h with the
+FFT pair applies it and removes the dead modes, and the Krylov iteration
+count stays flat under grid refinement.  The operator contracts h with the
 complex Hessian of v in torus._hessian_trace, and its output is cleared of
 dead modes by torus.null_mode_projection, which needs no FFT.
-
-With variable coefficients the pointwise form of Ltilde is not exactly
-self-adjoint; the solver tolerates that with a stagnation guard in the
-inner iteration and treats the returned vector as a quasi-Newton direction.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from .torus import (
 # forcing term of the first Newton step and ceiling of every later one
 FORCING_MAX = 0.1
 
-# floor of the forcing term, and the iteration cap of each inner CG solve
+# floor of the forcing term, and the iteration cap of each inner solve
 CG_RTOL = 1e-10
 CG_MAXITER = 5000
 
@@ -76,6 +74,9 @@ class NewtonSettings:
 
 @dataclass
 class NewtonReport:
+    """newton_solve's outcome; cg_iterations counts the BiCGStab iterations
+    of each step's inner solve."""
+
     converged: bool
     iterations: int
     residuals: list = field(default_factory=list)
@@ -130,54 +131,54 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def _pcg(apply_a, b: np.ndarray, precond, grid: TorusGrid,
-         rtol: float, maxiter: int) -> tuple:
-    """Preconditioned CG on the dead-mode complement with stagnation guard.
+def _bicgstab(apply_a, b: np.ndarray, precond, grid: TorusGrid,
+              rtol: float, maxiter: int) -> tuple:
+    """Right-preconditioned BiCGStab (van der Vorst) on the dead-mode
+    complement; apply_a need not be self-adjoint.  precond maps a residual
+    to its preconditioned form and must return a field free of dead modes.
+    An iteration applies apply_a up to twice and stops once the residual of
+    its half step s or of its full step meets rtol.
 
-    precond maps a residual to its preconditioned form and must return a
-    field free of dead modes.
-
-    Returns (x, iterations run): an early stop on a stall or on loss of
-    positivity reports the iteration it stopped at, not maxiter.
+    Returns (x, iterations run).  A breakdown, an r0.r, r0.v or t.s of
+    exactly 0 that an update would divide by, ends the solve at the iterate
+    reached.
     """
     b = null_mode_projection(b, grid)
-    x = np.zeros_like(b)
-    r = b.copy()
-    norm_b = np.sqrt(_dot(r, r))
+    x, p, v = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+    norm_b = np.sqrt(_dot(b, b))
     if norm_b == 0.0:
         return x, 0
-    z = precond(r)
-    p = z.copy()
-    rz = _dot(r, z)
-    best_x, best_norm = x, norm_b
-    stall = 0
-    it = 0
+    tol, r = rtol * norm_b, b.copy()
+    # shadow residual r0 = b; p = v = 0, rho = alpha = omega = 1 give p = r
+    rho = alpha = omega = 1.0
     for it in range(1, maxiter + 1):
-        ap = null_mode_projection(apply_a(p), grid)
-        pap = _dot(p, ap)
-        if pap <= 0.0:
-            # loss of positivity in the projected operator: stop with the
-            # best iterate; the outer backtracking absorbs the inexactness
+        rho_prev, rho = rho, _dot(b, r)
+        if rho == 0.0:
             break
-        alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        norm_r = np.sqrt(_dot(r, r))
-        if norm_r < best_norm:
-            best_x, best_norm = x, norm_r
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 20:
-                break
-        if norm_r <= rtol * norm_b:
-            return x, it
+        p -= omega * v
+        p *= (rho / rho_prev) * (alpha / omega)
+        p += r
+        y = precond(p)
+        v = null_mode_projection(apply_a(y), grid)
+        r0v = _dot(b, v)
+        if r0v == 0.0:
+            break
+        alpha = rho / r0v
+        x += alpha * y
+        r -= alpha * v  # r is now the half-step residual s
+        if np.sqrt(_dot(r, r)) <= tol:
+            break
         z = precond(r)
-        rz_new = _dot(r, z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-    return best_x, it
+        t = null_mode_projection(apply_a(z), grid)
+        ts = _dot(t, r)
+        if ts == 0.0:  # t = 0, or omega = 0, which the next beta divides by
+            break
+        omega = ts / _dot(t, t)
+        x += omega * z
+        r -= omega * t
+        if np.sqrt(_dot(r, r)) <= tol:
+            break
+    return x, it
 
 
 def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
@@ -197,19 +198,16 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
 
     for it in range(1, settings.max_iters + 1):
         if state.residual < settings.tol:
-            report.converged = True
-            report.message = "residual below tolerance"
             break
         h = state.metric.h_matrix(setup.omega)
         precond = _mean_symbol_inverse(grid, h, deriv)
         rtol = max(CG_RTOL, eta)
-        delta, cg_iters = _pcg(lambda v: -_ltilde(h, v, grid, deriv),
-                               state.phidot, precond, grid, rtol, CG_MAXITER)
-        report.cg_iterations.append(cg_iters)
+        delta, iters = _bicgstab(lambda v: -_ltilde(h, v, grid, deriv),
+                                 state.phidot, precond, grid, rtol, CG_MAXITER)
+        report.cg_iterations.append(iters)
         report.forcing.append(rtol)
 
-        s = 1.0
-        accepted = False
+        s, accepted = 1.0, False
         while s >= DAMPING_FLOOR:
             try:
                 trial = residual_field(setup, state.phi + s * delta)
@@ -224,15 +222,13 @@ def newton_solve(grid: TorusGrid, omega, chi0, phi_init: np.ndarray,
         report.damping_history.append(s if accepted else 0.0)
         report.residuals.append(state.residual)
         if not accepted:
-            report.message = (
-                "no admissible decreasing step above the damping floor"
-            )
+            report.message = ("no admissible decreasing step above the "
+                              "damping floor")
             return state.phi, report
         # Eisenstat-Walker choice 2 with gamma = 0.9, alpha = 2
         eta = min(FORCING_MAX,
                   0.9 * (report.residuals[-1] / report.residuals[-2]) ** 2)
-    else:
-        report.converged = state.residual < settings.tol
-        report.message = ("residual below tolerance" if report.converged
-                          else "iteration budget exhausted")
+    report.converged = state.residual < settings.tol
+    report.message = ("residual below tolerance" if report.converged
+                      else "iteration budget exhausted")
     return state.phi, report

@@ -146,8 +146,9 @@ def _require_mode_cells(grid: TorusGrid, modes: int, field: str) -> None:
 
 def cosine_mode(grid: TorusGrid, kvecs, amplitude=1.0, phase=0.0):
     """Sum of amplitude * cos(k . x + phase) over a (modes, naxes) integer
-    table of wavevectors k (one wavevector is the table of one); amplitude
-    and phase are (modes,) for one field, (modes, fields) for a stack."""
+    table of wavevectors k, components at most points // 2 (one wavevector
+    is the table of one); amplitude and phase are (modes,) for one field,
+    (modes, fields) for a stack."""
     table = np.array(kvecs, dtype=object, ndmin=2)  # keeps bools, raggedness
     if table.ndim != 2 or any(isinstance(k, bool) or not isinstance(
             k, (int, np.integer)) for k in table.flat):
@@ -155,6 +156,10 @@ def cosine_mode(grid: TorusGrid, kvecs, amplitude=1.0, phase=0.0):
     if table.shape[1] != grid.naxes:
         raise ShapeError(f"wavevector has {table.shape[1]} entries, grid has "
                          f"{grid.naxes} axes")
+    past = np.flatnonzero((np.abs(table) > grid.points // 2).any(axis=1))
+    if past.size:  # such a mode aliases one at most points // 2
+        raise SettingError(f"modes[{past[0]}].k", "components must be at most "
+                           f"points // 2 = {grid.points // 2} in magnitude")
     _require_mode_cells(grid, len(table), "modes")
     table = table.astype(np.int64)
     lead = np.broadcast_shapes(np.shape(amplitude), np.shape(phase))[1:]

@@ -583,7 +583,7 @@ class TestCritical:
         # every trial along a stubbed inner-solve direction loses
         # positivity (tests/test_critical.py::TestNewtonFailure)
         grid = TorusGrid(n=1, points=32)
-        monkeypatch.setattr(critical, "_pcg", lambda *args: (
+        monkeypatch.setattr(critical, "_bicgstab", lambda *args: (
             np.cos(grid.axis_coordinate(0)) * 1e9, 1))
         cfg = write_cfg(tmp_path, "c.json", self.crit_cfg())
         out = tmp_path / "report.json"

@@ -10,12 +10,13 @@ from jflow import (
     TorusGrid,
     cosine_mode,
     newton_solve,
+    run,
 )
 from jflow import critical
 from jflow.critical import (
+    _bicgstab,
     _ltilde,
     _mean_symbol_inverse,
-    _pcg,
     residual_field,
 )
 from jflow.hermitian import as_matrix
@@ -90,17 +91,99 @@ class TestLinearizedOperator:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-class TestPcg:
-    def test_early_stop_reports_iterations_run(self):
-        # a negative operator fails the positivity test p.Ap > 0 on the
-        # first iteration; the count must say 1, not the budget
+def scripted(outputs) -> tuple:
+    """An operator that ignores its input and returns the given fields in
+    turn, and the list of the fields it was applied to."""
+    outputs, applied = iter(outputs), []
+
+    def apply(v):
+        applied.append(v)
+        return next(outputs)
+
+    return apply, applied
+
+
+def parity_fields() -> tuple:
+    # small integer fields on 8 points whose parity classes sum to zero:
+    # the projection leaves them unchanged and their dots are exact
+    return tuple(np.array(f, dtype=float) for f in (
+        [1, 0, -1, 0, 1, 0, -1, 0], [1, 1, -1, -1, 1, 1, -1, -1],
+        [1, -1, -1, 1, -1, -1, 1, 1]))
+
+
+class TestBicgstab:
+    @staticmethod
+    def identity(grid):
+        # the preconditioner of an operator already scaled to 1
+        return lambda r: null_mode_projection(r, grid)
+
+    def test_negative_operator_solved_at_the_half_step(self):
+        # -x = b is one step of size alpha = -1: the half-step residual is
+        # zero, so one operator apply and one iteration
         grid = TorusGrid(n=1, points=16)
         b = cosine_mode(grid, [1], 1.0)
-        x, iters = _pcg(lambda v: -v, b,
-                        lambda r: null_mode_projection(r, grid), grid,
-                        rtol=1e-10, maxiter=50)
+        applies = []
+        x, iters = _bicgstab(lambda v: applies.append(v) or -v, b,
+                             self.identity(grid), grid, rtol=1e-10,
+                             maxiter=50)
         assert iters == 1
-        assert np.array_equal(x, np.zeros_like(b))
+        assert len(applies) == 1
+        assert np.max(np.abs(x + b)) <= 1e-15
+
+    def test_full_step_meets_the_tolerance(self):
+        # -d^2/dx^2 on cos x + cos 2x: the half step leaves 0.6 |b| and the
+        # full step 0.31 |b|, so at rtol 0.45 the solve ends after two
+        # applies in iteration 1
+        grid = TorusGrid(n=1, points=16)
+        b = cosine_mode(grid, [[1], [2]])
+        k2 = np.arange(grid.points // 2 + 1) ** 2.0
+
+        def minus_second_derivative(v):
+            applies.append(v)
+            return np.fft.irfft(np.fft.rfft(v) * k2, n=grid.points)
+
+        applies = []
+        x, iters = _bicgstab(minus_second_derivative, b, self.identity(grid),
+                             grid, rtol=0.45, maxiter=50)
+        assert iters == 1
+        assert len(applies) == 2
+        residual = b - minus_second_derivative(x)
+        assert np.sqrt(np.sum(residual**2)) <= 0.45 * np.sqrt(np.sum(b**2))
+
+    def test_breakdown_of_r0_v(self):
+        # an operator that returns zeros makes r0.v = 0: no exception
+        grid = TorusGrid(n=1, points=16)
+        b = cosine_mode(grid, [1], 1.0)
+        x, iters = _bicgstab(np.zeros_like, b, self.identity(grid), grid,
+                             rtol=1e-10, maxiter=50)
+        assert iters == 1
+        assert not x.any()
+
+    @pytest.mark.parametrize("second", ["zero", "orthogonal"])
+    def test_breakdown_of_t_s(self, second):
+        # the second apply returns t = 0, or t = b, which is orthogonal to
+        # s = b - v: omega would be 0/0 or 0, so the solve ends at the half
+        # step, whose alpha = b.b / b.v is 1
+        grid = TorusGrid(n=1, points=8)
+        b, v, _ = parity_fields()
+        t = np.zeros_like(b) if second == "zero" else b
+        apply, applied = scripted([v, t])
+        x, iters = _bicgstab(apply, b, self.identity(grid), grid,
+                             rtol=1e-10, maxiter=50)
+        assert (iters, len(applied)) == (1, 2)
+        assert np.array_equal(x, b)
+
+    def test_breakdown_of_r0_r(self):
+        # t = s + u with u orthogonal to b and s gives omega = 1/2 and a
+        # full-step residual orthogonal to r0 = b: iteration 2 stops on
+        # rho = 0 before it applies the operator
+        grid = TorusGrid(n=1, points=8)
+        b, v, t = parity_fields()
+        apply, applied = scripted([v, t])
+        x, iters = _bicgstab(apply, b, self.identity(grid), grid,
+                             rtol=1e-10, maxiter=50)
+        assert (iters, len(applied)) == (2, 2)
+        assert np.array_equal(x, b + 0.5 * (b - v))
 
     def test_zero_right_hand_side_returns_at_once(self):
         # a field of dead modes alone projects to zero: nothing to solve,
@@ -112,7 +195,8 @@ class TestPcg:
 
         parity = np.where(np.arange(16) % 2, 1.0, -2.0)
         for b in (grid.zeros(), parity):
-            x, iters = _pcg(never, b, never, grid, rtol=1e-10, maxiter=50)
+            x, iters = _bicgstab(never, b, never, grid, rtol=1e-10,
+                                 maxiter=50)
             assert iters == 0
             assert not x.any()
 
@@ -179,7 +263,8 @@ class TestResidualField:
 def stub_direction(monkeypatch, direction) -> list:
     """Make every inner solve return direction, and log each line-search
     trial: its residual, or "singular" where its metric lost positivity."""
-    monkeypatch.setattr(critical, "_pcg", lambda *args: (direction, 1))
+    monkeypatch.setattr(critical, "_bicgstab",
+                        lambda *args: (direction, 1))
     real = critical.residual_field
     trials = []
 
@@ -366,3 +451,45 @@ class TestNewtonSolve:
         assert report.converged, report.message
         assert report.residuals[-1] < 1e-10
         assert np.max(np.abs(phi)) <= 1e-6
+
+
+def rough_start(a: float, points: int) -> tuple:
+    """(FlowSetup, phi0) of a cos x1 + (a/4) cos(x1 + x2) on n = 2,
+    omega = I, chi0 = 2I; at a = 6 chi_11 spans 0.13 to 3.9 at N = 32."""
+    grid = TorusGrid(n=2, points=points)
+    setup = FlowSetup(grid=grid, omega=np.eye(2), chi0=CHI0)
+    return setup, cosine_mode(grid, [[1, 0], [1, 1]], [a, a / 4.0])
+
+
+def rough_solve(a: float, points: int) -> tuple:
+    setup, phi0 = rough_start(a, points)
+    return newton_solve(setup.grid, setup.omega, setup.chi0, phi0,
+                        NewtonSettings(tol=1e-10))
+
+
+class TestRoughStart:
+    """Starts where h varies strongly over the grid, so the Jacobian is far
+    from self-adjoint; conjugate gradients on it find no decreasing
+    direction at a = 6, and need 26, 29 and 13 iterations at a = 5."""
+
+    @pytest.mark.parametrize("points", [32, 64])
+    def test_converges(self, points):
+        _, report = rough_solve(6.0, points)
+        assert report.converged, report.message
+        assert report.residuals[-1] < 1e-10
+
+    def test_matches_the_flow_limit(self):
+        # the paper's cone condition gives both the flow's convergence and
+        # the solution of the critical equation; criterion 6's bound
+        setup, phi0 = rough_start(6.0, 32)
+        result = run(setup, phi0)
+        assert result.verdict == "converged"
+        phi, report = rough_solve(6.0, 32)
+        assert report.converged, report.message
+        limit = result.final.phi
+        assert np.max(np.abs(limit - limit.mean() - phi)) <= 1e-6
+
+    def test_first_krylov_counts_small(self):
+        _, report = rough_solve(5.0, 32)
+        assert report.converged, report.message
+        assert max(report.cg_iterations[:3]) <= 10

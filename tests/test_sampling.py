@@ -1,8 +1,14 @@
 """Deterministic random sampling and the property suites."""
 
 import json
+import os
+import platform
+import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,11 +396,50 @@ class TestSuites:
         # arithmetic must not.  The functionals pin moved once, when the
         # energies left the mixed-density expansion for the exact node
         # route: the I^E route gap, ie_min and the Jhat shift gap moved by
-        # rounding, and every verdict stayed
+        # rounding, and every verdict stayed.  The conditions pin moved
+        # once, when the digest left out the two kernel-noise fields
         assert report_digest(suite_functionals(0, count=200)) == (
             "54afe1c51d44933abf2ade07af2f7a747dbded8f36fa8683bd9f9b06688120ae")
         assert report_digest(suite_conditions(0, samples=2000)) == (
-            "574de330bd471277b7d15e507d8204cb20402cb5044dccbdffb859d0e2877f04")
+            "3527f145335ad8234b55c3c2c6a7fd47a88fd68d6dd00e1794214fb2f793eee2")
+
+    @pytest.mark.parametrize("key, digest_moves", [
+        ("spectrum_gap_max", False), ("cone_min_abs_margin", False),
+        ("c1_pass", True)])
+    def test_digest_leaves_out_kernel_noise_only(self, key, digest_moves):
+        # a full report and its conditions suite alone hash the same when
+        # only a noise field moves; the report itself keeps the field
+        report = run_property_suites(
+            0, sizes={"conditions": 50, "functionals": 1, "cone": 1})
+        moved = json.loads(canonical_json(report))
+        moved["suites"]["conditions"]["per_dim"]["2"][key] += 1
+        assert canonical_json(moved) != canonical_json(report)
+        for a, b in ((moved, report), (moved["suites"]["conditions"],
+                                       report["suites"]["conditions"])):
+            assert (report_digest(a) != report_digest(b)) == digest_moves
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="OPENBLAS_CORETYPE names x86 kernels")
+    def test_conditions_digest_independent_of_blas_kernel(self):
+        # OpenBLAS kernels round the complex Wishart products of the pencil
+        # draws differently; only the two noise fields follow them
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("from jflow.sampling import report_digest, suite_conditions; "
+                "print(report_digest(suite_conditions(0, samples=2000)))")
+        cores, digests = set(), set()
+        for core in ("Haswell", "Nehalem", "Prescott"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                       OPENBLAS_VERBOSE="2", PYTHONPATH=os.pathsep.join(
+                           filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120, check=True)
+            cores.update(re.findall(r"Core: (\w+)",
+                                    proc.stdout + proc.stderr))
+            digests.add(proc.stdout.split()[-1])
+        assert len(cores) >= 2, cores
+        assert digests == {
+            "3527f145335ad8234b55c3c2c6a7fd47a88fd68d6dd00e1794214fb2f793eee2"}
 
     def test_report_digest_seed_sensitivity(self):
         sizes = {"conditions": 100, "functionals": 2, "cone": 10}

@@ -145,6 +145,17 @@ class TestGridGeometry:
                                      f"16777216 cosines")
         assert cosine_sizes == []
 
+    @pytest.mark.parametrize("n, kvecs, row", [
+        (1, [9], 0), (1, [[1], [-9], [10]], 1), (2, [[8, -8], [1, 9]], 1)])
+    def test_wavevector_past_half_refused(self, cosine_sizes, n, kvecs, row):
+        # on 16 points cos 9x samples as -cos 7x: refused, not aliased
+        with pytest.raises(SettingError) as info:
+            cosine_mode(TorusGrid(n=n, points=16), kvecs)
+        assert info.value.field == f"modes[{row}].k"
+        assert info.value.reason == (
+            "components must be at most points // 2 = 8 in magnitude")
+        assert cosine_sizes == []
+
     @pytest.mark.parametrize("budget", [1, 37, 5 * 3 * 8 * 8 + 1, None])
     @pytest.mark.parametrize("mode", ["invariant", "full"])
     def test_mode_table_equals_one_mode_calls(self, monkeypatch, mode, budget):
