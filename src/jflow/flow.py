@@ -195,6 +195,8 @@ class RunResult:
     min_rel_eig: np.ndarray = None
     # steps retried with a smaller dt; not counted in steps
     rejected_steps: int = 0
+    # flow_state calls, the stages of rejected and raising steps included
+    evaluations: int = 0
 
 
 def flow_state(setup: FlowSetup, phi: np.ndarray, t: float = 0.0,
@@ -234,25 +236,29 @@ def dt_control(setup: FlowSetup, state: FlowState) -> float:
     return SAFETY * RK4_REAL_STABILITY / rho
 
 
-def step(setup: FlowSetup, state: FlowState, dt: float) -> FlowState:
+def step(setup: FlowSetup, state: FlowState, dt: float,
+         evaluate=None) -> FlowState:
     """One RK4 update of (phi, dissipation accumulator).
 
-    Stages are FlowStates of one setup, so k_i is stage i's phidot.  The
-    new state's err is (dt/6) sup|k4 - k5|, with k5 = new.phidot the next
-    step's first stage: the gap to the third-order companion with
-    weights (1/6, 1/3, 1/3, 0, 1/6), so the estimate costs no extra stage.
+    Stages are FlowStates of one setup, built by evaluate (flow_state
+    unless given; run passes one that counts its calls), so k_i is stage
+    i's phidot.  The new state's err is (dt/6) sup|k4 - k5|, with
+    k5 = new.phidot the next step's first stage: the gap to the third-order
+    companion with weights (1/6, 1/3, 1/3, 0, 1/6), so the estimate costs
+    no extra stage.
 
     Raises SingularFormError if any stage or the result loses positivity
     or holds a NaN; the caller reports either as blow-up.
     """
-    s2 = flow_state(setup, state.phi + 0.5 * dt * state.phidot)
-    s3 = flow_state(setup, state.phi + 0.5 * dt * s2.phidot)
-    s4 = flow_state(setup, state.phi + dt * s3.phidot)
+    evaluate = evaluate or flow_state
+    s2 = evaluate(setup, state.phi + 0.5 * dt * state.phidot)
+    s3 = evaluate(setup, state.phi + 0.5 * dt * s2.phidot)
+    s4 = evaluate(setup, state.phi + dt * s3.phidot)
     k1, k2, k3, k4 = state.phidot, s2.phidot, s3.phidot, s4.phidot
     d1, d2, d3, d4 = (_dissipation_rate(setup, s) for s in (state, s2, s3, s4))
     phi_new = state.phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     diss_new = state.diss + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-    new = flow_state(setup, phi_new, state.t + dt, diss_new)
+    new = evaluate(setup, phi_new, state.t + dt, diss_new)
     k5 = new.phidot
     return replace(new, err=(dt / 6.0) * float(np.max(np.abs(k4 - k5))))
 
@@ -331,7 +337,14 @@ def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
     at either stop is sampled.
     """
     t_start = time.perf_counter()
-    state = flow_state(setup, np.array(phi0, dtype=float))
+    evaluations = 0
+
+    def evaluate(*args) -> FlowState:
+        nonlocal evaluations
+        evaluations += 1
+        return flow_state(*args)
+
+    state = evaluate(setup, np.array(phi0, dtype=float))
     ceiling = dt_control(setup, state)
     dt = ceiling
     records = []
@@ -359,7 +372,7 @@ def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
         last = setup.t_max - state.t <= dt
         h = setup.t_max - state.t if last else dt
         try:
-            trial = step(setup, state, h)
+            trial = step(setup, state, h, evaluate)
         except SingularFormError:
             verdict = "blowup"
             break
@@ -397,6 +410,7 @@ def run(setup: FlowSetup, phi0: np.ndarray) -> RunResult:
         diss_totals=np.asarray(diss_totals),
         min_rel_eig=np.asarray(eig_mins),
         rejected_steps=rejected,
+        evaluations=evaluations,
     )
 
 

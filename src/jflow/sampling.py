@@ -12,8 +12,9 @@ Three suites are bundled:
                reciprocal-sum trace identity, and sign agreement between the
                eigenvalue margin of the cone form and a brute-force wedge
                expansion of (chi' - (n-1) omega) ^ chi'^{n-2} carried out in
-               the pencil eigenbasis.  Pencils go in torus._BLOCK_CELLS blocks,
-               so memory grows with samples only by the raw draws.
+               the pencil eigenbasis.  Pencils are drawn, built and reduced
+               in torus._BLOCK_CELLS blocks, so memory grows with samples
+               only by the spectra and verdicts kept per pencil.
   functionals  energy inequalities on random admissible potentials:
                I^E >= 0, the sandwich I^E/(n+1) <= J^E <= n I^E/(n+1),
                agreement of the two I^E routes, entropy nonnegativity, and
@@ -59,15 +60,9 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _pair_draws(rng: np.random.Generator, n: int, count: int) -> tuple:
-    """Whole raw draws of count pairs (g, chi) of size n, in stream order."""
-    normals = [rng.standard_normal((count, n, n)) for _ in range(4)]
-    top = max(8.0, 4.0 * n * n)
-    return normals, np.exp(rng.uniform(np.log(0.5), np.log(top), size=count))
-
-
-def _positive_pairs(draws: tuple, rows: slice) -> tuple:
-    """The pairs (g, chi) of the given rows of _pair_draws.
+def _positive_pair_blocks(rng: np.random.Generator, n: int, count: int,
+                          block: int):
+    """Yield (rows, g, chi): count pairs (g, chi) of size n, block at a time.
 
     Complex Wishart matrices normalized by n, plus 0.05 I so the Cholesky
     factorizations stay comfortably away from breakdown.  chi carries an
@@ -75,15 +70,39 @@ def _positive_pairs(draws: tuple, rows: slice) -> tuple:
     conditions under test compare reciprocal pencil eigenvalues against
     1/(n-1); without the scale almost every raw Wishart pair would sit on
     the failing side and the passing verdicts would go unexercised.
+
+    The stream holds four whole (count, n, n) normal arrays, then the
+    count scales.  A first pass makes each draw a block at a time and keeps
+    the generator state at every block start; each block then replays its
+    five states on a spare generator.  So the rows equal those of a whole
+    draw bit for bit, rng ends where a whole draw leaves it, and only one
+    block of draws is alive at a time.
     """
+    top = max(8.0, 4.0 * n * n)
+    draws = [lambda gen, m: gen.standard_normal((m, n, n))] * 4 + [
+        lambda gen, m: np.exp(gen.uniform(np.log(0.5), np.log(top), size=m))]
+    sizes = [min(block, count - lo) for lo in range(0, count, block)]
+    states = [[] for _ in draws]  # of rng, at each block start of each draw
+    for draw, saved in zip(draws, states):
+        for m in sizes:
+            saved.append(rng.bit_generator.state)
+            draw(rng, m)
+
     def wishart(re, im):
-        a = re[rows] + 1j * im[rows]
-        n = a.shape[-1]
+        a = re + 1j * im
         return a @ a.conj().swapaxes(-1, -2) / n + 0.05 * np.eye(n)
 
-    (g_re, g_im, chi_re, chi_im), scale = draws
-    chi = wishart(chi_re, chi_im) * scale[rows, None, None]
-    return wishart(g_re, g_im), chi
+    spare = make_rng(0)  # its state is replaced before every draw
+    lo = 0
+    for b, m in enumerate(sizes):
+        parts = []
+        for draw, saved in zip(draws, states):
+            spare.bit_generator.state = saved[b]
+            parts.append(draw(spare, m))
+        g_re, g_im, chi_re, chi_im, scale = parts
+        chi = wishart(chi_re, chi_im) * scale[:, None, None]
+        yield slice(lo, lo + m), wishart(g_re, g_im), chi
+        lo += m
 
 
 @cache
@@ -191,10 +210,10 @@ def suite_conditions(seed: int, samples: int = 10_000,
                      fault: str | None = None) -> dict:
     """Implication chain, n = 2 coincidence, trace identity, cone oracle.
 
-    Pencils are built and reduced in blocks of _BLOCK_CELLS entries that
-    keep only per-pencil results, so memory grows with samples only through
-    the raw draws; each matrix is processed alone, so no bit of the report
-    depends on the block size.
+    Pencils are drawn (see _positive_pair_blocks), built and reduced in
+    blocks of _BLOCK_CELLS entries that keep only the spectrum and wedge
+    verdict of each pencil, so no raw draw outlives its block; each matrix
+    is processed alone, so no bit of the report depends on the block size.
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {FAULTS}")
@@ -204,18 +223,22 @@ def suite_conditions(seed: int, samples: int = 10_000,
     counterexamples = []
     passed = True
     for n in dims:
-        draws = _pair_draws(make_rng(seed, stream=100 + n), n, samples)
         lam = np.empty((samples, n))
-        tr = np.empty(samples)
+        spectrum_gap_max, spectrum_violations = 0.0, 0
         wedge_positive = np.ones(samples, dtype=bool)
-        block = max(1, _BLOCK_CELLS // (n * n))
-        for lo in range(0, samples, block):
-            rows = slice(lo, lo + block)
-            g, chi = _positive_pairs(draws, rows)
+        scalar_passed = []  # cone_form_positive on the first 50 pairs
+        blocks = _positive_pair_blocks(make_rng(seed, stream=100 + n), n,
+                                       samples, max(1, _BLOCK_CELLS // (n * n)))
+        for rows, g, chi in blocks:
             # the cone oracle below reuses the reduction of the pencil
             low, reduced = _pencil_reduction(g, chi)
             lam[rows] = np.linalg.eigvalsh(reduced)
-            tr[rows] = np.einsum("...ii->...", np.linalg.solve(chi, g)).real
+            # trace identity: sum of reciprocals equals tr(chi^{-1} g)
+            tr = np.einsum("...ii->...", np.linalg.solve(chi, g)).real
+            recip = (1.0 / lam[rows]).sum(axis=-1)
+            gap = np.abs(recip - tr) / np.maximum(np.abs(tr), 1.0)
+            spectrum_gap_max = np.maximum(spectrum_gap_max, gap.max())
+            spectrum_violations += int((gap > 1e-9).sum())
             if n in cone_dims:
                 _, u = np.linalg.eigh(reduced)
                 t = np.linalg.solve(low.conj().swapaxes(-1, -2), u)
@@ -226,6 +249,8 @@ def suite_conditions(seed: int, samples: int = 10_000,
                 for k in range(n):
                     coeff = wedge_coefficient_batch(mats, n, k)
                     wedge_positive[rows] &= coeff > 0.0
+                scalar_passed += [cone_form_positive(g[i], chi[i]).passed
+                                  for i in range(min(len(g), 50 - rows.start))]
         margins = condition_margins_batch(lam)
         c1m, c3m = margins["C1"], margins["C3"]
         c2m = margins["C2"]
@@ -251,11 +276,6 @@ def suite_conditions(seed: int, samples: int = 10_000,
                     n, "n2-verdict-equality", lam[i],
                     {"C1": c1m[i], "C2": c2m[i], "C3": c3m[i]}, i))
 
-        # trace identity: sum of reciprocals equals tr(chi^{-1} g)
-        recip = (1.0 / lam).sum(axis=-1)
-        spectrum_gap = np.abs(recip - tr) / np.maximum(np.abs(tr), 1.0)
-        spectrum_violations = int((spectrum_gap > 1e-9).sum())
-
         cone_disagreements = None
         cone_min_abs_margin = None
         scalar_disagreements = None
@@ -269,10 +289,8 @@ def suite_conditions(seed: int, samples: int = 10_000,
                     n, "cone-wedge-oracle", lam[i],
                     {"C3": margins["C3"][i]}, i))
             scalar_disagreements = 0
-            g, chi = _positive_pairs(draws, slice(0, 50))
-            for i in range(min(50, samples)):
-                rep = cone_form_positive(g[i], chi[i])
-                if rep.passed != bool(wedge_positive[i]):
+            for i, scalar_pass in enumerate(scalar_passed):
+                if scalar_pass != bool(wedge_positive[i]):
                     scalar_disagreements += 1
                     counterexamples.append(_counterexample(
                         n, "cone-scalar-api", lam[i],
@@ -290,7 +308,7 @@ def suite_conditions(seed: int, samples: int = 10_000,
             "chain_violations": int(viol_23.size + viol_31.size),
             "n2_equality_violations": eq_violations,
             "spectrum_violations": spectrum_violations,
-            "spectrum_gap_max": float(spectrum_gap.max()),
+            "spectrum_gap_max": float(spectrum_gap_max),
             "cone_disagreements": cone_disagreements,
             "cone_min_abs_margin": cone_min_abs_margin,
             "scalar_api_disagreements": scalar_disagreements,

@@ -301,12 +301,12 @@ class TestExitCodes:
         # state
         real_step, starts = flow.step, []
 
-        def nan_fourth_step(setup, state, dt):
+        def nan_fourth_step(setup, state, dt, *evaluate):
             starts.append(state.t)
             if len(starts) == 4:
                 nan = np.full_like(state.phidot, np.nan)
                 state = dataclasses.replace(state, phidot=nan)
-            return real_step(setup, state, dt)
+            return real_step(setup, state, dt, *evaluate)
 
         monkeypatch.setattr(flow, "step", nan_fourth_step)
         cfg = write_cfg(tmp_path, "f.json", flow_cfg())

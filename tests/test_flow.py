@@ -28,6 +28,7 @@ from jflow.flow import (
     _sample,
     flow_state,
 )
+from jflow.sampling import make_rng, random_admissible_potential
 from oracles import wedge_trace_consistency
 
 
@@ -141,17 +142,19 @@ class TestStepping:
         # and run ends on it as blow-up, sampling the last accepted state
         real_step, starts = flow.step, []
 
-        def nan_fourth_step(setup, state, dt):
+        def nan_fourth_step(setup, state, dt, *evaluate):
             starts.append(state)
             if len(starts) == 4:
                 state = replace(state, phidot=phidot)
-            return real_step(setup, state, dt)
+            return real_step(setup, state, dt, *evaluate)
 
         monkeypatch.setattr(flow, "step", nan_fourth_step)
         result = run(setup, state.phi)
         assert result.verdict == "blowup" and len(starts) == 4
         assert result.steps + result.rejected_steps == 3
         assert result.steps >= 1 and result.final is starts[-1]
+        # the start, three whole steps and the NaN stage that raised
+        assert result.evaluations == 1 + 4 * 3 + 1
         last = result.records[-1]
         assert (last.t, last.residual) == (starts[-1].t, starts[-1].residual)
 
@@ -268,11 +271,11 @@ class TestRunVerdicts:
         real_step = flow.step
         calls = []
 
-        def failing_step(setup, state, dt):
+        def failing_step(setup, state, dt, *evaluate):
             calls.append(state.t)
             if len(calls) == 4:
                 raise SingularFormError("metric lost positivity on the grid")
-            return real_step(setup, state, dt)
+            return real_step(setup, state, dt, *evaluate)
 
         monkeypatch.setattr(flow, "step", failing_step)
         setup = small_setup()
@@ -280,6 +283,8 @@ class TestRunVerdicts:
         assert result.verdict == "blowup"
         assert result.steps + result.rejected_steps == 3
         assert result.steps > 0
+        # the fourth step raised before it evaluated a stage
+        assert result.evaluations == 1 + 4 * 3
         assert len(result.records) == len(result.diss_totals) == 2
         last = result.records[-1]
         assert last.t == result.final.t == calls[-1] > 0.0
@@ -579,6 +584,21 @@ class TestFieldBuilds:
         step(setup, state, dt)
         assert len(traces) == 4
         assert len(builds) == 4
+
+    def test_run_counts_every_evaluation(self, monkeypatch):
+        # the seed-0 flow16_converge instance of perfbench: each flow_state
+        # call builds one metric, so evaluations is the traced
+        # metric_field count, rejected steps included
+        grid = TorusGrid(n=2, points=16, mode="invariant")
+        setup = FlowSetup(grid=grid, omega=np.eye(2), chi0=2.0 * np.eye(2))
+        phi0 = random_admissible_potential(make_rng(0, stream=7), grid,
+                                           setup.chi0, band=2, amplitude=0.4)
+        builds = self._count_calls(monkeypatch, "metric_field")
+        result = run(setup, phi0)
+        assert result.verdict == "converged" and result.rejected_steps > 0
+        assert result.evaluations == len(builds) == 605
+        assert result.evaluations == 1 + 4 * (result.steps
+                                              + result.rejected_steps)
 
     def test_step_makes_no_lapack_factor_or_solve(self, monkeypatch):
         setup, state = self._state()
